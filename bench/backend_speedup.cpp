@@ -1,19 +1,17 @@
 /**
  * @file
  * Timing-backend fidelity/speed trade-off: wall time and predicted
- * cycles of the detailed core, the analytical interval backend, and
- * auto mode (detailed until the stability detectors converge, interval
- * for the remainder) on a compute-bound workload (mm), a memory-bound
- * one (spmv) and an iterative one (pagerank, where the cross-kernel
- * latch pays off).
+ * cycles of the detailed core and the analytical interval backend on
+ * a compute-bound workload (mm), a memory-bound one (spmv) and an
+ * iterative one (pagerank).
  *
  * The interval backend trades accuracy for speed by construction — no
  * event loop, no MSHR or bank contention — so each interval row
  * carries an explicit error bound and minimum speedup, and the bench
  * FAILS when a bound is violated. The bounds are honest: spmv's is
  * wide because its runtime is dominated by DRAM-contention behaviour
- * the closed-form floors cannot reproduce (see DESIGN.md); auto mode
- * is the answer when that error is unacceptable.
+ * the closed-form floors cannot reproduce (see DESIGN.md); Photon
+ * mode is the answer when that error is unacceptable.
  *
  * Measurement protocol: deterministic cycle counts are asserted
  * identical across repetitions; wall times report the median of an
@@ -51,9 +49,6 @@ struct BackendRun
     double errorPct = 0.0;    ///< |cycles - detailed| / detailed
     double speedup = 0.0;     ///< detailed wall / this wall
     std::uint32_t reps = 0;
-    // Auto-mode switch evidence (zero for the other backends).
-    std::uint64_t latchedKernels = 0;
-    std::uint64_t intervalLaunches = 0;
     // Gates (0 = not gated).
     double errorBoundPct = 0.0;
     double minSpeedup = 0.0;
@@ -81,10 +76,6 @@ runOnce(const std::string &name, std::uint32_t size,
     r.cycles = platform.totalKernelCycles();
     r.insts = platform.totalInsts();
     r.wallSeconds = platform.totalWallSeconds();
-    if (platform.pilot()) {
-        r.latchedKernels = platform.pilot()->latchedKernels();
-        r.intervalLaunches = platform.pilot()->intervalLaunches();
-    }
     return r;
 }
 
@@ -161,9 +152,7 @@ writeJson(const std::vector<BackendRun> &rows, const char *path)
           << ", \"error_vs_detailed_pct\": " << r.errorPct
           << ", \"speedup_vs_detailed\": " << r.speedup
           << ", \"error_bound_pct\": " << r.errorBoundPct
-          << ", \"min_speedup\": " << r.minSpeedup
-          << ", \"latched_kernels\": " << r.latchedKernels
-          << ", \"interval_launches\": " << r.intervalLaunches << "}"
+          << ", \"min_speedup\": " << r.minSpeedup << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     f << "  ]\n}\n";
@@ -181,8 +170,7 @@ main(int argc, char **argv)
 
     /** Per-workload gates. The interval bounds are deliberately wide
      *  where the analytical model is known weak (spmv, see file
-     *  comment); the auto bound is tight because auto only leaves the
-     *  detailed core once a kernel's duration has proven stable. */
+     *  comment). */
     struct Case
     {
         const char *name;
@@ -190,8 +178,6 @@ main(int argc, char **argv)
         bench::WorkloadFactory factory;
         double intervalErrBound; ///< percent
         double intervalMinSpeedup;
-        double autoErrBound;   ///< percent; 0 = not gated
-        double autoMinSpeedup; ///< 0 = not gated
     };
     const std::uint32_t mm_n = quick ? 128 : 256;
     const std::uint32_t spmv_rows = quick ? 1024 : 2048;
@@ -205,13 +191,6 @@ main(int argc, char **argv)
     const double mm_spd = quick ? 3.0 : 4.0;
     const double spmv_spd = quick ? 2.0 : 5.0;
     const double pr_spd = quick ? 1.2 : 1.5;
-    // Never-latching workloads (mm, spmv run each kernel once, so the
-    // cross-kernel detector can never converge): the pilot's
-    // unmonitored passthrough must make auto indistinguishable from
-    // detailed — cycle-exact, and no slower than measurement noise
-    // allows. The quick gate is looser only because single-rep
-    // millisecond runs are at the mercy of the scheduler.
-    const double auto_parity_spd = quick ? 0.90 : 0.98;
     // Sizes mean what they mean on the CLI: the factory goes through
     // service::makeWorkload, so "spmv 2048" here is the same job as
     // `photon_sim --workload spmv --size 2048`.
@@ -228,14 +207,11 @@ main(int argc, char **argv)
     };
     const Case cases[] = {
         {"mm", mm_n, factory("mm", mm_n),
-         /*intervalErrBound=*/55.0, /*intervalMinSpeedup=*/mm_spd,
-         /*autoErrBound=*/0.01, /*autoMinSpeedup=*/auto_parity_spd},
+         /*intervalErrBound=*/55.0, /*intervalMinSpeedup=*/mm_spd},
         {"spmv", spmv_rows, factory("spmv", spmv_rows),
-         /*intervalErrBound=*/98.0, /*intervalMinSpeedup=*/spmv_spd,
-         /*autoErrBound=*/0.01, /*autoMinSpeedup=*/auto_parity_spd},
+         /*intervalErrBound=*/98.0, /*intervalMinSpeedup=*/spmv_spd},
         {"pagerank", pr_nodes, factory("pagerank", pr_nodes),
-         /*intervalErrBound=*/75.0, /*intervalMinSpeedup=*/pr_spd,
-         /*autoErrBound=*/5.0, /*autoMinSpeedup=*/1.05},
+         /*intervalErrBound=*/75.0, /*intervalMinSpeedup=*/pr_spd},
     };
 
     driver::printBanner(std::cout,
@@ -246,27 +222,26 @@ main(int argc, char **argv)
                 mm_n, spmv_rows, pr_nodes, reps);
 
     const timing::BackendKind kinds[] = {timing::BackendKind::Detailed,
-                                         timing::BackendKind::Interval,
-                                         timing::BackendKind::Auto};
+                                         timing::BackendKind::Interval};
 
     bool ok = true;
     std::vector<BackendRun> rows;
     driver::Table table({"workload", "backend", "cycles", "wall_s",
-                         "err%", "speedup", "latched"});
+                         "err%", "speedup"});
     for (const Case &c : cases) {
         // One untimed warm-up (page-in, allocator), then interleave
         // the timed repetitions so host load biases no backend.
-        std::vector<BackendRun> samples[3];
-        for (int k = 0; k < 3; ++k)
+        std::vector<BackendRun> samples[2];
+        for (int k = 0; k < 2; ++k)
             (void)runOnce(c.name, c.size, c.factory, kinds[k]);
         for (std::uint32_t i = 0; i < reps; ++i)
-            for (int k = 0; k < 3; ++k)
+            for (int k = 0; k < 2; ++k)
                 samples[k].push_back(
                     runOnce(c.name, c.size, c.factory, kinds[k]));
 
         BackendRun detailed = medianOf(std::move(samples[0]));
         detailed.speedup = 1.0;
-        for (int k = 0; k < 3; ++k) {
+        for (int k = 0; k < 2; ++k) {
             BackendRun r = k == 0 ? detailed
                                   : medianOf(std::move(samples[k]));
             if (k > 0) {
@@ -276,10 +251,8 @@ main(int argc, char **argv)
                 r.speedup = r.wallSeconds > 0
                                 ? detailed.wallSeconds / r.wallSeconds
                                 : 0.0;
-                r.errorBoundPct =
-                    k == 1 ? c.intervalErrBound : c.autoErrBound;
-                r.minSpeedup =
-                    k == 1 ? c.intervalMinSpeedup : c.autoMinSpeedup;
+                r.errorBoundPct = c.intervalErrBound;
+                r.minSpeedup = c.intervalMinSpeedup;
                 if (r.errorBoundPct > 0 && r.errorPct > r.errorBoundPct) {
                     std::fprintf(stderr,
                                  "FAIL: %s/%s error %.2f%% exceeds the "
@@ -301,26 +274,14 @@ main(int argc, char **argv)
                           std::to_string(r.cycles),
                           driver::Table::num(r.wallSeconds, 3),
                           driver::Table::num(r.errorPct),
-                          driver::Table::num(r.speedup),
-                          std::to_string(r.latchedKernels)});
+                          driver::Table::num(r.speedup)});
             rows.push_back(r);
-        }
-        // Auto mode must actually have switched on the iterative
-        // workload — otherwise it is just detailed with overhead.
-        const BackendRun &auto_run = rows.back();
-        if (std::string(c.name) == "pagerank" &&
-            auto_run.intervalLaunches == 0) {
-            std::fprintf(stderr,
-                         "FAIL: auto never switched on pagerank\n");
-            ok = false;
         }
     }
     table.print(std::cout);
     std::printf(
         "\ninterval trades accuracy for speed (no event loop; spmv's\n"
-        "bound is wide because DRAM contention dominates it); auto\n"
-        "keeps errors tight by switching only once launch durations\n"
-        "prove stable, so its win grows with iteration count.\n");
+        "bound is wide because DRAM contention dominates it).\n");
 
     writeJson(rows, "BENCH_backend.json");
     return ok ? 0 : 1;

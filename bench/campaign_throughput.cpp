@@ -1,11 +1,11 @@
 /**
  * @file
- * Campaign throughput: wall time of one job batch run serially vs. on
- * the campaign runner's thread pool, the work-stealing scheduler vs. a
- * static partition on a cost-skewed batch, plus the effect of a warm
- * kernel-signature store on a rerun (the cheapest honest speedups for a
- * batch of cycle-level simulations: batch parallelism, rebalancing and
- * cross-run signature reuse).
+ * Campaign throughput: the work-stealing scheduler vs. a static
+ * partition on a cost-skewed batch, plus the effect of a warm
+ * kernel-signature store on a rerun (rebalancing and cross-run
+ * signature reuse). Worker-count scaling is not measured: on a host
+ * with about one effective core it would only time the batch's
+ * longest job.
  *
  * The scheduler comparison seeds the same skewed batch (a few expensive
  * jobs amid cheap ones) both ways; results must be bit-identical —
@@ -80,7 +80,6 @@ struct BenchJson
     double stealWall = 0.0;
     std::uint64_t stealOps = 0;
     std::uint64_t stolenTasks = 0;
-    std::vector<std::pair<std::uint32_t, double>> scaling;
     double coldWall = 0.0;
     double warmWall = 0.0;
     std::uint32_t warmHits = 0;
@@ -106,13 +105,6 @@ writeJson(const BenchJson &b, const char *path)
       << ", \"stolen_tasks\": " << b.stolenTasks
       << ", \"speedup_vs_static\": "
       << (b.stealWall > 0 ? b.staticWall / b.stealWall : 0.0) << "},\n"
-      << "  \"scaling\": [\n";
-    for (std::size_t i = 0; i < b.scaling.size(); ++i) {
-        f << "    {\"workers\": " << b.scaling[i].first
-          << ", \"wall_s\": " << b.scaling[i].second << "}"
-          << (i + 1 < b.scaling.size() ? "," : "") << "\n";
-    }
-    f << "  ],\n"
       << "  \"warm_store\": {\"cold_wall_s\": " << b.coldWall
       << ", \"warm_wall_s\": " << b.warmWall
       << ", \"kernel_hits\": " << b.warmHits << ", \"speedup\": "
@@ -128,26 +120,6 @@ main(int argc, char **argv)
     bool quick = bench::quickMode(argc, argv);
     std::vector<JobSpec> jobs = makeJobs(quick);
     BenchJson json;
-
-    driver::printBanner(std::cout, "Campaign throughput vs. serial");
-    std::printf("%zu jobs (photon mode, r9nano); share=none isolates\n"
-                "jobs so the pool scan scales freely\n\n",
-                jobs.size());
-
-    driver::Table scaling({"workers", "wall_s", "speedup", "jobs/s"});
-    double serial_wall = 0.0;
-    for (std::uint32_t workers : {1u, 2u, 4u}) {
-        CampaignResult r = runWith(jobs, workers, SharePolicy::None);
-        if (workers == 1)
-            serial_wall = r.wallSeconds;
-        json.scaling.emplace_back(workers, r.wallSeconds);
-        scaling.addRow({std::to_string(workers),
-                        driver::Table::num(r.wallSeconds, 3),
-                        driver::Table::num(serial_wall / r.wallSeconds),
-                        driver::Table::num(r.jobs.size() /
-                                           r.wallSeconds)});
-    }
-    scaling.print(std::cout);
 
     driver::printBanner(std::cout,
                         "Work-stealing vs. static partition (skewed)");
@@ -191,6 +163,7 @@ main(int argc, char **argv)
 
     driver::printBanner(std::cout,
                         "Warm kernel-signature store (rerun)");
+    std::printf("%zu jobs (photon mode, r9nano)\n\n", jobs.size());
     CampaignResult cold = runWith(jobs, 1, SharePolicy::Ordered);
     CampaignResult warm =
         runWith(jobs, 1, SharePolicy::Ordered, cold.finalStore);

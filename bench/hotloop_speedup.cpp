@@ -1,19 +1,16 @@
 /**
  * @file
  * Hot-loop speedup: wall time of detailed-mode simulation under the
- * three run-loop variants — the reference per-cycle scanning loop
- * (seed), the event-driven core (event), and the event core with
- * epoch-parallel CU ticking (threads) — on a compute-bound workload
- * (mm) and a memory-bound one (spmv). Every variant must report
- * identical cycle and instruction counts (the loops are bit-identical
- * by construction; this bench re-checks it); only wall time may differ.
+ * two run-loop variants — the reference per-cycle scanning loop (seed)
+ * and the event-driven core (event) — on a compute-bound workload (mm)
+ * and a memory-bound one (spmv). Both variants must report identical
+ * cycle and instruction counts (the loops are bit-identical by
+ * construction; this bench re-checks it); only wall time may differ.
  *
  * Measurement protocol: one untimed warm-up run per variant (page-in,
  * allocator and cache warm-up), then an odd number of timed
  * repetitions interleaved across variants, reporting the median wall
- * time. The JSON records hardware_concurrency and flags the threaded
- * variant `oversubscribed` when it asks for more workers than the host
- * has cores, so a single-core CI runner's numbers are interpretable.
+ * time.
  *
  * Writes BENCH_hotloop.json in the working directory for the CI
  * perf-smoke artifact.
@@ -40,17 +37,11 @@ struct VariantResult
 {
     std::string workload;
     std::string variant;
-    std::uint32_t threads = 1;
-    bool oversubscribed = false;
     Cycle cycles = 0;
     std::uint64_t insts = 0;
     double wallSeconds = 0.0; ///< median over the timed repetitions
     double speedupVsSeed = 0.0;
     std::uint32_t reps = 0;
-    // Epoch-loop statistics (zero for the serial variants).
-    std::uint64_t epochs = 0;
-    std::uint64_t epochCycles = 0;
-    std::uint64_t barrierCrossings = 0;
 };
 
 /**
@@ -62,8 +53,7 @@ struct VariantResult
 VariantResult
 runVariantOnce(const std::string &name,
                const bench::WorkloadFactory &factory,
-               const std::string &variant, bool seed_loop,
-               std::uint32_t threads)
+               const std::string &variant, bool seed_loop)
 {
     driver::Platform platform(GpuConfig::r9Nano(),
                               driver::SimMode::FullDetailed);
@@ -72,13 +62,10 @@ runVariantOnce(const std::string &name,
 
     timing::RunOptions opts;
     opts.useSeedLoop = seed_loop;
-    opts.cuThreads = threads;
 
     VariantResult r;
     r.workload = name;
     r.variant = variant;
-    r.threads = threads;
-    r.oversubscribed = threads > std::thread::hardware_concurrency();
     auto t0 = std::chrono::steady_clock::now();
     for (const workloads::LaunchSpec &l : w->launches()) {
         func::LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup,
@@ -87,9 +74,6 @@ runVariantOnce(const std::string &name,
             *l.program, dims, platform.mem(), nullptr, opts);
         r.cycles += out.cycles();
         r.insts += out.instsIssued;
-        r.epochs += out.epochs;
-        r.epochCycles += out.epochCycleSum;
-        r.barrierCrossings += out.barrierCrossings;
     }
     auto t1 = std::chrono::steady_clock::now();
     r.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
@@ -126,24 +110,15 @@ writeJson(const std::vector<VariantResult> &rows, const char *path)
       << ",\n  \"timing\": \"median\",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const VariantResult &r = rows[i];
-        double mean_epoch =
-            r.epochs ? static_cast<double>(r.epochCycles) /
-                           static_cast<double>(r.epochs)
-                     : 0.0;
         f << "    {\"workload\": \"" << r.workload << "\", \"variant\": \""
-          << r.variant << "\", \"threads\": " << r.threads
-          << ", \"oversubscribed\": "
-          << (r.oversubscribed ? "true" : "false")
-          << ", \"reps\": " << r.reps << ", \"cycles\": " << r.cycles
+          << r.variant << "\", \"reps\": " << r.reps
+          << ", \"cycles\": " << r.cycles
           << ", \"insts\": " << r.insts << ", \"wall_s\": " << r.wallSeconds
           << ", \"cycles_per_sec\": "
           << (r.wallSeconds > 0 ? static_cast<double>(r.cycles) /
                                       r.wallSeconds
                                 : 0.0)
-          << ", \"speedup_vs_seed\": " << r.speedupVsSeed
-          << ", \"epochs\": " << r.epochs
-          << ", \"mean_epoch_cycles\": " << mean_epoch
-          << ", \"barrier_crossings\": " << r.barrierCrossings << "}"
+          << ", \"speedup_vs_seed\": " << r.speedupVsSeed << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     f << "  ]\n}\n";
@@ -158,7 +133,6 @@ main(int argc, char **argv)
     bool quick = bench::quickMode(argc, argv);
     const std::uint32_t mm_n = quick ? 128 : 256;
     const std::uint32_t spmv_rows = quick ? 1024 : 4096;
-    const std::uint32_t par_threads = 4;
     // Odd so the median is a real sample, not an interpolation.
     const std::uint32_t reps = quick ? 3 : 5;
     const std::uint32_t cores = std::thread::hardware_concurrency();
@@ -175,46 +149,38 @@ main(int argc, char **argv)
     driver::printBanner(std::cout,
                         "Detailed-mode hot-loop speedup (r9nano)");
     std::printf("mm n=%u, spmv rows=%u; %u hardware cores, "
-                "%u reps (median) after 1 warm-up%s\n\n",
-                mm_n, spmv_rows, cores, reps,
-                par_threads > cores
-                    ? " [threads variant OVERSUBSCRIBED]"
-                    : "");
+                "%u reps (median) after 1 warm-up\n\n",
+                mm_n, spmv_rows, cores, reps);
 
     std::vector<VariantResult> rows;
-    driver::Table table({"workload", "variant", "threads", "cycles",
-                         "wall_s", "Mcyc/s", "speedup", "epochs"});
+    driver::Table table({"workload", "variant", "cycles", "wall_s",
+                         "Mcyc/s", "speedup"});
     for (const auto &wt : workloads_under_test) {
         struct
         {
             const char *variant;
             bool seedLoop;
-            std::uint32_t threads;
             std::vector<VariantResult> samples;
         } variants[] = {
-            {"seed", true, 1, {}},
-            {"event", false, 1, {}},
-            {"threads", false, par_threads, {}},
+            {"seed", true, {}},
+            {"event", false, {}},
         };
         // One untimed warm-up per variant, then interleave the timed
         // repetitions so background load on the host biases none of
         // them.
         for (auto &v : variants)
             (void)runVariantOnce(wt.name, wt.factory, v.variant,
-                                 v.seedLoop, v.threads);
+                                 v.seedLoop);
         for (std::uint32_t i = 0; i < reps; ++i)
             for (auto &v : variants)
                 v.samples.push_back(runVariantOnce(
-                    wt.name, wt.factory, v.variant, v.seedLoop,
-                    v.threads));
+                    wt.name, wt.factory, v.variant, v.seedLoop));
 
         VariantResult seed = medianOf(std::move(variants[0].samples));
         VariantResult event = medianOf(std::move(variants[1].samples));
-        VariantResult par = medianOf(std::move(variants[2].samples));
         seed.speedupVsSeed = 1.0;
         event.speedupVsSeed = seed.wallSeconds / event.wallSeconds;
-        par.speedupVsSeed = seed.wallSeconds / par.wallSeconds;
-        for (const VariantResult *r : {&seed, &event, &par}) {
+        for (const VariantResult *r : {&seed, &event}) {
             if (r->cycles != seed.cycles || r->insts != seed.insts) {
                 std::fprintf(stderr,
                              "FAIL: %s/%s diverged from the seed loop "
@@ -226,22 +192,17 @@ main(int argc, char **argv)
                 return 1;
             }
             table.addRow({r->workload, r->variant,
-                          std::to_string(r->threads),
                           std::to_string(r->cycles),
                           driver::Table::num(r->wallSeconds, 3),
                           driver::Table::num(r->cycles / r->wallSeconds /
                                              1e6),
-                          driver::Table::num(r->speedupVsSeed),
-                          std::to_string(r->epochs)});
+                          driver::Table::num(r->speedupVsSeed)});
             rows.push_back(*r);
         }
     }
     table.print(std::cout);
     std::printf(
-        "\nevent vs seed is the structural win (no per-cycle CU scan);\n"
-        "the threads variant syncs once per epoch and needs >= %u real\n"
-        "cores to pay off (oversubscribed runs are flagged in the JSON).\n",
-        par_threads);
+        "\nevent vs seed is the structural win (no per-cycle CU scan).\n");
 
     writeJson(rows, "BENCH_hotloop.json");
     return 0;

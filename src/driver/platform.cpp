@@ -32,9 +32,6 @@ Platform::Platform(const GpuConfig &gpu_cfg, SimMode mode,
                   "sampled modes' control planes need monitor hooks)");
     if (backend_ != timing::BackendKind::Detailed)
         interval_ = std::make_unique<timing::IntervalBackend>(gpu_);
-    if (backend_ == timing::BackendKind::Auto)
-        pilot_ = std::make_unique<sampling::FidelityPilot>(
-            gpu_, *interval_, samplingCfg_);
     if (mode_ == SimMode::Photon)
         photon_ =
             std::make_unique<sampling::PhotonSampler>(gpu_, samplingCfg_);
@@ -97,11 +94,6 @@ Platform::launch(const isa::ProgramPtr &program,
     switch (mode_) {
       case SimMode::FullDetailed: {
         func::LaunchTracePtr trace = acquireTrace(*program, dims);
-        if (backend_ == timing::BackendKind::Auto) {
-            result.sample =
-                pilot_->runKernel(*program, dims, mem_, trace.get());
-            break;
-        }
         timing::TimingBackend &be = activeBackend();
         const timing::BackendCaps caps = be.caps();
         timing::RunOptions run_opts;
@@ -127,14 +119,6 @@ Platform::launch(const isa::ProgramPtr &program,
             tele.backendDetailedCycles = out.cycles();
         } else {
             tele.backendIntervalCycles = out.cycles();
-        }
-        // Statistics the backend never measured are reported as
-        // absent (null), not zero.
-        tele.hasDetailedStats = caps.epochStats;
-        if (caps.epochStats) {
-            tele.epochs = out.epochs;
-            tele.epochCycles = out.epochCycleSum;
-            tele.barrierCrossings = out.barrierCrossings;
         }
         break;
       }

@@ -18,7 +18,6 @@
 #include "func/warp_trace.hpp"
 #include "func/wave_state.hpp"
 #include "isa/program.hpp"
-#include "sampling/fidelity.hpp"
 #include "sampling/photon.hpp"
 #include "sampling/pka.hpp"
 #include "sim/config.hpp"
@@ -94,14 +93,6 @@ class Platform
 
     // ----- Introspection -----
 
-    /** Intra-kernel CU worker threads for every launch (any value is
-     *  bit-identical to 1; see timing::RunOptions::cuThreads). */
-    void setCuThreads(std::uint32_t n) { gpu_.setCuThreads(n); }
-
-    /** Clamp the epoch loop's horizon for every launch (0 = unclamped;
-     *  1 forces per-cycle stepping — the parity-test stress mode). */
-    void setMaxEpochCycles(Cycle cap) { gpu_.setEpochCap(cap); }
-
     SimMode mode() const { return mode_; }
     const GpuConfig &gpuConfig() const { return gpuCfg_; }
     func::GlobalMemory &mem() { return mem_; }
@@ -113,14 +104,11 @@ class Platform
 
     /** The selected timing backend for full-detailed launches. */
     timing::BackendKind backendKind() const { return backend_; }
-    /** The backend actually driving full-detailed launches (the
-     *  detailed adapter or the interval model; auto mode's pilot sits
-     *  above both). */
+    /** The backend driving full-detailed launches (the detailed
+     *  adapter or the interval model). */
     timing::TimingBackend &activeBackend();
     /** Interval backend; null unless backendKind() needs one. */
     timing::IntervalBackend *interval() { return interval_.get(); }
-    /** Auto-mode pilot; null unless backendKind() == Auto. */
-    sampling::FidelityPilot *pilot() { return pilot_.get(); }
 
     /** Sum of predicted kernel cycles across all launches. */
     Cycle totalKernelCycles() const { return totalCycles_; }
@@ -177,7 +165,6 @@ class Platform
     timing::Gpu gpu_;
     timing::DetailedBackend detailed_;
     std::unique_ptr<timing::IntervalBackend> interval_;
-    std::unique_ptr<sampling::FidelityPilot> pilot_;
     std::unique_ptr<sampling::PhotonSampler> photon_;
     std::unique_ptr<sampling::PkaSampler> pka_;
 

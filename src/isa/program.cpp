@@ -44,40 +44,6 @@ Program::decode()
     for (std::uint32_t pc = 0; pc < n; ++pc) {
         decoded_[pc].inst = code_[pc];
         decoded_[pc].unit = opcodeInfo(code_[pc].op).unit;
-        decoded_[pc].minStepsToEnd = kUnreachableEnd;
-    }
-
-    // minStepsToEnd by BFS over reverse control-flow edges from every
-    // s_endpgm (unit edge weights, so BFS order is shortest-path order).
-    // Predecessors of pc: the fall-through from pc-1 (unless pc-1 is an
-    // unconditional branch or endpgm) and every branch targeting pc.
-    std::vector<std::vector<std::uint32_t>> preds(n);
-    for (std::uint32_t pc = 0; pc < n; ++pc) {
-        const Instruction &inst = code_[pc];
-        if (isBranch(inst.op))
-            preds[inst.target].push_back(pc);
-        bool falls_through =
-            inst.op != Opcode::S_BRANCH && inst.op != Opcode::S_ENDPGM;
-        if (falls_through && pc + 1 < n)
-            preds[pc + 1].push_back(pc);
-    }
-    std::vector<std::uint32_t> queue;
-    queue.reserve(n);
-    for (std::uint32_t pc = 0; pc < n; ++pc) {
-        if (code_[pc].op == Opcode::S_ENDPGM) {
-            decoded_[pc].minStepsToEnd = 1;
-            queue.push_back(pc);
-        }
-    }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        std::uint32_t pc = queue[head];
-        std::uint32_t steps = decoded_[pc].minStepsToEnd + 1;
-        for (std::uint32_t p : preds[pc]) {
-            if (decoded_[p].minStepsToEnd == kUnreachableEnd) {
-                decoded_[p].minStepsToEnd = steps;
-                queue.push_back(p);
-            }
-        }
     }
 }
 

@@ -82,20 +82,14 @@ class PhotonController final : public SamplingController
     PhotonController(WarpSampler *warp, BbSampler *bb,
                      std::uint64_t min_retired_warps);
 
-    PHOTON_SHARED_STATE
     void onKernelPhase(timing::KernelPhase phase, Cycle now) override;
-    PHOTON_SHARED_STATE
     void onWaveDispatched(WarpId warp, Cycle now) override;
-    PHOTON_SHARED_STATE
     void onWaveRetired(WarpId warp, Cycle now,
                        std::uint64_t inst_count) override;
-    PHOTON_SHARED_STATE
     void onInstruction(WarpId warp, const func::StepResult &result,
                        Cycle issue, Cycle complete) override;
-    PHOTON_SHARED_STATE
     void onBbExecuted(WarpId warp, isa::BbId bb, Cycle issue, Cycle retire,
                       std::uint32_t active_lanes) override;
-    PHOTON_SHARED_STATE
     bool wantsStop(Cycle now) override;
 
     const SwitchDecision &decision() const override { return decision_; }

@@ -92,18 +92,8 @@ writeRecord(const KernelTelemetry &t, std::ostream &os)
        << ", \"analysis_reused\": "
        << (t.analysisReused ? "true" : "false")
        << ", \"detailed_fraction\": " << num(t.detailedFraction()) << ",\n"
-       << "     \"wall_seconds\": " << num(t.wallSeconds);
-    // Detailed-only statistics: backends that never ran the detailed
-    // core emit null, not zero — absence must stay distinguishable.
-    if (t.hasDetailedStats) {
-        os << ", \"epochs\": " << t.epochs
-           << ", \"epoch_cycles\": " << t.epochCycles
-           << ", \"barrier_crossings\": " << t.barrierCrossings;
-    } else {
-        os << ", \"epochs\": null, \"epoch_cycles\": null"
-           << ", \"barrier_crossings\": null";
-    }
-    os << ",\n     \"backend\": \"" << jsonEscape(t.backend) << "\""
+       << "     \"wall_seconds\": " << num(t.wallSeconds)
+       << ",\n     \"backend\": \"" << jsonEscape(t.backend) << "\""
        << ", \"backend_detailed_cycles\": " << t.backendDetailedCycles
        << ", \"backend_interval_cycles\": " << t.backendIntervalCycles
        << "}";
@@ -113,7 +103,8 @@ writeRecord(const KernelTelemetry &t, std::ostream &os)
  * Tiny recursive-descent reader for the documents writeTelemetryJson
  * emits (objects, arrays, strings with \"/\\ escapes, numbers, bools).
  * Not a general JSON parser; unknown keys are skipped so older readers
- * tolerate future additive schema changes.
+ * tolerate future additive schema changes and this reader discards the
+ * fields older versions carried (v2/v3 epoch statistics).
  */
 class Reader
 {
@@ -204,7 +195,7 @@ class Reader
         return fail("expected bool");
     }
 
-    /** Consume a literal null if present (nullable v3 statistics). */
+    /** Consume a literal null if present. */
     bool
     tryNull()
     {
@@ -362,27 +353,6 @@ readRecord(Reader &r, KernelTelemetry &t)
         } else if (key == "wall_seconds") {
             if (!r.readNumber(t.wallSeconds))
                 return false;
-        } else if (key == "epochs") {
-            if (r.tryNull())
-                t.hasDetailedStats = false;
-            else if (r.readNumber(d))
-                t.epochs = static_cast<std::uint64_t>(d);
-            else
-                return false;
-        } else if (key == "epoch_cycles") {
-            if (r.tryNull())
-                t.hasDetailedStats = false;
-            else if (r.readNumber(d))
-                t.epochCycles = static_cast<std::uint64_t>(d);
-            else
-                return false;
-        } else if (key == "barrier_crossings") {
-            if (r.tryNull())
-                t.hasDetailedStats = false;
-            else if (r.readNumber(d))
-                t.barrierCrossings = static_cast<std::uint64_t>(d);
-            else
-                return false;
         } else if (key == "backend") {
             if (!r.readString(t.backend))
                 return false;
@@ -429,8 +399,8 @@ writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
           "bb_stable_rate,predicted_cycles,predicted_insts,"
           "detailed_cycles,detailed_insts,detailed_warps,total_warps,"
           "analysis_insts,analysis_reused,detailed_fraction,"
-          "wall_seconds,epochs,epoch_cycles,barrier_crossings,"
-          "backend,backend_detailed_cycles,backend_interval_cycles\n";
+          "wall_seconds,backend,backend_detailed_cycles,"
+          "backend_interval_cycles\n";
     for (const KernelTelemetry &t : records) {
         os << t.kernel << ',' << t.job << ',' << t.numWorkgroups << ','
            << t.wavesPerWorkgroup << ',' << t.levelName() << ','
@@ -447,14 +417,7 @@ writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
            << t.totalWarps << ',' << t.analysisInsts << ','
            << (t.analysisReused ? 1 : 0) << ','
            << num(t.detailedFraction()) << ',' << num(t.wallSeconds)
-           << ',';
-        // Detailed-only statistics: empty cells when never measured.
-        if (t.hasDetailedStats)
-            os << t.epochs << ',' << t.epochCycles << ','
-               << t.barrierCrossings;
-        else
-            os << ",,";
-        os << ',' << t.backend << ',' << t.backendDetailedCycles << ','
+           << ',' << t.backend << ',' << t.backendDetailedCycles << ','
            << t.backendIntervalCycles << "\n";
     }
 }

@@ -110,17 +110,23 @@ void
 connectionLoop(Workers &workers, int fd)
 {
     std::string line;
+    // Bytes of a request line that straddles timeout slices: recvLine
+    // restarts its line on every call, so the caller keeps the prefix.
+    std::string partial;
     for (;;) {
         int n = net::recvLine(fd, line, 0.4);
         if (n < 0) {
+            partial += line;
             // Timeout slice: keep reading unless the daemon is
             // draining — a drained daemon abandons idle connections.
             if (workers.stopping.load())
                 break;
             continue;
         }
-        if (n == 0)
+        if (n == 0 && partial.empty())
             break; // client closed
+        line.insert(0, partial);
+        partial.clear();
         if (line.empty())
             continue;
         std::string resp = handleLine(workers.server, line,
@@ -220,16 +226,14 @@ runDaemon(const DaemonOptions &options)
 
     if (options.verbose) {
         std::printf(
-            "photond: serving on %s%s%s (workers=%u, cu-threads=%u%s, "
-            "store=%s, protocol v%u)\n",
+            "photond: serving on %s%s%s (workers=%u, store=%s, "
+            "protocol v%u)\n",
             options.socketPath.empty() ? "" : options.socketPath.c_str(),
             !options.socketPath.empty() && !options.dropDir.empty()
                 ? " + "
                 : "",
             options.dropDir.empty() ? "" : options.dropDir.c_str(),
             options.server.workers ? options.server.workers : 1,
-            server.effectiveCuThreads(),
-            server.status().cuThreadsDegraded ? " [auto-degraded]" : "",
             options.server.store.path.empty()
                 ? "<none>"
                 : options.server.store.path.c_str(),

@@ -34,7 +34,9 @@ bool sendLine(int fd, const std::string &data);
 /**
  * Read one '\n'-terminated line (the terminator is stripped). Returns
  * 1 on a line, 0 on orderly EOF before any byte, -1 on error/timeout.
- * @p deadline_seconds bounds the total wait.
+ * @p deadline_seconds bounds the total wait. @p line is cleared on
+ * entry; on -1 it holds the bytes received so far, which a caller
+ * polling in short slices must keep and prepend to the next read.
  */
 int recvLine(int fd, std::string &line, double deadline_seconds);
 

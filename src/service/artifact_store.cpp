@@ -276,13 +276,9 @@ putTelemetry(std::string &out, const sampling::KernelTelemetry &t)
     putU64(out, t.analysisInsts);
     putU32(out, t.analysisReused ? 1 : 0);
     putDouble(out, t.wallSeconds);
-    putU64(out, t.epochs);
-    putU64(out, t.epochCycles);
-    putU64(out, t.barrierCrossings);
     putString(out, t.backend);
     putU64(out, t.backendDetailedCycles);
     putU64(out, t.backendIntervalCycles);
-    putU32(out, t.hasDetailedStats ? 1 : 0);
 }
 
 sampling::KernelTelemetry
@@ -317,18 +313,20 @@ getTelemetry(Reader &r, std::uint32_t version)
     t.totalWarps = r.u32();
     t.analysisInsts = r.u64();
     t.analysisReused = r.u32() != 0;
-    if (version >= 3) {
+    if (version >= 3)
         t.wallSeconds = r.dbl();
-        t.epochs = r.u64();
-        t.epochCycles = r.u64();
-        t.barrierCrossings = r.u64();
+    if (version >= 3 && version <= 5) {
+        r.u64(); // epochs
+        r.u64(); // epoch cycles
+        r.u64(); // barrier crossings
     }
     if (version >= 4) {
         t.backend = r.str();
         t.backendDetailedCycles = r.u64();
         t.backendIntervalCycles = r.u64();
-        t.hasDetailedStats = r.u32() != 0;
     }
+    if (version == 4 || version == 5)
+        r.u32(); // hasDetailedStats
     return t;
 }
 

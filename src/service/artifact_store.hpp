@@ -41,8 +41,11 @@ namespace photon::service {
  *  v5: adds the top-level functional-trace section (captured
  *  LaunchTrace blobs keyed by func::traceKey). Traces are
  *  micro-architecture independent, so they live outside the per-GPU
- *  groups; v1..v4 artifacts load with an empty trace map. */
-inline constexpr std::uint32_t kArtifactVersion = 5;
+ *  groups; v1..v4 artifacts load with an empty trace map.
+ *  v6: telemetry records drop the epoch statistics and
+ *  hasDetailedStats (telemetry schema v4); v3..v5 records are read
+ *  and the dropped fields discarded. */
+inline constexpr std::uint32_t kArtifactVersion = 6;
 
 /** Reusable state produced by runs on one GPU configuration. */
 struct StoreGroup

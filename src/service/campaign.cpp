@@ -131,8 +131,7 @@ parseBackendName(const std::string &name, timing::BackendKind &out,
     if (timing::parseBackendKind(name, out))
         return true;
     if (error)
-        *error = "unknown backend '" + name +
-                 "' (detailed interval auto)";
+        *error = "unknown backend '" + name + "' (detailed, interval)";
     return false;
 }
 
@@ -317,11 +316,6 @@ writeJsonReport(const CampaignResult &result, std::ostream &os)
        << sampling::kTelemetrySchemaVersion << ",\n";
     os << "  \"workers\": " << result.workers << ",\n";
     os << "  \"share\": \"" << jsonEscape(result.share) << "\",\n";
-    os << "  \"cu_threads\": {\"requested\": "
-       << result.cuThreadsRequested
-       << ", \"effective\": " << result.cuThreadsEffective
-       << ", \"degraded\": "
-       << (result.cuThreadsDegraded ? "true" : "false") << "},\n";
     os << "  \"scheduler\": {\"stealing\": "
        << (result.stealing ? "true" : "false")
        << ", \"steal_ops\": " << result.stealOps

@@ -35,7 +35,7 @@ struct JobSpec
     std::uint32_t size = 0; ///< workload-specific default when 0
     std::string mode = "photon";
     std::string gpu = "r9nano";
-    /** Timing backend ("detailed"/"interval"/"auto"); non-detailed
+    /** Timing backend ("detailed"/"interval"); non-detailed
      *  backends require mode "full" (see driver::Platform). */
     std::string backend = "detailed";
 
@@ -73,7 +73,7 @@ bool parseGpuName(const std::string &name, GpuConfig &out,
                   std::string *error = nullptr);
 
 /** Parse a timing-backend name; @p error set on failure
- *  ("detailed interval auto"). */
+ *  ("detailed, interval"). */
 bool parseBackendName(const std::string &name, timing::BackendKind &out,
                       std::string *error = nullptr);
 
@@ -154,12 +154,6 @@ struct CampaignResult
     std::uint32_t workers = 1;
     std::string share;     ///< share-policy name the campaign ran with
     Artifact finalStore;   ///< merged store (seed + everything published)
-    /** CU-thread oversubscription guard: what was asked for, what ran,
-     *  and whether the runner degraded to serial CUs because the active
-     *  job pool already saturated the hardware threads. */
-    std::uint32_t cuThreadsRequested = 0;
-    std::uint32_t cuThreadsEffective = 1;
-    bool cuThreadsDegraded = false;
     /** Work-stealing scheduler observability: whether rebalancing was
      *  enabled and how much actually happened (0 steals on a balanced
      *  batch is normal — stealing only fires when a lane runs dry). */

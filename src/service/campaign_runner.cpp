@@ -83,8 +83,7 @@ struct JobOutput
 
 JobOutput
 runOneJob(const JobSpec &spec, const CampaignOptions &options,
-          std::uint32_t cu_threads, StoreGroup seed,
-          func::TraceStore *traces)
+          StoreGroup seed, func::TraceStore *traces)
 {
     JobOutput out;
     out.result.spec = spec;
@@ -98,8 +97,6 @@ runOneJob(const JobSpec &spec, const CampaignOptions &options,
 
     auto t0 = std::chrono::steady_clock::now();
     driver::Platform platform(gpu, mode, options.sampling, backend);
-    if (cu_threads > 1)
-        platform.setCuThreads(cu_threads);
     platform.setTraceReuse(options.traceReuse);
     if (traces)
         platform.setTraceStore(traces);
@@ -232,32 +229,12 @@ runCampaign(const std::vector<JobSpec> &jobs,
     for (std::size_t ci = 0; ci < chains.size(); ++ci)
         tasks.push(ci);
 
-    // CU-thread oversubscription guard: when the active job pool alone
-    // saturates the hardware threads, per-job CU threads only add
-    // contention — degrade to serial CUs and record the decision.
-    std::uint32_t cores = options.assumeCores
-                              ? options.assumeCores
-                              : std::thread::hardware_concurrency();
-    if (!cores)
-        cores = 1;
-    result.cuThreadsRequested = options.cuThreads;
-    std::uint32_t cu_threads = options.cuThreads ? options.cuThreads : 1;
-    if (cu_threads > 1 && pool >= cores) {
-        warn("campaign: ", pool, " active jobs >= ", cores,
-             " hardware threads; degrading --cu-threads ",
-             options.cuThreads, " -> 1");
-        cu_threads = 1;
-        result.cuThreadsDegraded = true;
-    }
-    result.cuThreadsEffective = cu_threads;
-
     auto worker = [&](std::size_t w) {
         std::size_t ci = 0;
         while (tasks.tryPop(w, ci)) {
             for (std::size_t ji : chains[ci]) {
                 JobOutput out = runOneJob(
-                    jobs[ji], options, cu_threads,
-                    snapshot_for(jobs[ji]),
+                    jobs[ji], options, snapshot_for(jobs[ji]),
                     options.traceReuse ? &trace_store : nullptr);
                 if (!out.freshKernels.empty() || !out.analyses.empty())
                     store.publish(jobs[ji].gpu, out.freshKernels,

@@ -1,56 +1,19 @@
 /**
  * @file
- * Concurrency-contract annotations for the two-phase parallel tick
- * protocol (see DESIGN.md §9) and for cross-thread service state.
+ * Concurrency- and determinism-contract annotations for state that
+ * job-level workers really share (campaign workers, photond workers;
+ * see DESIGN.md §9). The simulator core itself is single-threaded per
+ * Platform and carries none of these.
  *
  * The macros expand to nothing for the compiler; they are contract
- * *markers* consumed by `tools/photon_lint`, which statically checks
- * that no shared-state write is reachable from any front-phase
- * function. The vocabulary:
+ * *markers* consumed by `tools/photon_lint`:
  *
- *  - PHOTON_PHASE_FRONT   — the function may run concurrently with
- *    other CUs' (or jobs') front halves. Its whole call closure must
- *    touch only CU-private (job-private) state.
- *  - PHOTON_PHASE_COMMIT  — serial-only half of the two-phase
- *    protocol. Calling it from a front-phase closure is a violation
- *    unless the call site carries a `// photon-lint: serial-only`
- *    waiver (used where one function body serves both modes).
- *  - PHOTON_SHARED_STATE  — a field or method backing state shared
- *    across CUs/threads (L1I/L1K/L2/DRAM, monitor sinks, dispatcher
- *    bookkeeping). A write to a tagged field, or a call to a tagged
- *    method, from a front-phase closure is a violation.
+ *  - PHOTON_SHARED_STATE  — a field backing state shared across worker
+ *    threads. The lock-set pass requires some tracked lock to be held
+ *    on every path to a write, unless the writer is itself tagged
+ *    shared or exempt.
  *  - PHOTON_PHASE_EXEMPT  — internally synchronized (owns a mutex);
- *    callable from any phase. The linter treats it as opaque-safe.
- *
- * The static pass is paired with a runtime guard: in checked builds
- * (PHOTON_PHASE_CHECKS, default on unless NDEBUG and not overridden
- * by the build system), PHOTON_PHASE_FRONT_SCOPE() marks the calling
- * thread as executing a front half, and PHOTON_ASSERT_PHASE(what)
- * panics when a tagged shared path is entered from such a thread.
- * The guard is thread-local, so independent campaign jobs running
- * their own serial commits are not flagged by another job's front
- * window.
- */
-
-#ifndef PHOTON_SIM_PHASE_ANNOTATIONS_HPP
-#define PHOTON_SIM_PHASE_ANNOTATIONS_HPP
-
-#include "sim/log.hpp"
-
-#define PHOTON_PHASE_FRONT
-#define PHOTON_PHASE_COMMIT
-#define PHOTON_SHARED_STATE
-#define PHOTON_PHASE_EXEMPT
-
-/*
- * Flow-sensitive vocabulary (PR 8). Where PHOTON_PHASE_EXEMPT is a
- * *trusted* promise ("internally synchronized"), PHOTON_GUARDED_BY
- * upgrades it to a *checked* contract: photon_lint's lock-set pass
- * tracks std::lock_guard / unique_lock / scoped_lock lifetimes through
- * each function's control-flow graph and requires the named mutex to
- * be held on every path to every write of the tagged field (unless the
- * write sits in the serial commit closure).
- *
+ *    callable from any thread. The linter treats it as opaque-safe.
  *  - PHOTON_GUARDED_BY(m)     — field annotation: writes require mutex
  *    member `m` to be held (must-hold over all CFG paths).
  *  - PHOTON_REQUIRES_LOCK(m)  — function annotation for the
@@ -70,69 +33,15 @@
  *    neither seeds taint inside the body nor treats its return value
  *    as tainted.
  */
+
+#ifndef PHOTON_SIM_PHASE_ANNOTATIONS_HPP
+#define PHOTON_SIM_PHASE_ANNOTATIONS_HPP
+
+#define PHOTON_SHARED_STATE
+#define PHOTON_PHASE_EXEMPT
 #define PHOTON_GUARDED_BY(mutex)
 #define PHOTON_REQUIRES_LOCK(mutex)
 #define PHOTON_DET_SINK
 #define PHOTON_DET_SOURCE_OK
-
-#ifndef PHOTON_PHASE_CHECKS
-#ifdef NDEBUG
-#define PHOTON_PHASE_CHECKS 0
-#else
-#define PHOTON_PHASE_CHECKS 1
-#endif
-#endif
-
-#if PHOTON_PHASE_CHECKS
-
-namespace photon::phase {
-
-namespace detail {
-/** Depth of nested front-phase scopes on this thread. */
-inline thread_local int t_front_depth = 0;
-} // namespace detail
-
-/** True while the calling thread executes a front half. */
-inline bool
-inFrontPhase()
-{
-    return detail::t_front_depth > 0;
-}
-
-/** RAII marker placed at the top of front-phase entry points. */
-class FrontScope
-{
-  public:
-    FrontScope() { ++detail::t_front_depth; }
-    ~FrontScope() { --detail::t_front_depth; }
-    FrontScope(const FrontScope &) = delete;
-    FrontScope &operator=(const FrontScope &) = delete;
-};
-
-} // namespace photon::phase
-
-#define PHOTON_PHASE_CONCAT2(a, b) a##b
-#define PHOTON_PHASE_CONCAT(a, b) PHOTON_PHASE_CONCAT2(a, b)
-
-/** Mark the calling thread as front-phase for the enclosing scope. */
-#define PHOTON_PHASE_FRONT_SCOPE()                                          \
-    ::photon::phase::FrontScope PHOTON_PHASE_CONCAT(photon_front_scope_,    \
-                                                    __LINE__) {}
-
-/** Panic when a shared-state path is entered from a front half. */
-#define PHOTON_ASSERT_PHASE(what)                                           \
-    do {                                                                    \
-        if (::photon::phase::inFrontPhase()) {                              \
-            ::photon::panic("phase violation: ", what,                      \
-                            " entered from a front-phase thread");          \
-        }                                                                   \
-    } while (0)
-
-#else // !PHOTON_PHASE_CHECKS
-
-#define PHOTON_PHASE_FRONT_SCOPE() ((void)0)
-#define PHOTON_ASSERT_PHASE(what) ((void)0)
-
-#endif // PHOTON_PHASE_CHECKS
 
 #endif // PHOTON_SIM_PHASE_ANNOTATIONS_HPP

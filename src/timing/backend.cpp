@@ -8,7 +8,6 @@ backendKindName(BackendKind kind)
     switch (kind) {
       case BackendKind::Detailed: return "detailed";
       case BackendKind::Interval: return "interval";
-      case BackendKind::Auto: return "auto";
     }
     return "?";
 }
@@ -18,7 +17,6 @@ parseBackendKind(std::string_view name, BackendKind &out)
 {
     if (name == "detailed") out = BackendKind::Detailed;
     else if (name == "interval") out = BackendKind::Interval;
-    else if (name == "auto") out = BackendKind::Auto;
     else return false;
     return true;
 }

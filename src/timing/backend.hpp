@@ -2,9 +2,8 @@
  * @file
  * The pluggable timing-backend seam. A TimingBackend is anything that
  * can turn a kernel launch into a RunOutcome: the cycle-level event
- * core (DetailedBackend, a thin adapter over Gpu), the analytical
- * interval model (IntervalBackend), or — one layer up, in the driver —
- * the multi-fidelity auto pilot that switches between them mid-run.
+ * core (DetailedBackend, a thin adapter over Gpu) or the analytical
+ * interval model (IntervalBackend).
  *
  * The seam deliberately reuses the detailed model's RunOptions /
  * RunOutcome vocabulary so every consumer of a run result (Platform,
@@ -40,10 +39,9 @@ enum class BackendKind
 {
     Detailed, ///< the cycle-level event core (bit-identical to seed)
     Interval, ///< the fast analytical interval model
-    Auto,     ///< detailed until stable, then latch onto interval
 };
 
-/** Canonical short name ("detailed"/"interval"/"auto"). */
+/** Canonical short name ("detailed"/"interval"). */
 const char *backendKindName(BackendKind kind);
 
 /** Parse a canonical backend name; returns false on unknown names. */
@@ -61,10 +59,6 @@ struct BackendCaps
     bool cycleLevel = false;
     /** KernelMonitor hooks fire during runs (sampling control plane). */
     bool monitorHooks = false;
-    /** --cu-threads affects the run (parallel CU ticking). */
-    bool cuThreads = false;
-    /** Epoch-synchronization statistics are measured. */
-    bool epochStats = false;
     /** Occupancy integrals (active/busy/wave cycles) are measured. */
     bool occupancyStats = false;
 };
@@ -119,7 +113,7 @@ class TimingBackend
  * The cycle-level model as a TimingBackend: a pass-through adapter
  * over an existing Gpu. Owning nothing and adding nothing, it is
  * bit-identical to calling the Gpu directly — the golden-parity tests
- * pin that in serial and parallel (--cu-threads) modes.
+ * pin that.
  */
 class DetailedBackend final : public TimingBackend
 {
@@ -134,8 +128,6 @@ class DetailedBackend final : public TimingBackend
         BackendCaps c;
         c.cycleLevel = true;
         c.monitorHooks = true;
-        c.cuThreads = true;
-        c.epochStats = true;
         c.occupancyStats = true;
         return c;
     }

@@ -27,13 +27,10 @@ ComputeUnit::ComputeUnit(const GpuConfig &cfg, std::uint32_t cuId,
     const std::uint32_t slots = cfg.simdsPerCu * cfg.wavesPerSimd;
     slotReady_.assign(slots, kNoCycle);
     slotWarp_.assign(slots, ~std::uint32_t{0});
-    slotSteps_.assign(slots, isa::kUnreachableEnd);
     waveState_.resize(slots);
     waveReadyAt_.assign(slots, 0);
     waveActive_.assign(slots, 0);
     waveAtBarrier_.assign(slots, 0);
-    waveReadyPending_.assign(slots, 0);
-    waveReleaseFloor_.assign(slots, 0);
     waveInstCount_.assign(slots, 0);
     waveWgSlot_.assign(slots, 0);
     waveCursor_.resize(slots);
@@ -77,13 +74,11 @@ ComputeUnit::startKernel(const KernelContext &ctx)
 {
     PHOTON_ASSERT(residentWaves_ == 0, "CU busy at kernel start");
     ctx_ = ctx;
-    decoded_ = ctx.program->decoded().data();
     PHOTON_ASSERT(ctx.codeBase % kLineBytes == 0,
                   "code base not line-aligned");
     codeLineBase_ = ctx.codeBase / kLineBytes;
     std::fill(waveActive_.begin(), waveActive_.end(), 0);
     std::fill(slotReady_.begin(), slotReady_.end(), kNoCycle);
-    std::fill(slotSteps_.begin(), slotSteps_.end(), isa::kUnreachableEnd);
     for (Workgroup &wg : wgs_) {
         wg.active = false;
     }
@@ -94,14 +89,7 @@ ComputeUnit::startKernel(const KernelContext &ctx)
     residentWgs_ = 0;
     instsIssued_ = 0;
     wavesRetired_ = 0;
-    pending_.clear();
     pendingMisses_.clear();
-    pendingWaveCount_ = 0;
-    // Arena-style reuse: size the queues once for the worst realistic
-    // epoch (every slot issuing a multi-line access) so the steady
-    // state never reallocates mid-run.
-    pending_.reserve(waveState_.size() * 4);
-    pendingMisses_.reserve(waveState_.size() * 8);
 }
 
 bool
@@ -144,8 +132,6 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
         ws.init(*ctx_.program, *ctx_.dims, warp);
         waveActive_[wave_slot] = 1;
         waveAtBarrier_[wave_slot] = 0;
-        waveReadyPending_[wave_slot] = 0;
-        waveReleaseFloor_[wave_slot] = 0;
         waveReadyAt_[wave_slot] = now + 4; // dispatch latency
         waveInstCount_[wave_slot] = 0;
         waveWgSlot_[wave_slot] = wg_slot;
@@ -155,7 +141,6 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
             waveCursor_[wave_slot].bind(ctx_.replay, warp);
         const std::uint32_t ri = readyIndex(wave_slot);
         slotWarp_[ri] = warp;
-        slotSteps_[ri] = decoded_[ws.pc].minStepsToEnd;
         group.slots.push_back(wave_slot);
         setSlotReady(wave_slot, waveReadyAt_[wave_slot]);
         ++residentWaves_;
@@ -167,39 +152,6 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
 
 std::uint32_t
 ComputeUnit::tick(Cycle now)
-{
-    return tickImpl(now, TickMode::Serial);
-}
-
-std::uint32_t
-ComputeUnit::tickDeferred(Cycle now)
-{
-    // Debug builds mark this thread front-phase for the duration, so
-    // any shared-state entry point reached from here panics.
-    PHOTON_PHASE_FRONT_SCOPE();
-    return tickImpl(now, TickMode::Deferred);
-}
-
-void
-ComputeUnit::runEpoch(Cycle from, Cycle to)
-{
-    // The whole epoch runs front-phase: every inline commit below
-    // touches only CU-private state, so debug builds verify no shared
-    // entry point is reached until the boundary replay.
-    PHOTON_PHASE_FRONT_SCOPE();
-    if (residentWaves_ == 0)
-        return;
-    Cycle t = std::max(from, nextHint_);
-    while (t < to) {
-        tickImpl(t, TickMode::Epoch);
-        // The refreshed hint jumps idle stretches; a stale-early hint
-        // only costs a spurious zero-issue tick, never misses work.
-        t = std::max(t + 1, nextHint_);
-    }
-}
-
-std::uint32_t
-ComputeUnit::tickImpl(Cycle now, TickMode mode)
 {
     if (residentWaves_ == 0)
         return 0;
@@ -221,32 +173,18 @@ ComputeUnit::tickImpl(Cycle now, TickMode mode)
         // all residents phase-locked. The same pass computes the exact
         // minimum of the non-selected slots' ready cycles, refreshing
         // this SIMD's contribution to the incremental hint; the
-        // winner's new ready cycle is folded back in at commit.
+        // winner's new ready cycle is folded back in by its issue.
         Cycle min_excl = kNoCycle;
         std::uint32_t best = arbitrate(&slotReady_[s * per_simd],
                                        &slotWarp_[s * per_simd], now,
                                        min_excl);
         simdMin_[s] = min_excl;
         if (best != per_simd) {
-            if (mode == TickMode::Deferred) {
-                PendingIssue &rec = pending_.emplace_back();
-                issueFront(s + best * simds, now, rec);
-            } else if (mode == TickMode::Epoch) {
-                PendingIssue &rec = pending_.emplace_back();
-                issueFront(s + best * simds, now, rec);
-                if (!applyEpochIssue(rec, now))
-                    pending_.pop_back(); // no shared effects to replay
-            } else {
-                issueFront(s + best * simds, now, serialRec_);
-                // Serial mode: tick() commits inline on the one thread.
-                commitIssue(serialRec_, now); // photon-lint: serial-only
-                pendingMisses_.clear();
-            }
+            issue(s + best * simds, now);
             ++issued;
         }
     }
-    if (mode != TickMode::Deferred)
-        recomputeHint();
+    recomputeHint();
     return issued;
 }
 
@@ -290,24 +228,22 @@ ComputeUnit::issueFast(std::uint32_t slot, std::uint32_t ri,
     const std::uint32_t pc_before = ws.pc;
 
     // No monitor: dynamic basic-block tracking and per-wave issue
-    // counting (observable only through monitor callbacks) are skipped,
-    // as is the epoch retire-bound lane (read only by the epoch loop,
-    // which never mixes with this path within a kernel).
+    // counting (observable only through monitor callbacks) are skipped.
 
     std::uint64_t fetch_line = codeLineBase_ + pc_before / kPcsPerLine;
     const bool do_fetch = fetch_line != waveLastFetchLine_[slot];
     waveLastFetchLine_[slot] = fetch_line;
 
-    func::StepResult &step = fastStep_;
+    func::StepResult &step = step_;
     if (ctx_.replay)
         waveCursor_[slot].step(*ctx_.program, ws, step);
     else
         emu_.step(*ctx_.program, ws, *ctx_.mem, wg.lds, step);
     ++instsIssued_;
 
-    // Identical latency math and shared-memory access order to
-    // issueFront immediately followed by commitIssue: L1V probes in
-    // line order, then the instruction fetch, then L1K / L2 walks.
+    // Identical latency math and shared-memory access order to issue():
+    // L1V probes in line order, then the instruction fetch, then L1K /
+    // L2 walks.
     const std::size_t u = static_cast<std::size_t>(step.unit);
     simdFree_[simd] = now + unitIssueLat_[u];
 
@@ -353,45 +289,35 @@ ComputeUnit::issueFast(std::uint32_t slot, std::uint32_t ri,
         setSlotReadyAt(ri, simd, kNoCycle);
         ++wg.barrierWaiting;
         if (wg.barrierWaiting == wg.wavesLeft)
-            releaseBarrier(wg_slot, now); // photon-lint: serial-only
+            releaseBarrier(wg_slot, now);
     }
 
     if (step.done)
-        retireWave(slot, now); // photon-lint: serial-only
+        retireWave(slot, now);
 }
 
 void
-ComputeUnit::commitPending(Cycle now)
-{
-    PHOTON_ASSERT_PHASE("ComputeUnit::commitPending");
-    for (PendingIssue &rec : pending_)
-        commitIssue(rec, now);
-    pending_.clear();
-    pendingMisses_.clear();
-    recomputeHint();
-}
-
-void
-ComputeUnit::issueFront(std::uint32_t slot, Cycle now, PendingIssue &rec)
+ComputeUnit::issue(std::uint32_t slot, Cycle now)
 {
     func::WaveState &ws = waveState_[slot];
-    Workgroup &wg = wgs_[waveWgSlot_[slot]];
-    const std::uint32_t simd = slot % cfg_.simdsPerCu;
+    const std::uint32_t wg_slot = waveWgSlot_[slot];
+    Workgroup &wg = wgs_[wg_slot];
+    const std::uint32_t simd = slotSimd_[slot];
     const std::uint32_t pc_before = ws.pc;
-
-    rec.slot = slot;
-    rec.warp = ws.warpId;
-    rec.cycle = now;
+    const WarpId warp = ws.warpId;
 
     // Dynamic basic-block boundary: issuing the first instruction of a
     // block ends the previous one (paper Observation 3 definition).
-    rec.bbEnd = false;
+    bool bb_end = false;
+    isa::BbId bb = isa::kNoBb;
+    Cycle bb_issue = 0;
+    std::uint32_t bb_lanes = 0;
     if (ctx_.bbTable->isLeader(pc_before)) {
         if (waveBbValid_[slot]) {
-            rec.bbEnd = true;
-            rec.bb = waveCurBb_[slot];
-            rec.bbIssue = waveCurBbIssue_[slot];
-            rec.bbLanes = waveCurBbLanes_[slot];
+            bb_end = true;
+            bb = waveCurBb_[slot];
+            bb_issue = waveCurBbIssue_[slot];
+            bb_lanes = waveCurBbLanes_[slot];
         }
         waveCurBb_[slot] = ctx_.bbTable->blockAt(pc_before);
         waveCurBbIssue_[slot] = now;
@@ -400,61 +326,64 @@ ComputeUnit::issueFront(std::uint32_t slot, Cycle now, PendingIssue &rec)
         waveBbValid_[slot] = 1;
     }
 
-    // Instruction fetch through the L1I (one access per line crossed);
-    // the access itself is shared-state and runs at commit.
-    rec.doFetch = false;
+    // Instruction fetch through the L1I: one access per line crossed.
     std::uint64_t fetch_line = codeLineBase_ + pc_before / kPcsPerLine;
-    if (fetch_line != waveLastFetchLine_[slot]) {
-        rec.doFetch = true;
-        rec.fetchLine = fetch_line;
-        waveLastFetchLine_[slot] = fetch_line;
-    }
+    const bool do_fetch = fetch_line != waveLastFetchLine_[slot];
+    waveLastFetchLine_[slot] = fetch_line;
 
+    func::StepResult &step = step_;
     if (ctx_.replay)
-        waveCursor_[slot].step(*ctx_.program, ws, rec.step);
+        waveCursor_[slot].step(*ctx_.program, ws, step);
     else
-        emu_.step(*ctx_.program, ws, *ctx_.mem, wg.lds, rec.step);
+        emu_.step(*ctx_.program, ws, *ctx_.mem, wg.lds, step);
     ++waveInstCount_[slot];
     ++instsIssued_;
 
-    rec.missBegin = static_cast<std::uint32_t>(pendingMisses_.size());
-    rec.missCount = 0;
-
-    const std::size_t u = static_cast<std::size_t>(rec.step.unit);
+    const std::size_t u = static_cast<std::size_t>(step.unit);
     simdFree_[simd] = now + unitIssueLat_[u];
+
+    // L1V port/tags/MSHR allocation first, in line order; misses walk
+    // L2/DRAM after the instruction fetch.
+    Cycle finish = now;
+    pendingMisses_.clear();
+    if (step.unit == isa::FuncUnit::VMEM) {
+        for (std::uint32_t i = 0; i < step.numLines; ++i) {
+            MemorySystem::VmemProbe p =
+                memsys_.vectorProbe(cuId_, step.lines[i], now);
+            if (p.hit)
+                finish = std::max(finish, p.ready);
+            else
+                pendingMisses_.push_back(
+                    {step.lines[i], p.missBase, p.mshrIdx});
+        }
+    }
+
+    if (bb_end && ctx_.monitor)
+        ctx_.monitor->onBbExecuted(warp, bb, bb_issue, now, bb_lanes);
+
+    Cycle fetch_ready = now;
+    if (do_fetch)
+        fetch_ready = memsys_.instAccess(cuId_, fetch_line, now);
+
     Cycle complete;
     Cycle ready;
-    switch (rec.step.unit) {
+    switch (step.unit) {
       case isa::FuncUnit::SMEM:
-        // L1K is shared by a CU group: the whole access runs at commit.
-        complete = 0;
-        ready = 0;
+        complete = memsys_.scalarAccess(cuId_, step.lines[0], now);
+        ready = complete;
         break;
-      case isa::FuncUnit::VMEM: {
-        // L1V port/tags/MSHR allocation are CU-private: probe here.
-        // Misses queue for the shared L2/DRAM walk at commit.
-        Cycle finish = now;
-        for (std::uint32_t i = 0; i < rec.step.numLines; ++i) {
-            MemorySystem::VmemProbe p =
-                memsys_.vectorProbe(cuId_, rec.step.lines[i], now);
-            if (p.hit) {
-                finish = std::max(finish, p.ready);
-            } else {
-                pendingMisses_.push_back(
-                    {rec.step.lines[i], p.missBase, p.mshrIdx});
-                ++rec.missCount;
-            }
-        }
-        complete = finish; // hit-path maximum; misses folded at commit
+      case isa::FuncUnit::VMEM:
+        for (const MemorySystem::VmemMiss &m : pendingMisses_)
+            finish = std::max(finish, memsys_.vectorCommitMiss(cuId_, m));
+        complete = finish;
         // Loads block the wavefront until data returns; stores retire
         // from the wavefront's perspective once issued.
-        ready = rec.step.linesWrite ? now + cfg_.vectorIssueCycles : 0;
+        ready = step.linesWrite ? now + cfg_.vectorIssueCycles : finish;
         break;
-      }
       case isa::FuncUnit::LDS:
         // Charge one extra cycle per 16 lane-accesses (bank conflicts
         // beyond the 16-bank width are second order).
-        complete = now + unitCompleteLat_[u] + rec.step.ldsAccesses / 16;
+        complete = now + unitCompleteLat_[u] + step.ldsAccesses / 16;
         ready = complete;
         break;
       default:
@@ -463,207 +392,23 @@ ComputeUnit::issueFront(std::uint32_t slot, Cycle now, PendingIssue &rec)
         ready = complete;
         break;
     }
-    rec.complete0 = complete;
-    rec.ready0 = ready;
-}
-
-void
-ComputeUnit::commitIssue(PendingIssue &rec, Cycle now)
-{
-    PHOTON_ASSERT_PHASE("ComputeUnit::commitIssue");
-    const std::uint32_t slot = rec.slot;
-    Workgroup &wg = wgs_[waveWgSlot_[slot]];
-
-    if (rec.bbEnd && ctx_.monitor) {
-        ctx_.monitor->onBbExecuted(rec.warp, rec.bb, rec.bbIssue, now,
-                                   rec.bbLanes);
-    }
-
-    Cycle fetch_ready = now;
-    if (rec.doFetch)
-        fetch_ready = memsys_.instAccess(cuId_, rec.fetchLine, now);
-
-    Cycle complete = rec.complete0;
-    Cycle ready = rec.ready0;
-    if (rec.step.unit == isa::FuncUnit::SMEM) {
-        complete = memsys_.scalarAccess(cuId_, rec.step.lines[0], now);
-        ready = complete;
-    } else if (rec.step.unit == isa::FuncUnit::VMEM) {
-        Cycle finish = rec.complete0;
-        const std::uint32_t end = rec.missBegin + rec.missCount;
-        for (std::uint32_t i = rec.missBegin; i < end; ++i) {
-            Cycle fill =
-                memsys_.vectorCommitMiss(cuId_, pendingMisses_[i]);
-            finish = std::max(finish, fill);
-        }
-        complete = finish;
-        ready = rec.step.linesWrite ? rec.ready0 : finish;
-    }
 
     waveReadyAt_[slot] = std::max(ready, fetch_ready);
     setSlotReady(slot, waveReadyAt_[slot]);
 
     if (ctx_.monitor)
-        ctx_.monitor->onInstruction(rec.warp, rec.step, now, complete);
+        ctx_.monitor->onInstruction(warp, step, now, complete);
 
-    if (rec.step.barrier) {
+    if (step.barrier) {
         waveAtBarrier_[slot] = 1;
         setSlotReady(slot, kNoCycle);
         ++wg.barrierWaiting;
         if (wg.barrierWaiting == wg.wavesLeft)
-            releaseBarrier(waveWgSlot_[slot], now);
+            releaseBarrier(wg_slot, now);
     }
 
-    if (rec.step.done)
+    if (step.done)
         retireWave(slot, now);
-}
-
-bool
-ComputeUnit::applyEpochIssue(PendingIssue &rec, Cycle now)
-{
-    const std::uint32_t slot = rec.slot;
-    Workgroup &wg = wgs_[waveWgSlot_[slot]];
-
-    // Maintain the retire-bound lane (only the epoch loop reads it, so
-    // only this issue path pays for it; retireWave below restores the
-    // sentinel when this was the wavefront's last instruction).
-    slotSteps_[slotRi_[slot]] =
-        rec.step.done ? isa::kUnreachableEnd
-                      : decoded_[waveState_[slot].pc].minStepsToEnd;
-
-    // An issue's readyAt is computable from CU-private state unless it
-    // fetched a new instruction line (L1I), was a scalar load (L1K) or
-    // was a vector load with L1V misses (L2/DRAM fill time unknown).
-    // Stores with misses still walk the L2 path at the boundary but
-    // retire from the wavefront's perspective at issue, so their
-    // readyAt is private.
-    const bool has_shared = rec.doFetch ||
-                            rec.step.unit == isa::FuncUnit::SMEM ||
-                            rec.missCount > 0;
-    const bool ready_known =
-        !rec.doFetch && rec.step.unit != isa::FuncUnit::SMEM &&
-        (rec.step.unit != isa::FuncUnit::VMEM || rec.step.linesWrite ||
-         rec.missCount == 0);
-
-    if (ready_known) {
-        Cycle ready = rec.ready0;
-        if (rec.step.unit == isa::FuncUnit::VMEM && !rec.step.linesWrite)
-            ready = rec.complete0; // all-hit load: data at hit maximum
-        waveReadyAt_[slot] = std::max(ready, now);
-        setSlotReady(slot, waveReadyAt_[slot]);
-    } else if (!rec.step.done) {
-        // Park the wavefront: its next issue is at least the minimum
-        // shared latency away, which the epoch horizon never exceeds,
-        // so resolving readyAt at the boundary loses no issue slot.
-        waveReadyPending_[slot] = 1;
-        waveReleaseFloor_[slot] = 0;
-        ++pendingWaveCount_;
-        setSlotReady(slot, kNoCycle);
-    }
-
-    // Barrier and retirement bookkeeping is CU-private; epoch contexts
-    // are monitor-free so no shared callback fires from here.
-    if (rec.step.barrier) {
-        waveAtBarrier_[slot] = 1;
-        setSlotReady(slot, kNoCycle);
-        ++wg.barrierWaiting;
-        if (wg.barrierWaiting == wg.wavesLeft)
-            releaseBarrier(waveWgSlot_[slot], now); // photon-lint: serial-only
-    }
-
-    if (rec.step.done)
-        retireWave(slot, now); // photon-lint: serial-only
-
-    return has_shared;
-}
-
-void
-ComputeUnit::commitEpochRecord(std::uint32_t i)
-{
-    PHOTON_ASSERT_PHASE("ComputeUnit::commitEpochRecord");
-    PendingIssue &rec = pending_[i];
-    const Cycle now = rec.cycle;
-
-    // Shared-state replay, exactly as commitIssue would have run at the
-    // issue cycle — the caller's (cycle, cuId, issue-order) walk makes
-    // the access order identical to the serial schedule.
-    Cycle fetch_ready = now;
-    if (rec.doFetch)
-        fetch_ready = memsys_.instAccess(cuId_, rec.fetchLine, now);
-
-    Cycle ready = rec.ready0;
-    if (rec.step.unit == isa::FuncUnit::SMEM) {
-        ready = memsys_.scalarAccess(cuId_, rec.step.lines[0], now);
-    } else if (rec.step.unit == isa::FuncUnit::VMEM) {
-        Cycle finish = rec.complete0;
-        const std::uint32_t end = rec.missBegin + rec.missCount;
-        for (std::uint32_t j = rec.missBegin; j < end; ++j) {
-            Cycle fill =
-                memsys_.vectorCommitMiss(cuId_, pendingMisses_[j]);
-            finish = std::max(finish, fill);
-        }
-        ready = rec.step.linesWrite ? rec.ready0 : finish;
-    }
-
-    // Re-derive the applyEpochIssue classification: records whose wave
-    // state was fully committed at issue (private readyAt, or retired)
-    // only needed the shared replay above.
-    const bool ready_known =
-        !rec.doFetch && rec.step.unit != isa::FuncUnit::SMEM &&
-        (rec.step.unit != isa::FuncUnit::VMEM || rec.step.linesWrite ||
-         rec.missCount == 0);
-    if (ready_known || rec.step.done)
-        return;
-
-    const std::uint32_t slot = rec.slot;
-    PHOTON_ASSERT(waveReadyPending_[slot], "epoch record wave not parked");
-    waveReadyPending_[slot] = 0;
-    --pendingWaveCount_;
-    Cycle r = std::max(ready, fetch_ready);
-    if (waveAtBarrier_[slot]) {
-        // Still waiting: store the resolved value; the scheduling key
-        // stays kNoCycle until the barrier releases.
-        waveReadyAt_[slot] = r;
-    } else {
-        // releaseFloor carries a barrier release that happened while
-        // the wavefront was parked (zero when there was none).
-        waveReadyAt_[slot] = std::max(r, waveReleaseFloor_[slot]);
-        setSlotReady(slot, waveReadyAt_[slot]);
-    }
-}
-
-void
-ComputeUnit::finishEpochCommit()
-{
-    PHOTON_ASSERT_PHASE("ComputeUnit::finishEpochCommit");
-    PHOTON_ASSERT(pendingWaveCount_ == 0,
-                  "parked wavefront left unresolved at epoch boundary");
-    pending_.clear();
-    pendingMisses_.clear();
-    recomputeHint();
-}
-
-Cycle
-ComputeUnit::epochRetireBound(Cycle base) const
-{
-    // Two contiguous SIMD-major lanes: remaining-steps bound and ready
-    // cycle. Empty slots carry the kUnreachableEnd sentinel, so no
-    // active-flag chase is needed.
-    Cycle bound = kNoCycle;
-    const std::uint32_t n = static_cast<std::uint32_t>(slotSteps_.size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint32_t k = slotSteps_[i];
-        if (k >= isa::kUnreachableEnd)
-            continue; // empty slot, or cannot reach s_endpgm
-        Cycle r = slotReady_[i];
-        // Barrier-blocked wavefronts (key kNoCycle) can be released and
-        // issue as early as the epoch base; others not before their
-        // ready cycle. Each of the k remaining issues (s_endpgm
-        // included) takes at least one cycle.
-        Cycle start = (r == kNoCycle) ? base : std::max(r, base);
-        bound = std::min(bound, start + k);
-    }
-    return bound;
 }
 
 void
@@ -683,7 +428,6 @@ ComputeUnit::retireWave(std::uint32_t slot, Cycle now)
 
     waveActive_[slot] = 0;
     setSlotReady(slot, kNoCycle);
-    slotSteps_[readyIndex(slot)] = isa::kUnreachableEnd;
     --residentWaves_;
     ++wavesRetired_;
     --wg.wavesLeft;
@@ -707,16 +451,8 @@ ComputeUnit::releaseBarrier(std::uint32_t wgSlot, Cycle now)
         if (waveActive_[slot] && waveWgSlot_[slot] == wgSlot &&
             waveAtBarrier_[slot]) {
             waveAtBarrier_[slot] = 0;
-            if (waveReadyPending_[slot]) {
-                // Epoch mode: this wavefront's readyAt is still waiting
-                // on shared state; record the release as a floor the
-                // boundary resolution applies over the resolved value.
-                waveReleaseFloor_[slot] = now + 1;
-            } else {
-                waveReadyAt_[slot] =
-                    std::max(waveReadyAt_[slot], now + 1);
-                setSlotReady(slot, waveReadyAt_[slot]);
-            }
+            waveReadyAt_[slot] = std::max(waveReadyAt_[slot], now + 1);
+            setSlotReady(slot, waveReadyAt_[slot]);
         }
     }
     wgs_[wgSlot].barrierWaiting = 0;

@@ -5,38 +5,21 @@
  * (latency hidden by switching among resident wavefronts), workgroup
  * barriers and an instruction-fetch path through the L1I.
  *
- * Issue is split into two halves so CUs can tick in parallel:
- *  - the *front half* (issueFront) runs arbitration, the functional step
- *    and every access to CU-private state (wave slots, LDS, L1V, MSHR
- *    allocation), recording its effects in a PendingIssue;
- *  - the *commit half* (commitIssue) replays the record against shared
- *    state (L1I/L1K/L2/DRAM, monitor callbacks, barrier and retirement
- *    bookkeeping).
- * tick() commits inline (serial mode); tickDeferred()/commitPending()
- * separate the halves so a run loop can execute front halves of many CUs
- * concurrently and then commit them in deterministic CU order, producing
- * bit-identical results to the serial schedule.
- *
- * Epoch mode (runEpoch) extends the split across multiple cycles: a CU
- * ticks independently over a whole [from, to) window, committing issues
- * whose timing depends only on CU-private state immediately and parking
- * waves whose ready cycle needs shared state (instruction fetch, L1K,
- * L1V misses) until the epoch boundary, where the run loop replays all
- * CUs' queued records in (cycle, cuId, issue-order) — the serial order —
- * via commitEpochRecord. The boundary chosen by the run loop (see
- * Gpu::runEpochLoop) guarantees a parked wave could not have issued
- * again within the window anyway, so results stay bit-identical while
- * the barrier cost drops from two crossings per cycle to two per epoch.
+ * Two issue paths share one arbitration and one latency model: tick()
+ * runs the monitored issue (basic-block tracking and KernelMonitor
+ * callbacks for the sampling control plane), tickFast() the fused
+ * monitor-free issue of full-detail runs. Both touch the memory system
+ * in the same order, so they produce identical schedules.
  *
  * Data layout (DESIGN.md §13): wavefront bookkeeping is
- * structure-of-arrays. The scheduling-hot lanes — ready cycle, warp age
- * key and remaining-steps bound — are stored SIMD-major (one SIMD's
- * wave slots contiguous, see readyIndex) so arbitration and the epoch
- * retire-bound scan walk a few cache lines instead of chasing
- * ~300-byte wave objects. Cold per-wave state (architectural registers,
- * fetch/bb tracking, barrier flags) lives in parallel slot-indexed
- * arrays touched only on issue or rare events. photon_lint flags any
- * reintroduction of an aggregate-wave vector here (aos-in-hot-path).
+ * structure-of-arrays. The scheduling-hot lanes — ready cycle and warp
+ * age key — are stored SIMD-major (one SIMD's wave slots contiguous,
+ * see readyIndex) so arbitration walks a few cache lines instead of
+ * chasing ~300-byte wave objects. Cold per-wave state (architectural
+ * registers, fetch/bb tracking, barrier flags) lives in parallel
+ * slot-indexed arrays touched only on issue or rare events. photon_lint
+ * flags any reintroduction of an aggregate-wave vector here
+ * (aos-in-hot-path).
  */
 // photon-lint: soa-hot-path
 
@@ -52,7 +35,6 @@
 #include "func/wave_state.hpp"
 #include "isa/basic_block.hpp"
 #include "sim/config.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/types.hpp"
 #include "timing/memsys.hpp"
 #include "timing/monitor.hpp"
@@ -94,8 +76,8 @@ class ComputeUnit
     void placeWorkgroup(WorkgroupId wg, Cycle now);
 
     /**
-     * Let every SIMD try to issue one instruction at cycle @p now,
-     * committing each issue immediately (serial semantics).
+     * Let every SIMD try to issue one instruction at cycle @p now
+     * through the monitored issue path.
      * @return number of instructions issued.
      */
     std::uint32_t tick(Cycle now);
@@ -110,74 +92,12 @@ class ComputeUnit
     };
 
     /**
-     * Fused serial tick for monitor-free runs: identical arbitration
-     * and timing to tick(), but issue and commit run as one pass with
-     * the monitor hooks and deferred-record plumbing compiled out.
-     * This is the event-driven core's hot path; the reference seed
-     * loop keeps tick() so the two stay independently comparable.
-     * Requires a monitor-free kernel context. Serial only.
+     * Tick for monitor-free runs: identical arbitration and timing to
+     * tick(), with the monitor hooks and basic-block tracking compiled
+     * out. This is the event-driven core's hot path. Requires a
+     * monitor-free kernel context.
      */
     FastTick tickFast(Cycle now);
-
-    /**
-     * Front halves only: arbitration + functional execution + CU-private
-     * timing, with all shared-state effects queued. Safe to call
-     * concurrently with other CUs' tickDeferred at the same cycle.
-     * @return number of instructions issued (records queued).
-     */
-    PHOTON_PHASE_FRONT
-    std::uint32_t tickDeferred(Cycle now);
-
-    /** Replay the queued records against shared state, in issue order.
-     *  Must be called from one thread, in ascending cuId order, after
-     *  all CUs' tickDeferred of this cycle have finished. */
-    PHOTON_PHASE_COMMIT
-    void commitPending(Cycle now);
-
-    /**
-     * Epoch front half: tick this CU independently over every cycle in
-     * [from, to), jumping via the incremental hint. CU-private issues
-     * commit inline; issues touching shared state queue a record (in
-     * ascending cycle order) and park their wavefront until the epoch
-     * boundary. Safe to run concurrently with other CUs' runEpoch as
-     * long as no other thread touches shared memory state meanwhile.
-     * Requires a monitor-free kernel context.
-     */
-    PHOTON_PHASE_FRONT
-    void runEpoch(Cycle from, Cycle to);
-
-    /** Queued epoch records awaiting their boundary commit. */
-    std::uint32_t epochRecordCount() const
-    {
-        return static_cast<std::uint32_t>(pending_.size());
-    }
-    /** Issue cycle of queued record @p i (ascending in i). */
-    Cycle epochRecordCycle(std::uint32_t i) const
-    {
-        return pending_[i].cycle;
-    }
-
-    /** Replay queued record @p i against shared state and resolve its
-     *  parked wavefront. Must be called from one thread, over all CUs'
-     *  records in ascending (cycle, cuId, i) order. */
-    PHOTON_PHASE_COMMIT
-    void commitEpochRecord(std::uint32_t i);
-
-    /** End-of-epoch cleanup: drop replayed records, check every parked
-     *  wavefront was resolved and refresh the hint. */
-    PHOTON_PHASE_COMMIT
-    void finishEpochCommit();
-
-    /**
-     * Upper bound the epoch horizon must respect: one past the earliest
-     * cycle at which any resident wavefront could retire, assuming the
-     * epoch starts at @p base. Derived from the pre-decoded
-     * minStepsToEnd of each wavefront's next PC (one cycle minimum per
-     * remaining issue), so the run loop can guarantee retirements — and
-     * the dispatch capacity they free — land only on an epoch's final
-     * cycle. kNoCycle when no resident wavefront can ever retire.
-     */
-    Cycle epochRetireBound(Cycle base) const;
 
     /** Earliest cycle at which any resident wavefront can issue;
      *  kNoCycle when the CU is empty or fully barrier-blocked. Exact,
@@ -218,61 +138,20 @@ class ComputeUnit
         bool active = false;
     };
 
-    /** One issued instruction's deferred shared-state effects. */
-    struct PendingIssue
-    {
-        func::StepResult step; ///< filled in place by the emulator
-        std::uint32_t slot = 0;
-        WarpId warp = 0;
-        Cycle cycle = 0; ///< issue cycle (epoch boundary replay key)
-        bool doFetch = false; ///< instruction fetch crossed a line
-        std::uint64_t fetchLine = 0;
-        bool bbEnd = false; ///< this issue ended the previous block
-        isa::BbId bb = isa::kNoBb;
-        Cycle bbIssue = 0;
-        std::uint32_t bbLanes = 0;
-        /** Completion/ready cycles for everything computable from
-         *  CU-private state (ALU latencies, L1V hit path). */
-        Cycle complete0 = 0;
-        Cycle ready0 = 0;
-        /** L1V misses awaiting their L2/DRAM path: a range in
-         *  pendingMisses_, in line order. */
-        std::uint32_t missBegin = 0;
-        std::uint32_t missCount = 0;
-    };
+    /** Monitored issue of @p slot's wavefront at @p now: basic-block
+     *  tracking, functional step, L1V probes, onBbExecuted, L1I fetch,
+     *  L1K / L2 walks, onInstruction, then barrier and retirement
+     *  bookkeeping — in that order. */
+    void issue(std::uint32_t slot, Cycle now);
 
-    /** Front half: everything touching only CU-private state. */
-    PHOTON_PHASE_FRONT
-    void issueFront(std::uint32_t slot, Cycle now, PendingIssue &rec);
-    /** Commit half: shared memory paths, monitor callbacks, barrier and
-     *  retirement bookkeeping. */
-    PHOTON_PHASE_COMMIT
-    void commitIssue(PendingIssue &rec, Cycle now);
-
-    /** Fused issue+commit for the monitor-free serial fast path: same
-     *  state transitions and shared-memory access order as
-     *  issueFront followed immediately by commitIssue, minus monitor
-     *  hooks, bb tracking and per-wave issue counting (observable only
-     *  through monitors) and the epoch retire-bound lane (read only by
-     *  the epoch loop). @p ri is the slot's SIMD-major lane index,
-     *  already in hand from arbitration. */
+    /** issue() minus monitor hooks, bb tracking and per-wave issue
+     *  counting (observable only through monitors), with the same
+     *  shared-memory access order. @p ri is the slot's SIMD-major lane
+     *  index, already in hand from arbitration. */
     void issueFast(std::uint32_t slot, std::uint32_t ri,
                    std::uint32_t simd, Cycle now);
 
-    /** Epoch-mode commit of a just-issued record using CU-private state
-     *  only: sets readyAt when it does not depend on shared memory,
-     *  parks the wavefront otherwise; barrier and retirement
-     *  bookkeeping (CU-private) applies inline either way. Returns
-     *  true when the record has shared effects and must stay queued
-     *  for the boundary replay. */
-    PHOTON_PHASE_FRONT
-    bool applyEpochIssue(PendingIssue &rec, Cycle now);
-
-    enum class TickMode { Serial, Deferred, Epoch };
-    std::uint32_t tickImpl(Cycle now, TickMode mode);
-    PHOTON_PHASE_COMMIT
     void retireWave(std::uint32_t slot, Cycle now);
-    PHOTON_PHASE_COMMIT
     void releaseBarrier(std::uint32_t wgSlot, Cycle now);
 
     /** Update a slot's scheduling key, folding it into the owning
@@ -371,9 +250,6 @@ class ComputeUnit
     MemorySystem &memsys_;
     const func::Emulator &emu_;
     KernelContext ctx_;
-    /** Pre-decoded stream of the bound program (hot-path base pointer;
-     *  avoids the program indirection per retire-bound scan). */
-    const isa::DecodedInst *decoded_ = nullptr;
     /** ctx_.codeBase / kLineBytes, so the per-issue fetch-line check is
      *  one add and shift instead of a 64-bit multiply and divide. */
     std::uint64_t codeLineBase_ = 0;
@@ -385,10 +261,6 @@ class ComputeUnit
     /** Arbitration age key: the slot's warp id (stable for the wave's
      *  lifetime; slots excluded from the issue mask never read it). */
     std::vector<std::uint32_t> slotWarp_;
-    /** decoded minStepsToEnd at the slot's current PC; kUnreachableEnd
-     *  for empty slots, so the epoch retire-bound scan runs over two
-     *  contiguous lanes with no per-wave pointer chasing. */
-    std::vector<std::uint32_t> slotSteps_;
 
     /** Index of slot's entry in the SIMD-major lanes. Table lookup:
      *  the modulo/divide pair costs two runtime integer divisions per
@@ -414,12 +286,6 @@ class ComputeUnit
     std::vector<Cycle> waveReadyAt_;
     std::vector<std::uint8_t> waveActive_;
     std::vector<std::uint8_t> waveAtBarrier_;
-    /** Epoch mode: readyAt awaits shared state at the boundary. */
-    std::vector<std::uint8_t> waveReadyPending_;
-    /** Barrier-release cycle + 1 recorded while readyPending, so the
-     *  boundary resolution can apply the release's floor on a readyAt
-     *  it could not know at release time. */
-    std::vector<Cycle> waveReleaseFloor_;
     std::vector<std::uint64_t> waveInstCount_;
     std::vector<std::uint32_t> waveWgSlot_;
     /** Trace-replay cursor per slot, bound at placement when the kernel
@@ -454,15 +320,10 @@ class ComputeUnit
     std::uint64_t simdScans_ = 0;
     std::uint64_t emptyScans_ = 0;
 
-    /** Queued issue/miss records, drained at commit — event queues,
-     *  not per-cycle scan lanes. */
-    std::vector<PendingIssue> pending_; // photon-lint: aos-ok
+    /** L1V misses of the issuing instruction, walked through L2 after
+     *  the instruction fetch — a per-issue queue, not a scan lane. */
     std::vector<MemorySystem::VmemMiss> pendingMisses_; // photon-lint: aos-ok
-    PendingIssue serialRec_;             ///< reused record (serial tick)
-    func::StepResult fastStep_;          ///< reused result (fast tick)
-    /** Wavefronts parked with an unresolved readyAt (epoch mode); must
-     *  be zero at every epoch boundary after the replay. */
-    std::uint32_t pendingWaveCount_ = 0;
+    func::StepResult step_; ///< reused functional-step result
 };
 
 } // namespace photon::timing

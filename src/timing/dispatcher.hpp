@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/phase_annotations.hpp"
 #include "sim/types.hpp"
 #include "timing/cu.hpp"
 
@@ -24,7 +23,6 @@ class Dispatcher
     explicit Dispatcher(std::vector<ComputeUnit> &cus) : cus_(cus) {}
 
     /** Reset for a kernel with @p numWorkgroups workgroups. */
-    PHOTON_PHASE_COMMIT
     void
     startKernel(std::uint32_t numWorkgroups)
     {
@@ -35,14 +33,12 @@ class Dispatcher
     }
 
     /** Stop issuing new workgroups (sampling switch / drain). */
-    PHOTON_PHASE_COMMIT
     void
     halt()
     {
         halted_ = true;
     }
 
-    PHOTON_PHASE_COMMIT
     void
     resume()
     {
@@ -52,7 +48,6 @@ class Dispatcher
 
     /** CU capacity was freed (a wavefront retired): a previously failed
      *  dispatch attempt may now succeed. */
-    PHOTON_PHASE_COMMIT
     void
     notifyCapacityFreed()
     {
@@ -75,12 +70,10 @@ class Dispatcher
      * rescans regardless (the seed loop's per-cycle behaviour).
      * Placed CU ids are appended to @p placed when given.
      */
-    PHOTON_PHASE_COMMIT
     void
     tryDispatch(Cycle now, std::vector<std::uint32_t> *placed = nullptr,
                 bool force = false)
     {
-        PHOTON_ASSERT_PHASE("Dispatcher::tryDispatch");
         if (halted_)
             return;
         if (!retry_ && !force)

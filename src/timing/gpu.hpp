@@ -4,26 +4,13 @@
  * runs kernels in detailed (execution-driven) mode, with optional monitor
  * hooks and early-stop for sampled simulation.
  *
- * The run loop is event-driven: CUs are filed in a min-heap keyed by
- * their next-event cycle and only ticked when due, instead of being
- * scanned every cycle. An opt-in parallel mode (cuThreads > 1) shards
- * due CUs across worker threads under a per-cycle barrier; CU front
- * halves run concurrently against private state and their shared-memory
- * effects commit serially in (cycle, cuId, issue index) order, so the
- * results are bit-identical to the serial schedule. A self-contained
- * AoS per-cycle scanning engine (timing/reference.hpp) is kept behind
- * useSeedLoop as the frozen reference implementation for cross-checks
- * and as the bench baseline.
- *
- * Monitor-free parallel runs use epoch synchronization instead
- * (runEpochLoop, DESIGN.md §11): the loop computes a conservative safe
- * horizon — bounded by the minimum shared-memory visibility latency and
- * by the earliest possible wavefront retirement — lets every worker
- * tick its CUs independently across the whole [base, horizon) window,
- * then replays the queued shared-state effects serially in (cycle,
- * cuId, issue-order) at the boundary. Results stay bit-identical to
- * serial while barrier crossings drop from two per cycle to two per
- * epoch.
+ * The run loop is event-driven and serial: CUs are filed in a min-heap
+ * keyed by their next-event cycle and only ticked when due, instead of
+ * being scanned every cycle. Monitor-free runs take each CU's fused
+ * tickFast; monitored runs (the sampling control plane) take the
+ * monitored tick. A self-contained AoS per-cycle scanning engine
+ * (timing/reference.hpp) is kept behind useSeedLoop as the frozen
+ * reference implementation for cross-checks and as the bench baseline.
  */
 
 #ifndef PHOTON_TIMING_GPU_HPP
@@ -59,18 +46,10 @@ struct RunOptions
     /** Delimit monitored basic blocks at s_waitcnt as well (must match
      *  the sampler's own block table). */
     bool splitBbAtWaitcnt = false;
-    /** Worker threads ticking CUs inside this kernel; 0 uses the Gpu
-     *  default (setCuThreads), 1 is fully serial. Any value produces
-     *  bit-identical results. */
-    std::uint32_t cuThreads = 0;
     /** Run the frozen AoS per-cycle reference engine instead of the
      *  event-driven core (cross-checks, bench baseline); see
      *  timing/reference.hpp. */
     bool useSeedLoop = false;
-    /** Clamp epoch length to this many cycles; 0 uses the Gpu default
-     *  (setEpochCap). 1 degenerates epochs to per-cycle stepping — the
-     *  stress mode the golden-parity tests pin. */
-    Cycle maxEpochCycles = 0;
     /** Replay the issue front from this captured functional trace
      *  instead of re-executing register semantics (func/warp_trace.hpp).
      *  The caller must have applied the trace's store log to memory and
@@ -97,16 +76,6 @@ struct RunOutcome
     std::uint64_t waveCycles = 0;
     /** Wavefront IPC per time bucket when collectIpcTrace is set. */
     std::vector<double> ipcTrace;
-
-    // Parallel-synchronization statistics (zero for serial runs).
-    /** Epochs executed by the epoch run loop. */
-    std::uint64_t epochs = 0;
-    /** Simulated cycles covered by those epochs (mean horizon length =
-     *  epochCycleSum / epochs). */
-    std::uint64_t epochCycleSum = 0;
-    /** Thread-barrier crossings paid by the parallel run loops (two
-     *  per epoch, or two per ticked cycle in per-cycle mode). */
-    std::uint64_t barrierCrossings = 0;
 
     Cycle cycles() const { return endCycle - startCycle; }
 };
@@ -135,17 +104,6 @@ class Gpu
 
     /** Advance the clock without simulating (sampled/skipped periods). */
     void skipTime(Cycle cycles) { now_ += cycles; }
-
-    /** Default intra-kernel CU worker threads for runs whose RunOptions
-     *  leave cuThreads at 0 (so samplers' internal runs inherit it). */
-    void setCuThreads(std::uint32_t n) { cuThreadsDefault_ = n; }
-    std::uint32_t cuThreads() const { return cuThreadsDefault_; }
-
-    /** Default epoch-length clamp for runs whose RunOptions leave
-     *  maxEpochCycles at 0; 0 means unclamped (the safe horizon
-     *  alone). Mainly for tests forcing degenerate tiny epochs. */
-    void setEpochCap(Cycle cap) { epochCapDefault_ = cap; }
-    Cycle epochCap() const { return epochCapDefault_; }
 
     Cycle now() const { return now_; }
     const GpuConfig &config() const { return cfg_; }
@@ -176,11 +134,7 @@ class Gpu
     static constexpr std::uint32_t kWheelSize = 16;
 
     RunOutcome runEventLoop(KernelMonitor *monitor,
-                            const RunOptions &opts,
-                            std::uint32_t threads);
-    /** Epoch-synchronized parallel loop (monitor-free runs only). */
-    RunOutcome runEpochLoop(const RunOptions &opts,
-                            std::uint32_t threads);
+                            const RunOptions &opts);
 
     /** (Re)file @p cu in the event heap at its current hint; maintains
      *  the one-valid-entry-per-CU invariant via filedAt_. */
@@ -215,8 +169,6 @@ class Gpu
     std::unique_ptr<ReferenceEngine> reference_;
     Cycle now_ = 0;
     std::uint64_t kernelSeq_ = 0;
-    std::uint32_t cuThreadsDefault_ = 1;
-    Cycle epochCapDefault_ = 0;
 
     // Per-kernel event/bookkeeping state (reset in runKernel).
     EventHeap heap_;
@@ -230,17 +182,11 @@ class Gpu
     std::uint32_t residentWaveCount_ = 0;
     std::uint32_t wavesPerWg_ = 0;
 
-    /** Per-CU cursor into the epoch record queues (boundary merge). */
-    std::vector<std::uint32_t> epochCursor_;
-
     // Cumulative occupancy counters across kernels (exportStats).
     std::uint64_t kernelsRun_ = 0;
     Cycle activeCyclesTotal_ = 0;
     std::uint64_t busyCuCyclesTotal_ = 0;
     std::uint64_t waveCyclesTotal_ = 0;
-    std::uint64_t epochsTotal_ = 0;
-    std::uint64_t epochCyclesTotal_ = 0;
-    std::uint64_t barrierCrossingsTotal_ = 0;
 };
 
 } // namespace photon::timing

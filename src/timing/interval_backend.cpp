@@ -195,49 +195,6 @@ struct IntervalBackend::Impl
         return lat;
     }
 
-    /** Functionally execute @p warp once (stores apply to @p mem),
-     *  pricing every instruction as it retires. Memory traffic is
-     *  charged to the L1 proxy of the CU the dispatcher would place
-     *  the warp's workgroup on (round-robin over CUs). */
-    WarpEstimate
-    estimate(KernelModel &km, const isa::Program &program,
-             const func::LaunchDims &dims, func::GlobalMemory &mem,
-             WarpId warp, const func::LaunchTrace *trace)
-    {
-        std::uint32_t wpw = std::max<std::uint32_t>(
-            1, dims.wavesPerWorkgroup);
-        std::uint32_t cu =
-            static_cast<std::uint32_t>(warp / wpw) % cfg.numCus;
-        func::Emulator emu;
-        func::WaveState ws;
-        ws.init(program, dims, warp);
-        // Per-warp LDS stand-in: control flow in the supported
-        // workloads never depends on LDS values (same soundness
-        // argument as the online-analysis trace).
-        std::vector<std::uint8_t> lds(
-            trace ? 0 : program.ldsBytes(), 0);
-        func::WarpReplayCursor cursor;
-        if (trace)
-            cursor.bind(trace, warp);
-        func::StepResult res;
-        double dur = 0.0;
-        std::uint64_t n = 0;
-        while (!ws.done) {
-            // The cursor yields the identical StepResult stream the
-            // emulator would (and priceStep consumes nothing else), so
-            // replayed estimates are bit-identical to emulated ones.
-            if (trace)
-                cursor.step(program, ws, res);
-            else
-                emu.step(program, ws, mem, lds, res);
-            ++n;
-            dur += priceStep(km, res, cu);
-        }
-        return {std::max<Cycle>(
-                    1, static_cast<Cycle>(std::llround(dur))),
-                n};
-    }
-
     /**
      * Trace a whole launch, interleaving the warps that would be
      * co-resident on each CU. The detailed core round-robins issue
@@ -535,8 +492,8 @@ IntervalBackend::runKernel(const isa::Program &program,
     out.endCycle = end;
     out.wavesCompleted = dims.totalWaves();
     out.firstUndispatchedWg = dims.numWorkgroups;
-    // Occupancy integrals and epoch statistics stay 0: this backend
-    // does not measure them (caps() says so; telemetry reports null).
+    // Occupancy integrals stay 0: this backend does not measure them
+    // (caps() says so).
 
     gpu_.skipTime(out.endCycle - out.startCycle);
 
@@ -596,18 +553,6 @@ IntervalBackend::seedLatencies(const std::string &kernel,
     // Invalidate the memoized per-opcode costs: the next priced
     // instruction sees the merged fits.
     km.fresh = false;
-}
-
-IntervalBackend::WarpEstimate
-IntervalBackend::estimateWarp(const isa::Program &program,
-                              const func::LaunchDims &dims,
-                              func::GlobalMemory &mem, WarpId warp,
-                              bool split_bb_at_waitcnt,
-                              const func::LaunchTrace *replay)
-{
-    (void)split_bb_at_waitcnt; // pricing is per-instruction, not per-block
-    Impl::KernelModel &km = impl_->model(program.name());
-    return impl_->estimate(km, program, dims, mem, warp, replay);
 }
 
 } // namespace photon::timing

@@ -15,15 +15,14 @@
  * floored by the machine's DRAM-line bandwidth, SIMD-issue and
  * MSHR-concurrency limits (sample counters rescaled to machine
  * equivalents). Per-kernel latency fits can be seeded from a detailed
- * phase (the auto-mode handoff), replacing configuration-derived
- * defaults with observed means.
+ * phase, replacing configuration-derived defaults with observed means.
  *
  * Results are deterministic (same job -> bit-identical cycles) but
  * deliberately NOT cycle-parity with the detailed core: there is no
  * event loop, no MSHR or bank contention and no inter-warp
  * interference beyond slot occupancy and the aggregate throughput
- * floors. BackendCaps reflects that — no monitor hooks, no epoch or
- * occupancy statistics (consumers report them as null, never zero).
+ * floors. BackendCaps reflects that — no monitor hooks, no occupancy
+ * statistics.
  *
  * Layering: this header must stay free of src/sampling includes (the
  * CI hygiene grep pins every timing header); the interval-model reuse
@@ -94,34 +93,12 @@ class IntervalBackend final : public TimingBackend
 
     /**
      * Seed @p kernel's latency table with observations aggregated
-     * during a detailed phase (auto mode's handoff). Invalidates the
+     * during a detailed phase. Invalidates the
      * kernel's memoized per-opcode costs — predictions after a seed
      * reflect the merged fits.
      */
     void seedLatencies(const std::string &kernel,
                        const std::vector<LatencyObservation> &obs);
-
-    /** One warp's predicted cost (duration never below 1 cycle). */
-    struct WarpEstimate
-    {
-        Cycle duration = 1;
-        std::uint64_t insts = 0;
-    };
-
-    /**
-     * Predict a single warp of @p program under this backend's current
-     * fits — the auto pilot's epilogue uses this to price the warps
-     * the detailed phase never dispatched. Functionally executes the
-     * warp (its stores apply to @p mem) unless @p replay supplies a
-     * captured trace, in which case the warp's StepResult stream is
-     * replayed bit-identically with no memory writes (the caller
-     * already applied the trace's store log).
-     */
-    WarpEstimate estimateWarp(const isa::Program &program,
-                              const func::LaunchDims &dims,
-                              func::GlobalMemory &mem, WarpId warp,
-                              bool split_bb_at_waitcnt = false,
-                              const func::LaunchTrace *replay = nullptr);
 
   private:
     struct Impl;
@@ -130,7 +107,7 @@ class IntervalBackend final : public TimingBackend
     /** Per-kernel fits plus the L1/L2 tag proxies (deliberately warm
      *  across kernels, like the machine's caches). The store has a
      *  single owner (one backend per job); tagged anyway so any
-     *  future cross-job sharing trips the phase checks instead of
+     *  future cross-job sharing trips the lock-set pass instead of
      *  racing silently. */
     PHOTON_SHARED_STATE
     std::unique_ptr<Impl> impl_;

@@ -33,7 +33,6 @@ class MemorySystem
     explicit MemorySystem(const GpuConfig &cfg);
 
     /** Vector (FLAT) access from CU @p cuId. Returns data-ready cycle. */
-    PHOTON_SHARED_STATE
     Cycle vectorAccess(std::uint32_t cuId, std::uint64_t lineAddr,
                        bool write, Cycle now);
 
@@ -56,12 +55,10 @@ class MemorySystem
 
     /**
      * CU-private half of a vector access: L1V port + tag lookup (with
-     * fill-on-miss) and MSHR ring allocation. Touches only per-CU state,
-     * so distinct CUs may probe concurrently. On a miss the returned
+     * fill-on-miss) and MSHR ring allocation. On a miss the returned
      * missBase/mshrIdx must be passed to vectorCommitMiss later — in
      * probe order — to walk the shared L2/DRAM path.
      */
-    PHOTON_PHASE_FRONT
     VmemProbe vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr,
                           Cycle now);
 
@@ -69,16 +66,13 @@ class MemorySystem
      *  Reads the MSHR next-free time here (not at probe time) so a
      *  same-cycle later miss observes earlier fills, exactly as in the
      *  fused vectorAccess path. */
-    PHOTON_SHARED_STATE
     Cycle vectorCommitMiss(std::uint32_t cuId, const VmemMiss &miss);
 
     /** Scalar (s_load) access from CU @p cuId via the L1K path. */
-    PHOTON_SHARED_STATE
     Cycle scalarAccess(std::uint32_t cuId, std::uint64_t lineAddr,
                        Cycle now);
 
     /** Instruction-fetch access via the L1I path. */
-    PHOTON_SHARED_STATE
     Cycle instAccess(std::uint32_t cuId, std::uint64_t lineAddr, Cycle now);
 
     /** Export hit/miss/queueing counters into @p stats. Exported
@@ -86,16 +80,6 @@ class MemorySystem
      *  nondeterministic breaks run-to-run reproducibility. */
     PHOTON_DET_SINK
     void exportStats(StatRegistry &stats) const;
-
-    /**
-     * Lower bound, in cycles, between a CU *starting* any access that
-     * can reach shared state (L1I fetch, L1K scalar, or an L1V miss
-     * entering L2) and the earliest cycle the shared effect can become
-     * visible to another CU. The epoch scheduler uses this as the safe
-     * parallel horizon: within fewer cycles than this, concurrently
-     * ticking CUs cannot observe each other's shared-memory effects.
-     */
-    Cycle minSharedLatency() const;
 
     const SetAssocCache &l1v(std::uint32_t cuId) const
     {
@@ -105,7 +89,6 @@ class MemorySystem
 
   private:
     /** Shared L2 + DRAM path used by all three L1 kinds on a miss. */
-    PHOTON_SHARED_STATE
     Cycle l2Access(std::uint64_t lineAddr, Cycle now);
 
     GpuConfig cfg_;
@@ -113,13 +96,9 @@ class MemorySystem
     std::vector<std::vector<Cycle>> mshrFree_;
     std::vector<std::uint32_t> mshrPtr_;
     std::vector<SetAssocCache> l1v_; ///< one per CU
-    PHOTON_SHARED_STATE
     std::vector<SetAssocCache> l1i_; ///< one per CU group
-    PHOTON_SHARED_STATE
     std::vector<SetAssocCache> l1k_; ///< one per CU group
-    PHOTON_SHARED_STATE
     std::vector<SetAssocCache> l2_; ///< one per bank
-    PHOTON_SHARED_STATE
     Dram dram_;
 };
 

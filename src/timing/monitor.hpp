@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "func/emulator.hpp"
-#include "sim/phase_annotations.hpp"
 #include "isa/basic_block.hpp"
 #include "sim/types.hpp"
 
@@ -54,7 +53,6 @@ class KernelMonitor
 
     /** The run entered a new phase (see KernelPhase). Emitted from the
      *  run loop thread, in phase order, once per transition. */
-    PHOTON_SHARED_STATE
     virtual void
     onKernelPhase(KernelPhase phase, Cycle now)
     {
@@ -63,7 +61,6 @@ class KernelMonitor
     }
 
     /** A wavefront was scheduled onto a compute unit. */
-    PHOTON_SHARED_STATE
     virtual void
     onWaveDispatched(WarpId warp, Cycle now)
     {
@@ -72,7 +69,6 @@ class KernelMonitor
     }
 
     /** A wavefront executed s_endpgm. */
-    PHOTON_SHARED_STATE
     virtual void
     onWaveRetired(WarpId warp, Cycle now, std::uint64_t inst_count)
     {
@@ -83,7 +79,6 @@ class KernelMonitor
 
     /** One instruction issued; @p complete is the cycle its result is
      *  ready (memory included). */
-    PHOTON_SHARED_STATE
     virtual void
     onInstruction(WarpId warp, const func::StepResult &result, Cycle issue,
                   Cycle complete)
@@ -100,7 +95,6 @@ class KernelMonitor
      *  instruction. @p active_lanes is the EXEC population at the
      *  block's first instruction — divergence changes a block's memory
      *  footprint, so the samplers track it. */
-    PHOTON_SHARED_STATE
     virtual void
     onBbExecuted(WarpId warp, isa::BbId bb, Cycle issue, Cycle retire,
                  std::uint32_t active_lanes)
@@ -114,7 +108,6 @@ class KernelMonitor
 
     /** Polled by the run loop; return true to stop dispatching new
      *  workgroups (resident ones drain). */
-    PHOTON_SHARED_STATE
     virtual bool
     wantsStop(Cycle now)
     {

@@ -174,9 +174,9 @@ ReferenceCu::issueWave(std::uint32_t slot, Cycle now)
 
     // Per-unit latency selection: the reference keeps the plain switch.
     // The L1V probes run before the L1I fetch and the miss commits, the
-    // same shared-state order as the event core's issueFront/commitIssue
-    // pair — the memory system's counters must not be able to tell the
-    // two engines apart.
+    // same memory-system order as the event core's ComputeUnit::issue —
+    // the memory system's counters must not be able to tell the two
+    // engines apart.
     misses_.clear();
     Cycle complete = now + 1;
     Cycle ready = now + 1;

@@ -31,7 +31,6 @@
 #include "func/wave_state.hpp"
 #include "isa/basic_block.hpp"
 #include "sim/config.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/types.hpp"
 #include "timing/cu.hpp"
 #include "timing/gpu.hpp"
@@ -95,14 +94,9 @@ class ReferenceCu
     /** Issue slot's wavefront at @p now: functional step, per-unit
      *  latency switch, memory-system walk, monitor callbacks, barrier
      *  and retirement bookkeeping — all inline, in the same shared-state
-     *  order as the event core's issueFront/commitIssue pair. The whole
-     *  engine is serial-only, so these carry the commit-phase tag: the
-     *  linter must treat them like the event core's commit halves. */
-    PHOTON_PHASE_COMMIT
+     *  order as the event core's ComputeUnit::issue. */
     void issueWave(std::uint32_t slot, Cycle now);
-    PHOTON_PHASE_COMMIT
     void retireWave(std::uint32_t slot, Cycle now);
-    PHOTON_PHASE_COMMIT
     void releaseBarrier(std::uint32_t wgSlot, Cycle now);
 
     const GpuConfig &cfg_;

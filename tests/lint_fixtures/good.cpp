@@ -1,29 +1,29 @@
-// photon_lint fixture: annotated code that FOLLOWS the phase contract.
-// Analyzed by the linter only — never compiled, so the annotation
-// macros appear as bare markers.
+// photon_lint fixture: annotated code that FOLLOWS the lock-set
+// contract. Analyzed by the linter only — never compiled, so the
+// annotation macros appear as bare markers.
 
 struct GoodShared
 {
+    std::mutex mu_;
+
     PHOTON_SHARED_STATE
     int total_ = 0;
 
-    // Internally synchronized: callable from any phase.
+    PHOTON_GUARDED_BY(mu_)
+    int guarded_ = 0;
+
+    // Internally synchronized: callable from any thread.
     PHOTON_PHASE_EXEMPT
     void publish(int v);
 
-    PHOTON_PHASE_COMMIT
-    void commitAdd(int v);
+    void add(int v);
 };
 
 struct GoodEngine
 {
     int scratch_ = 0;
 
-    PHOTON_PHASE_FRONT
-    void frontStep(int v);
-
-    PHOTON_PHASE_COMMIT
-    void commitStep(int v);
+    void step(GoodShared &shared, int v);
 };
 
 void
@@ -33,20 +33,16 @@ GoodShared::publish(int v)
 }
 
 void
-GoodShared::commitAdd(int v)
+GoodShared::add(int v)
 {
-    total_ += v;
+    std::lock_guard<std::mutex> lock(mu_);
+    guarded_ += v;
 }
 
 void
-GoodEngine::frontStep(int v)
+GoodEngine::step(GoodShared &shared, int v)
 {
-    scratch_ += v; // private state: allowed
-    publish(v);    // exempt callee: allowed
-}
-
-void
-GoodEngine::commitStep(int v)
-{
-    commitAdd(v); // commit-to-commit: allowed
+    scratch_ += v;     // private state: allowed
+    shared.publish(v); // exempt callee: allowed
+    shared.add(v);     // locks internally: allowed
 }

@@ -4,7 +4,7 @@
 #include <mutex>
 #include <vector>
 
-#define PHOTON_PHASE_COMMIT
+#define PHOTON_PHASE_EXEMPT
 #define PHOTON_SHARED_STATE
 #define PHOTON_GUARDED_BY(m)
 #define PHOTON_REQUIRES_LOCK(m)
@@ -70,11 +70,11 @@ class Counters
         log_.push_back(v);
     }
 
-    // OK: commit-phase functions run serially by protocol.
-    PHOTON_PHASE_COMMIT
-    void commitAdd(int v)
+    // OK: constructors run before the object is shared, so their
+    // writes need no lock.
+    explicit Counters(int v)
     {
-        total_ += v;
+        total_ = v;
     }
 
     // OK: reviewed single-threaded call site, explicitly waived.
@@ -116,7 +116,7 @@ class Plain
 {
   public:
     // BAD(122): plain SHARED_STATE field written with no lock held by
-    // an untagged function outside the commit closure.
+    // an untagged function.
     void bump()
     {
         shared_ += 1;
@@ -127,6 +127,13 @@ class Plain
     void bumpLocked()
     {
         std::lock_guard<std::mutex> lock(mu_);
+        shared_ += 1;
+    }
+
+    // OK: an exempt writer is internally synchronized by contract.
+    PHOTON_PHASE_EXEMPT
+    void bumpExempt()
+    {
         shared_ += 1;
     }
 

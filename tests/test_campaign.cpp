@@ -300,41 +300,6 @@ TEST(CampaignRunner, ReportsRenderAllJobs)
     EXPECT_NE(csv.str().find("relu,"), std::string::npos);
 }
 
-TEST(CampaignRunner, DegradesCuThreadsWhenPoolSaturatesCores)
-{
-    std::vector<JobSpec> jobs = {{"relu", 64, "photon", "tiny"},
-                                 {"fir", 64, "full", "tiny"},
-                                 {"sc", 64, "pka", "tiny"},
-                                 {"aes", 64, "full", "tiny"}};
-    CampaignOptions opts;
-    opts.workers = 4;
-    opts.cuThreads = 4;
-    opts.assumeCores = 4; // pool (4) >= cores (4) -> degrade
-    CampaignResult degraded = runCampaign(jobs, opts);
-    EXPECT_EQ(degraded.cuThreadsRequested, 4u);
-    EXPECT_EQ(degraded.cuThreadsEffective, 1u);
-    EXPECT_TRUE(degraded.cuThreadsDegraded);
-
-    opts.assumeCores = 64; // plenty of cores -> request honoured
-    CampaignResult kept = runCampaign(jobs, opts);
-    EXPECT_EQ(kept.cuThreadsEffective, 4u);
-    EXPECT_FALSE(kept.cuThreadsDegraded);
-
-    // CU threads are bit-identical to serial, so the degradation must
-    // not change any simulated result.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(degraded.jobs[i].cycles, kept.jobs[i].cycles);
-        EXPECT_EQ(degraded.jobs[i].insts, kept.jobs[i].insts);
-    }
-
-    std::ostringstream json;
-    writeJsonReport(degraded, json);
-    EXPECT_NE(json.str().find("\"cu_threads\": {\"requested\": 4, "
-                              "\"effective\": 1, \"degraded\": true}"),
-              std::string::npos)
-        << json.str();
-}
-
 TEST(CampaignRunner, JobResultsCarryCacheCounters)
 {
     // Two identical photon jobs in one ordered chain: the second is

@@ -1,7 +1,9 @@
 /** @file Functional-emulator semantics tests. */
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -383,13 +385,32 @@ TEST_F(EmulatorTest, RunWaveCountsInstructions)
     EXPECT_EQ(emu_.runWave(*prog, ws, mem_, lds), 17u);
 }
 
-/** Parameterised semantics check over the integer compare family. */
+/**
+ * Parameterised semantics check over the integer compare family.
+ *
+ * gtest has no printer for this struct, so each case is named after its
+ * raw bytes. The bytes a compiler would leave as padding are spelled out
+ * as members, so every run registers the same case names instead of
+ * whatever the stack held; `fill` keeps the names the cases have always
+ * been listed under.
+ */
 struct CmpCase
 {
+    using Fill = std::array<std::uint8_t, 3>;
+
+    CmpCase(Opcode op_, std::uint32_t a_, std::uint32_t b_, bool expect_,
+            Fill fill_ = {})
+        : op(op_), fill(fill_), a(a_), b(b_), expect(expect_)
+    {}
+
     Opcode op;
+    Fill fill;
     std::uint32_t a, b;
     bool expect;
+    Fill tail{};
 };
+static_assert(std::has_unique_object_representations_v<CmpCase>,
+              "CmpCase must have no implicit padding");
 
 class ScalarCompare : public ::testing::TestWithParam<CmpCase>
 {};
@@ -412,12 +433,16 @@ TEST_P(ScalarCompare, SetsSccCorrectly)
 
 INSTANTIATE_TEST_SUITE_P(
     AllCompares, ScalarCompare,
-    ::testing::Values(CmpCase{Opcode::S_CMP_LT_U32, 1, 2, true},
-                      CmpCase{Opcode::S_CMP_LT_U32, 2, 2, false},
+    ::testing::Values(CmpCase{Opcode::S_CMP_LT_U32, 1, 2, true,
+                              {0x00, 0x01, 0x1b}},
+                      CmpCase{Opcode::S_CMP_LT_U32, 2, 2, false,
+                              {0xff, 0x48, 0x00}},
                       CmpCase{Opcode::S_CMP_LE_U32, 2, 2, true},
                       CmpCase{Opcode::S_CMP_GT_U32, 3, 2, true},
-                      CmpCase{Opcode::S_CMP_GT_U32, 2, 3, false},
-                      CmpCase{Opcode::S_CMP_GE_U32, 2, 2, true},
+                      CmpCase{Opcode::S_CMP_GT_U32, 2, 3, false,
+                              {0x00, 0x01, 0x1b}},
+                      CmpCase{Opcode::S_CMP_GE_U32, 2, 2, true,
+                              {0xda, 0x48, 0x00}},
                       CmpCase{Opcode::S_CMP_EQ_U32, 5, 5, true},
                       CmpCase{Opcode::S_CMP_EQ_U32, 5, 6, false},
                       CmpCase{Opcode::S_CMP_NE_U32, 5, 6, true}));

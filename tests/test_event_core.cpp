@@ -1,10 +1,10 @@
 /**
  * @file
  * Determinism tests for the event-driven run loop: the event core must
- * match the reference per-cycle scanning loop (useSeedLoop) exactly, and
- * parallel CU ticking (cuThreads > 1) must be bit-identical to serial —
+ * match the reference per-cycle scanning loop (useSeedLoop) exactly —
  * same cycles, instruction counts, IPC trace, monitor callback stream
- * and exported statistics — across workloads and simulation modes.
+ * and exported statistics — on both issue paths (monitored and
+ * monitor-free).
  */
 
 #include <gtest/gtest.h>
@@ -13,13 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "driver/platform.hpp"
 #include "isa/builder.hpp"
-#include "service/campaign.hpp"
 #include "timing/dispatcher.hpp"
 #include "timing/gpu.hpp"
 #include "timing/monitor.hpp"
-#include "workloads/workload.hpp"
 
 using namespace photon;
 using namespace photon::isa;
@@ -138,18 +135,6 @@ struct GpuRun
     std::map<std::string, double> stats;
 };
 
-/** Drop the statistics that describe the synchronization protocol
- *  itself (epoch counts, barrier crossings): they legitimately differ
- *  between serial and parallel runs of the same simulation. */
-void
-eraseSyncStats(std::map<std::string, double> &stats)
-{
-    stats.erase("gpu.epochs");
-    stats.erase("gpu.epoch_cycles");
-    stats.erase("gpu.mean_epoch_cycles");
-    stats.erase("gpu.barrier_crossings");
-}
-
 GpuRun
 runOnGpu(const ProgramPtr &prog, func::LaunchDims dims,
          std::uint64_t mem_bytes, const RunOptions &opts)
@@ -165,12 +150,11 @@ runOnGpu(const ProgramPtr &prog, func::LaunchDims dims,
     StatRegistry reg;
     gpu.exportStats(reg);
     r.stats = reg.values();
-    eraseSyncStats(r.stats);
     return r;
 }
 
-/** Like runOnGpu but with no monitor attached, which is the condition
- *  for the epoch-synchronized parallel loop to engage. */
+/** Like runOnGpu but with no monitor attached: the fused tickFast
+ *  issue path. */
 GpuRun
 runOnGpuNoMonitor(const ProgramPtr &prog, func::LaunchDims dims,
                   std::uint64_t mem_bytes, const RunOptions &opts)
@@ -184,7 +168,6 @@ runOnGpuNoMonitor(const ProgramPtr &prog, func::LaunchDims dims,
     StatRegistry reg;
     gpu.exportStats(reg);
     r.stats = reg.values();
-    eraseSyncStats(r.stats);
     return r;
 }
 
@@ -218,97 +201,15 @@ TEST(EventCore, EventLoopMatchesSeedLoop)
         expectSameOutcome(ev.out, seed.out, kc.name);
         EXPECT_EQ(ev.monitorHash, seed.monitorHash) << kc.name;
         EXPECT_EQ(ev.stats, seed.stats) << kc.name;
-    }
-}
 
-TEST(EventCore, ThreadedBitIdenticalToSerial)
-{
-    for (const auto &kc : kKernelCases) {
-        ProgramPtr prog = kc.build();
-        RunOptions opts;
-        opts.collectIpcTrace = true;
-        opts.ipcBucketCycles = 64;
-        opts.cuThreads = 1;
-        GpuRun serial = runOnGpu(prog, kc.dims, kc.memBytes, opts);
-        for (std::uint32_t threads : {2u, 4u}) {
-            opts.cuThreads = threads;
-            GpuRun par = runOnGpu(prog, kc.dims, kc.memBytes, opts);
-            std::string what = std::string(kc.name) + " threads=" +
-                               std::to_string(threads);
-            expectSameOutcome(serial.out, par.out, what);
-            EXPECT_EQ(serial.monitorHash, par.monitorHash) << what;
-            EXPECT_EQ(serial.stats, par.stats) << what;
-        }
-    }
-}
-
-/** Monitor-free parallel runs take the epoch-synchronized loop; the
- *  outcome (including occupancy integrals) must be bit-identical to the
- *  serial event core, and the epoch statistics must be populated. */
-TEST(EventCore, EpochLoopBitIdenticalToSerial)
-{
-    for (const auto &kc : kKernelCases) {
-        ProgramPtr prog = kc.build();
-        RunOptions opts;
-        opts.cuThreads = 1;
-        GpuRun serial = runOnGpuNoMonitor(prog, kc.dims, kc.memBytes,
-                                          opts);
-        EXPECT_EQ(serial.out.epochs, 0u) << kc.name;
-        for (std::uint32_t threads : {2u, 4u}) {
-            opts.cuThreads = threads;
-            GpuRun par = runOnGpuNoMonitor(prog, kc.dims, kc.memBytes,
-                                           opts);
-            std::string what = std::string(kc.name) + " threads=" +
-                               std::to_string(threads);
-            expectSameOutcome(serial.out, par.out, what);
-            EXPECT_EQ(serial.stats, par.stats) << what;
-            // The epoch loop ran: every epoch covers >= 1 cycle and
-            // costs exactly two barrier crossings.
-            EXPECT_GT(par.out.epochs, 0u) << what;
-            EXPECT_GE(par.out.epochCycleSum, par.out.epochs) << what;
-            EXPECT_LE(par.out.epochCycleSum, par.out.cycles()) << what;
-            EXPECT_EQ(par.out.barrierCrossings, 2 * par.out.epochs)
-                << what;
-        }
-    }
-}
-
-/** Multi-cycle epochs actually happen: on the ALU kernel the safe
- *  horizon is bounded below by the L1I hit latency, so the mean epoch
- *  must span more than one cycle (the whole point of the protocol). */
-TEST(EventCore, EpochsSpanMultipleCycles)
-{
-    ProgramPtr prog = aluKernel(20);
-    RunOptions opts;
-    opts.cuThreads = 4;
-    GpuRun par = runOnGpuNoMonitor(prog, {16, 4, 0}, 1 << 20, opts);
-    ASSERT_GT(par.out.epochs, 0u);
-    EXPECT_GT(par.out.epochCycleSum, par.out.epochs);
-    // Far fewer barrier crossings than the per-cycle protocol's two per
-    // simulated cycle.
-    EXPECT_LT(par.out.barrierCrossings, par.out.cycles());
-}
-
-/** maxEpochCycles=1 degenerates every epoch to a single cycle, forcing
- *  every issue through the park/replay boundary machinery; the results
- *  must not move. */
-TEST(EventCore, EpochCap1MatchesUncapped)
-{
-    for (const auto &kc : kKernelCases) {
-        ProgramPtr prog = kc.build();
-        RunOptions opts;
-        opts.cuThreads = 4;
-        GpuRun free_run = runOnGpuNoMonitor(prog, kc.dims, kc.memBytes,
-                                            opts);
-        opts.maxEpochCycles = 1;
-        GpuRun capped = runOnGpuNoMonitor(prog, kc.dims, kc.memBytes,
-                                          opts);
-        std::string what = std::string(kc.name) + " epoch-cap=1";
-        expectSameOutcome(free_run.out, capped.out, what);
-        EXPECT_EQ(free_run.stats, capped.stats) << what;
-        // Each capped epoch covers exactly one cycle.
-        EXPECT_EQ(capped.out.epochCycleSum, capped.out.epochs) << what;
-        EXPECT_GE(capped.out.epochs, free_run.out.epochs) << what;
+        // Monitor-free: the fused tickFast path against the same seed.
+        std::string what = std::string(kc.name) + " no-monitor";
+        GpuRun seed_free =
+            runOnGpuNoMonitor(prog, kc.dims, kc.memBytes, opts);
+        opts.useSeedLoop = false;
+        GpuRun fast = runOnGpuNoMonitor(prog, kc.dims, kc.memBytes, opts);
+        expectSameOutcome(fast.out, seed_free.out, what);
+        EXPECT_EQ(fast.stats, seed_free.stats) << what;
     }
 }
 
@@ -336,12 +237,8 @@ TEST(EventCore, EarlyStopIdenticalAcrossLoops)
     RunOutcome ev = run(opts);
     opts.useSeedLoop = true;
     RunOutcome seed = run(opts);
-    opts.useSeedLoop = false;
-    opts.cuThreads = 4;
-    RunOutcome par = run(opts);
     EXPECT_TRUE(ev.stoppedEarly);
     expectSameOutcome(ev, seed, "early-stop seed");
-    expectSameOutcome(ev, par, "early-stop threaded");
 }
 
 TEST(EventCore, OccupancyIntegralsAreConsistent)
@@ -423,71 +320,4 @@ TEST(EventCore, DispatcherRetryFlagGatesRescans)
     EXPECT_FALSE(d.wantsDispatch());
     d.resume();
     EXPECT_TRUE(d.wantsDispatch());
-}
-
-namespace {
-
-struct PlatformRun
-{
-    Cycle cycles = 0;
-    std::uint64_t insts = 0;
-    std::map<std::string, double> stats;
-};
-
-PlatformRun
-runWorkload(const std::string &name, std::uint32_t size,
-            driver::SimMode mode, std::uint32_t cu_threads)
-{
-    driver::Platform p(GpuConfig::testTiny(), mode);
-    if (cu_threads > 1)
-        p.setCuThreads(cu_threads);
-    std::string err;
-    workloads::WorkloadPtr w = service::makeWorkload(name, size, &err);
-    EXPECT_NE(w, nullptr) << err;
-    w->setup(p);
-    workloads::runWorkload(*w, p);
-    PlatformRun r;
-    r.cycles = p.totalKernelCycles();
-    r.insts = p.totalInsts();
-    r.stats = p.stats().values();
-    r.stats.erase("platform.total_wall_seconds"); // host-time dependent
-    eraseSyncStats(r.stats);
-    return r;
-}
-
-} // namespace
-
-/**
- * The determinism matrix from the issue: every workload, in both
- * full-detailed and Photon modes, must produce bit-identical cycles,
- * instruction counts and statistics for --cu-threads 1, 2 and 4. The
- * Photon runs also cover cuThreads inheritance by the sampler's
- * internal detailed runs (setCuThreads default plumbing).
- */
-TEST(EventCore, WorkloadsBitIdenticalAcrossCuThreads)
-{
-    const struct
-    {
-        const char *name;
-        std::uint32_t size;
-    } cases[] = {
-        {"relu", 64}, {"fir", 64},     {"sc", 64},  {"mm", 64},
-        {"mmtiled", 64}, {"aes", 32},  {"spmv", 64}, {"pagerank", 64},
-    };
-    for (auto mode :
-         {driver::SimMode::FullDetailed, driver::SimMode::Photon}) {
-        for (const auto &c : cases) {
-            PlatformRun serial = runWorkload(c.name, c.size, mode, 1);
-            for (std::uint32_t threads : {2u, 4u}) {
-                PlatformRun par =
-                    runWorkload(c.name, c.size, mode, threads);
-                std::string what = std::string(c.name) + " " +
-                                   driver::simModeName(mode) +
-                                   " threads=" + std::to_string(threads);
-                EXPECT_EQ(serial.cycles, par.cycles) << what;
-                EXPECT_EQ(serial.insts, par.insts) << what;
-                EXPECT_EQ(serial.stats, par.stats) << what;
-            }
-        }
-    }
 }

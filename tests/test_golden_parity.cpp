@@ -6,9 +6,8 @@
  *  and R9-Nano GPU models. The refactor moved the switch logic into
  *  SamplingController/SwitchGovernor and added telemetry capture, but
  *  none of that may perturb a single simulated cycle — every case must
- *  reproduce bit-identically: serial, with 2 and 4 CU threads (which
- *  engage the epoch-synchronized loop on monitor-free runs), and under
- *  forced-tiny-epoch stress (horizon clamped to 1 or 3 cycles). */
+ *  reproduce bit-identically. Full-mode runs take the monitor-free
+ *  tickFast path, photon-mode runs the monitored issue path. */
 
 #include <gtest/gtest.h>
 
@@ -33,8 +32,7 @@ struct GoldenCase {
 };
 
 void
-runCase(const GoldenCase &c, std::uint32_t cu_threads,
-        Cycle epoch_cap = 0)
+runCase(const GoldenCase &c)
 {
     SamplingConfig cfg;
     cfg.enableWarpSampling = c.warpSampling;
@@ -42,10 +40,6 @@ runCase(const GoldenCase &c, std::uint32_t cu_threads,
     std::string err;
     ASSERT_TRUE(service::parseGpuName(c.gpu, gpu, &err)) << err;
     driver::Platform p(gpu, c.mode, cfg);
-    if (cu_threads > 1)
-        p.setCuThreads(cu_threads);
-    if (epoch_cap > 0)
-        p.setMaxEpochCycles(epoch_cap);
     auto w = service::makeWorkload(c.workload, c.size, &err);
     ASSERT_NE(w, nullptr) << err;
     w->setup(p);
@@ -142,52 +136,11 @@ nanoMatrix()
 TEST(GoldenParity, TinyMatrixSerial)
 {
     for (const auto &c : tinyMatrix())
-        runCase(c, 1);
-}
-
-TEST(GoldenParity, TinyMatrixCuThreads2)
-{
-    for (const auto &c : tinyMatrix())
-        runCase(c, 2);
-}
-
-TEST(GoldenParity, TinyMatrixCuThreads4)
-{
-    for (const auto &c : tinyMatrix())
-        runCase(c, 4);
-}
-
-/** Clamp the epoch horizon to a single cycle: the epoch loop degrades
- *  to per-cycle stepping, every issue goes through the park/commit
- *  boundary machinery, and the numbers must still reproduce exactly. */
-TEST(GoldenParity, TinyMatrixEpochCap1Stress)
-{
-    for (const auto &c : tinyMatrix())
-        runCase(c, 4, /*epoch_cap=*/1);
-}
-
-/** Mid-size forced epochs (shorter than the natural safe horizon):
- *  exercises epochs that end between shared-memory completions. */
-TEST(GoldenParity, TinyMatrixEpochCap3Stress)
-{
-    for (const auto &c : tinyMatrix())
-        runCase(c, 2, /*epoch_cap=*/3);
+        runCase(c);
 }
 
 TEST(GoldenParity, NanoSwitchPathsSerial)
 {
     for (const auto &c : nanoMatrix())
-        runCase(c, 1);
-}
-
-TEST(GoldenParity, NanoSwitchPathsCuThreads2)
-{
-    for (const auto &c : nanoMatrix())
-        runCase(c, 2);
-}
-
-TEST(GoldenParity, NanoSwitchPathsCuThreads4)
-{
-    for (const auto &c : nanoMatrix())
-        runCase(c, 4);
+        runCase(c);
 }

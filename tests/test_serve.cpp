@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/fingerprint.hpp"
@@ -106,8 +108,6 @@ TEST(ServeProtocol, ResponseRoundTripWithStatus)
     resp.ok = true;
     resp.hasStatus = true;
     resp.status.workers = 3;
-    resp.status.cuThreads = 1;
-    resp.status.cuThreadsDegraded = true;
     resp.status.submitted = 10;
     resp.status.completed = 9;
     resp.status.store.cacheHits = 7;
@@ -120,7 +120,7 @@ TEST(ServeProtocol, ResponseRoundTripWithStatus)
     ASSERT_TRUE(back.hasStatus);
     EXPECT_FALSE(back.hasResult);
     EXPECT_EQ(back.status.workers, 3u);
-    EXPECT_TRUE(back.status.cuThreadsDegraded);
+    EXPECT_EQ(back.status.submitted, 10u);
     EXPECT_EQ(back.status.store.cacheHits, 7u);
     EXPECT_EQ(back.status.store.dedupCollapsed, 2u);
     EXPECT_EQ(back.status.storeKernelRecords, 5u);
@@ -325,25 +325,6 @@ TEST(SimServer, ConcurrentMixedRequestsMatchSerialResults)
     EXPECT_EQ(stats.dedupCollapsed + stats.jobsExecuted, clients);
 }
 
-TEST(SimServer, StatusReportsDegradedCuThreads)
-{
-    ServerOptions o = tinyServer(4);
-    o.cuThreads = 8;
-    o.assumeCores = 4; // workers >= cores -> degrade
-    SimServer server(o);
-    ServerStatus s = server.status();
-    EXPECT_EQ(s.cuThreads, 1u);
-    EXPECT_TRUE(s.cuThreadsDegraded);
-    EXPECT_EQ(server.effectiveCuThreads(), 1u);
-
-    ServerOptions keep = tinyServer(2);
-    keep.cuThreads = 2;
-    keep.assumeCores = 16; // plenty of cores -> keep the request
-    SimServer server2(keep);
-    EXPECT_EQ(server2.effectiveCuThreads(), 2u);
-    EXPECT_FALSE(server2.status().cuThreadsDegraded);
-}
-
 // ----- Checkpoint / restart -----
 
 TEST(SimServer, RestartReloadsCheckpointedStore)
@@ -480,6 +461,61 @@ TEST(ServeDaemon, SocketTransportAnswersAndShutsDown)
     bye.id = "bye";
     ClientResult br = requestOverSocket(d.socketPath, bye, 30.0);
     ASSERT_TRUE(br.ok) << br.error;
+    daemon.join();
+    fs::remove_all(dir);
+}
+
+/** A slow client whose request line straddles the daemon's 0.4 s read
+ *  slices must still get exactly one answer to the whole line. */
+TEST(ServeDaemon, RequestLineSurvivesTimeoutSlices)
+{
+    if (!net::available())
+        GTEST_SKIP() << "no Unix-domain sockets on this platform";
+    fs::path dir = scratchDir("slow");
+    DaemonOptions d;
+    d.socketPath = (dir / "pd.sock").string();
+    d.server = tinyServer(1);
+    d.installSignalHandlers = false;
+    d.verbose = false;
+    d.pollMs = 20;
+    std::atomic<bool> stop{false};
+    d.externalStop = &stop;
+    std::thread daemon([&d] { EXPECT_EQ(runDaemon(d), 0); });
+
+    Request ping;
+    ping.op = Op::Ping;
+    ping.id = "slow-ping";
+    ClientResult pr;
+    for (int i = 0; i < 100; ++i) {
+        pr = requestOverSocket(d.socketPath, ping, 10.0);
+        if (pr.ok)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_TRUE(pr.ok) << pr.error;
+
+    int fd = net::connectUnix(d.socketPath, nullptr);
+    ASSERT_GE(fd, 0);
+    const std::string line = encodeRequest(ping) + "\n";
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        ASSERT_EQ(::write(fd, &line[i], 1), 1);
+        // Stall mid-line past a whole read slice.
+        if (i == line.size() / 2)
+            std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    }
+    std::string reply;
+    ASSERT_EQ(net::recvLine(fd, reply, 10.0), 1);
+    Response resp;
+    std::string err;
+    ASSERT_TRUE(decodeResponse(reply, resp, &err)) << err << ": " << reply;
+    EXPECT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.id, "slow-ping");
+    // No second (garbage) response follows.
+    EXPECT_EQ(net::recvLine(fd, reply, 0.6), -1);
+    EXPECT_TRUE(reply.empty()) << reply;
+    net::closeFd(fd);
+
+    stop.store(true);
     daemon.join();
     fs::remove_all(dir);
 }

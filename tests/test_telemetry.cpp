@@ -1,7 +1,8 @@
 /** @file Tests for the per-kernel telemetry spine: deterministic JSON /
  *  CSV serialization, the schema-versioned round trip (current schema
- *  plus v1-document compatibility), and telemetry persistence through
- *  the binary artifact store (v3, with v1/v2 load compatibility). */
+ *  plus v1/v3-document compatibility), and telemetry persistence
+ *  through the binary artifact store (v6, with v1/v2/v3/v5 load
+ *  compatibility). */
 
 #include <gtest/gtest.h>
 
@@ -43,19 +44,13 @@ sampleRecord()
     t.analysisInsts = 4096;
     t.analysisReused = false;
     t.wallSeconds = 1.2345678901234567;
-    t.epochs = 321;
-    t.epochCycles = 2568;
-    t.barrierCrossings = 642;
-    // v4 fields: every slot non-default so the round-trips exercise
-    // them independently (hasDetailedStats stays true to match the
-    // nonzero epoch counters above — the JSON writer nulls those out
-    // for a record that says it never ran the detailed core).
-    // "interval" is 8 chars like the default, keeping the v4 tail at
-    // 32 bytes (the loader-compat tests below rely on that size).
+    // Backend fields: every slot non-default so the round-trips
+    // exercise them independently. "interval" is 8 chars like the
+    // default, keeping the backend tail at kBackendTail bytes (the
+    // loader-compat tests below rely on that size).
     t.backend = "interval";
     t.backendDetailedCycles = 31408;
     t.backendIntervalCycles = 80895;
-    t.hasDetailedStats = true;
     return t;
 }
 
@@ -86,13 +81,53 @@ expectEqual(const KernelTelemetry &a, const KernelTelemetry &b)
     EXPECT_EQ(a.analysisInsts, b.analysisInsts);
     EXPECT_EQ(a.analysisReused, b.analysisReused);
     EXPECT_EQ(a.wallSeconds, b.wallSeconds);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.epochCycles, b.epochCycles);
-    EXPECT_EQ(a.barrierCrossings, b.barrierCrossings);
     EXPECT_EQ(a.backend, b.backend);
     EXPECT_EQ(a.backendDetailedCycles, b.backendDetailedCycles);
     EXPECT_EQ(a.backendIntervalCycles, b.backendIntervalCycles);
-    EXPECT_EQ(a.hasDetailedStats, b.hasDetailedStats);
+}
+
+/** Byte sizes of the tail of the current (v6) telemetry record and of
+ *  the artifact behind it: the backend fields ("interval" string with
+ *  its u32 length, two u64 cycle counters) and the trailing v5+
+ *  trace-section count. */
+constexpr std::size_t kBackendTail = 4 + 8 + 8 + 8;
+constexpr std::size_t kTraceCount = 4;
+
+/** Little-endian integer append, the artifact store's encoding. */
+void
+appendLe(std::string &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/**
+ * Rewrite the serialization of a one-group, one-record artifact whose
+ * record is sampleRecord() as a legacy v3, v4 or v5 file: v3..v5
+ * records carry three epoch counters (here non-zero) right after
+ * wall_seconds, v4/v5 append a hasDetailedStats flag after the backend
+ * fields, and only v5 ends with the trace-section count.
+ */
+std::string
+legacyArtifact(std::uint32_t version)
+{
+    service::Artifact art;
+    art.group("tiny").telemetry.push_back(sampleRecord());
+    std::string bytes = service::serializeArtifact(art);
+    const std::size_t tail = kBackendTail + kTraceCount;
+    std::string backend = bytes.substr(bytes.size() - tail, kBackendTail);
+    bytes.resize(bytes.size() - tail);
+    bytes[4] = static_cast<char>(version);
+    appendLe(bytes, 321, 8);  // epochs
+    appendLe(bytes, 2568, 8); // epoch cycles
+    appendLe(bytes, 642, 8);  // barrier crossings
+    if (version >= 4) {
+        bytes += backend;
+        appendLe(bytes, 1, 4); // hasDetailedStats
+    }
+    if (version >= 5)
+        appendLe(bytes, 0, 4); // empty trace section
+    return bytes;
 }
 
 } // namespace
@@ -122,7 +157,7 @@ TEST(Telemetry, JsonRoundTripIsBitExact)
                        std::to_string(kTelemetrySchemaVersion)),
               std::string::npos);
     EXPECT_NE(doc.find("\"wall_seconds\""), std::string::npos);
-    EXPECT_NE(doc.find("\"epochs\""), std::string::npos);
+    EXPECT_EQ(doc.find("\"epochs\""), std::string::npos);
 
     std::vector<KernelTelemetry> parsed;
     std::string err;
@@ -176,9 +211,9 @@ TEST(Telemetry, ReaderSkipsUnknownKeysForForwardCompat)
     EXPECT_EQ(parsed[0].totalWarps, 8u);
 }
 
-/** Schema v1 documents (no wall_seconds / epoch statistics) still load;
- *  the absent fields stay at their zero defaults. */
-TEST(Telemetry, V1DocumentLoadsWithZeroEpochStats)
+/** Schema v1 documents (no wall_seconds, no backend fields) still
+ *  load; the absent fields stay at their defaults. */
+TEST(Telemetry, V1DocumentLoadsWithDefaults)
 {
     std::string doc =
         "{\"schema_version\": 1, \"kernels\": [{\"kernel\": \"k\","
@@ -189,9 +224,41 @@ TEST(Telemetry, V1DocumentLoadsWithZeroEpochStats)
     ASSERT_EQ(parsed.size(), 1u);
     EXPECT_EQ(parsed[0].predictedCycles, 100u);
     EXPECT_EQ(parsed[0].wallSeconds, 0.0);
-    EXPECT_EQ(parsed[0].epochs, 0u);
-    EXPECT_EQ(parsed[0].epochCycles, 0u);
-    EXPECT_EQ(parsed[0].barrierCrossings, 0u);
+    EXPECT_EQ(parsed[0].backend, "detailed");
+}
+
+/** Schema v3 documents carry the dropped epoch statistics, as numbers
+ *  or as null; the reader discards them and keeps every other field. */
+TEST(Telemetry, V3DocumentLoadsAndDropsEpochStats)
+{
+    std::string doc =
+        "{\"schema_version\": 3, \"kernels\": [\n"
+        "  {\"kernel\": \"k\", \"predicted_cycles\": 100,"
+        " \"wall_seconds\": 0.5, \"epochs\": 321,"
+        " \"epoch_cycles\": 2568, \"barrier_crossings\": 642,"
+        " \"backend\": \"detailed\", \"backend_detailed_cycles\": 100,"
+        " \"backend_interval_cycles\": 0},\n"
+        "  {\"kernel\": \"i\", \"predicted_cycles\": 90,"
+        " \"wall_seconds\": 0.25, \"epochs\": null,"
+        " \"epoch_cycles\": null, \"barrier_crossings\": null,"
+        " \"backend\": \"interval\", \"backend_detailed_cycles\": 0,"
+        " \"backend_interval_cycles\": 90}]}";
+    std::vector<KernelTelemetry> parsed;
+    std::string err;
+    ASSERT_TRUE(readTelemetryJson(doc, parsed, &err)) << err;
+    ASSERT_EQ(parsed.size(), 2u);
+    EXPECT_EQ(parsed[0].predictedCycles, 100u);
+    EXPECT_EQ(parsed[0].wallSeconds, 0.5);
+    EXPECT_EQ(parsed[0].backendDetailedCycles, 100u);
+    EXPECT_EQ(parsed[1].kernel, "i");
+    EXPECT_EQ(parsed[1].backend, "interval");
+    EXPECT_EQ(parsed[1].backendIntervalCycles, 90u);
+
+    // Re-serialized at the current schema, the epoch keys are gone.
+    std::ostringstream os;
+    writeTelemetryJson(parsed, os);
+    EXPECT_EQ(os.str().find("epoch"), std::string::npos);
+    EXPECT_EQ(os.str().find("barrier_crossings"), std::string::npos);
 }
 
 TEST(Telemetry, CsvCarriesSchemaVersionHeader)
@@ -254,17 +321,16 @@ TEST(Telemetry, ArtifactLoaderStillAcceptsV1)
 TEST(Telemetry, ArtifactLoaderStillAcceptsV2)
 {
     // v2 telemetry records end after the analysis_reused flag. Behind
-    // it sit the v3 additions (wall_seconds + three epoch counters =
-    // 32 bytes) and the v4 additions (backend string "interval" = 12
-    // bytes, two cycle counters, the detailed-stats flag = 32 bytes).
-    // Synthesize a v2 artifact by patching the version and truncating
-    // both tails off the last record.
+    // it sit wall_seconds (8 bytes) and the backend fields, then the
+    // trace-section count. Synthesize a v2 artifact by patching the
+    // version and truncating all of that off the last record.
     service::Artifact art;
     art.group("tiny").telemetry.push_back(sampleRecord());
     std::string bytes = service::serializeArtifact(art);
-    ASSERT_GE(bytes.size(), 8u + 68u);
+    const std::size_t tail = 8 + kBackendTail + kTraceCount;
+    ASSERT_GE(bytes.size(), 8u + tail);
     bytes[4] = 2;                              // version -> 2
-    bytes.resize(bytes.size() - 68);           // drop v3+v4 tails + v5 traces
+    bytes.resize(bytes.size() - tail);
     service::Artifact back;
     service::LoadStatus st = service::deserializeArtifact(bytes, back);
     ASSERT_TRUE(st.ok) << st.error;
@@ -273,33 +339,38 @@ TEST(Telemetry, ArtifactLoaderStillAcceptsV2)
     EXPECT_EQ(t.kernel, "mm_tiled");
     EXPECT_EQ(t.predictedCycles, 112303u);
     EXPECT_EQ(t.wallSeconds, 0.0);   // v3 fields default to zero
-    EXPECT_EQ(t.epochs, 0u);
-    EXPECT_EQ(t.barrierCrossings, 0u);
     // v4 fields keep their declared defaults: a pre-backend record is
-    // a detailed-core record with full detailed statistics.
+    // a detailed-core record.
     EXPECT_EQ(t.backend, "detailed");
     EXPECT_EQ(t.backendDetailedCycles, 0u);
     EXPECT_EQ(t.backendIntervalCycles, 0u);
-    EXPECT_TRUE(t.hasDetailedStats);
 }
 
 TEST(Telemetry, ArtifactLoaderStillAcceptsV3)
 {
-    // A v3 record ends after the epoch counters; the v4 backend tail
-    // ("interval" string + cycle split + flag = 32 bytes) follows it.
-    service::Artifact art;
-    art.group("tiny").telemetry.push_back(sampleRecord());
-    std::string bytes = service::serializeArtifact(art);
-    ASSERT_GE(bytes.size(), 8u + 36u);
-    bytes[4] = 3;                              // version -> 3
-    bytes.resize(bytes.size() - 36);           // drop v4 tail + v5 traces
+    // A v3 record ends after its (non-zero) epoch counters, which the
+    // loader reads and discards; the backend fields are v4+.
     service::Artifact back;
-    service::LoadStatus st = service::deserializeArtifact(bytes, back);
+    service::LoadStatus st =
+        service::deserializeArtifact(legacyArtifact(3), back);
     ASSERT_TRUE(st.ok) << st.error;
     ASSERT_EQ(back.numTelemetryRecords(), 1u);
     const KernelTelemetry &t = back.groups.at("tiny").telemetry[0];
+    EXPECT_EQ(t.predictedCycles, 112303u);
     EXPECT_EQ(t.wallSeconds, 1.2345678901234567); // v3 fields kept
-    EXPECT_EQ(t.epochs, 321u);
     EXPECT_EQ(t.backend, "detailed"); // v4 defaults: detailed record
-    EXPECT_TRUE(t.hasDetailedStats);
+}
+
+TEST(Telemetry, ArtifactLoaderStillAcceptsV5)
+{
+    // A v5 record carries non-zero epoch counters between wall_seconds
+    // and the backend fields, plus the hasDetailedStats flag after
+    // them: both are read and discarded, everything else survives.
+    service::Artifact back;
+    service::LoadStatus st =
+        service::deserializeArtifact(legacyArtifact(5), back);
+    ASSERT_TRUE(st.ok) << st.error;
+    ASSERT_EQ(back.numTelemetryRecords(), 1u);
+    expectEqual(sampleRecord(), back.groups.at("tiny").telemetry[0]);
+    EXPECT_TRUE(back.traces.empty());
 }

@@ -1,8 +1,10 @@
 /** @file Parameterised semantics sweep over the vector ALU. */
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <set>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -40,11 +42,28 @@ bits(float f)
     return std::bit_cast<std::uint32_t>(f);
 }
 
+/**
+ * gtest has no printer for the case structs below, so each case is named
+ * after its raw bytes. The bytes a compiler would leave as padding are
+ * spelled out as members, so every run registers the same case names
+ * instead of whatever the stack held; the fill values keep the names the
+ * cases have always been listed under.
+ */
+using Fill = std::array<std::uint8_t, 3>;
+
 struct BinCase
 {
+    BinCase(Opcode op_, std::uint32_t a_, std::uint32_t b_,
+            std::uint32_t expect_, Fill fill_ = {})
+        : op(op_), fill(fill_), a(a_), b(b_), expect(expect_)
+    {}
+
     Opcode op;
+    Fill fill;
     std::uint32_t a, b, expect;
 };
+static_assert(std::has_unique_object_representations_v<BinCase>,
+              "BinCase must have no implicit padding");
 
 class VectorBinary : public ::testing::TestWithParam<BinCase>
 {};
@@ -63,16 +82,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BinCase{Opcode::V_ADD_U32, 7, 8, 15},
         BinCase{Opcode::V_ADD_U32, 0xffffffff, 2, 1}, // wraps
-        BinCase{Opcode::V_SUB_U32, 3, 5, 0xfffffffe},
-        BinCase{Opcode::V_MUL_LO_U32, 0x10000, 0x10000, 0}, // low bits
+        BinCase{Opcode::V_SUB_U32, 3, 5, 0xfffffffe, {0x2d, 0x67, 0x74}},
+        BinCase{Opcode::V_MUL_LO_U32, 0x10000, 0x10000, 0,
+                {0x73, 0x00, 0x73}}, // low bits
         BinCase{Opcode::V_LSHL_B32, 1, 31, 0x80000000},
         BinCase{Opcode::V_LSHL_B32, 1, 33, 2}, // shift amount masked
-        BinCase{Opcode::V_LSHR_B32, 0x80000000, 31, 1},
-        BinCase{Opcode::V_ASHR_I32, 0x80000000, 31, 0xffffffff},
+        BinCase{Opcode::V_LSHR_B32, 0x80000000, 31, 1, {0x00, 0x01, 0x1b}},
+        BinCase{Opcode::V_ASHR_I32, 0x80000000, 31, 0xffffffff,
+                {0xff, 0x48, 0x00}},
         BinCase{Opcode::V_AND_B32, 0xff00ff00, 0x0ff00ff0, 0x0f000f00},
         BinCase{Opcode::V_OR_B32, 0xf0f0f0f0, 0x0f0f0f0f, 0xffffffff},
-        BinCase{Opcode::V_XOR_B32, 0xffff0000, 0xff00ff00, 0x00ffff00},
-        BinCase{Opcode::V_MAX_U32, 5, 9, 9},
+        BinCase{Opcode::V_XOR_B32, 0xffff0000, 0xff00ff00, 0x00ffff00,
+                {0x00, 0x01, 0x1b}},
+        BinCase{Opcode::V_MAX_U32, 5, 9, 9, {0xda, 0x48, 0x00}},
         BinCase{Opcode::V_MIN_U32, 5, 9, 5}));
 
 INSTANTIATE_TEST_SUITE_P(
@@ -81,17 +103,28 @@ INSTANTIATE_TEST_SUITE_P(
         BinCase{Opcode::V_ADD_F32, bits(1.5f), bits(2.25f), bits(3.75f)},
         BinCase{Opcode::V_SUB_F32, bits(1.0f), bits(4.0f), bits(-3.0f)},
         BinCase{Opcode::V_MUL_F32, bits(3.0f), bits(-2.0f), bits(-6.0f)},
-        BinCase{Opcode::V_MAX_F32, bits(-1.0f), bits(2.0f), bits(2.0f)},
-        BinCase{Opcode::V_MIN_F32, bits(-1.0f), bits(2.0f), bits(-1.0f)}));
+        BinCase{Opcode::V_MAX_F32, bits(-1.0f), bits(2.0f), bits(2.0f),
+                {0x2d, 0x06, 0xaf}},
+        BinCase{Opcode::V_MIN_F32, bits(-1.0f), bits(2.0f), bits(-1.0f),
+                {0x1d, 0x88, 0xc3}}));
 
 namespace {
 
 struct CmpCase
 {
+    CmpCase(Opcode op_, std::uint32_t a_, std::uint32_t b_, bool expect_,
+            Fill fill_, Fill tail_)
+        : op(op_), fill(fill_), a(a_), b(b_), expect(expect_), tail(tail_)
+    {}
+
     Opcode op;
+    Fill fill;
     std::uint32_t a, b;
     bool expect;
+    Fill tail;
 };
+static_assert(std::has_unique_object_representations_v<CmpCase>,
+              "CmpCase must have no implicit padding");
 
 class VectorCompare : public ::testing::TestWithParam<CmpCase>
 {};
@@ -119,17 +152,25 @@ TEST_P(VectorCompare, Lane0VccBit)
 INSTANTIATE_TEST_SUITE_P(
     AllCompares, VectorCompare,
     ::testing::Values(
-        CmpCase{Opcode::V_CMP_LT_U32, 1, 2, true},
-        CmpCase{Opcode::V_CMP_GE_U32, 2, 2, true},
-        CmpCase{Opcode::V_CMP_EQ_U32, 3, 3, true},
-        CmpCase{Opcode::V_CMP_NE_U32, 3, 3, false},
+        CmpCase{Opcode::V_CMP_LT_U32, 1, 2, true, {}, {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_GE_U32, 2, 2, true, {}, {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_EQ_U32, 3, 3, true, {0x2d, 0x06, 0xaf},
+                {0x7f, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_NE_U32, 3, 3, false, {0x47, 0x06, 0xaf},
+                {0x7d, 0x57, 0x00}},
         // Signed: -1 < 1 but 0xffffffff > 1 unsigned.
-        CmpCase{Opcode::V_CMP_LT_I32, 0xffffffff, 1, true},
-        CmpCase{Opcode::V_CMP_LT_U32, 0xffffffff, 1, false},
-        CmpCase{Opcode::V_CMP_GE_I32, 0, 0xffffffff, true},
-        CmpCase{Opcode::V_CMP_LT_F32, bits(-2.5f), bits(1.0f), true},
-        CmpCase{Opcode::V_CMP_GT_F32, bits(-2.5f), bits(1.0f), false},
-        CmpCase{Opcode::V_CMP_GE_F32, bits(1.0f), bits(1.0f), true}));
+        CmpCase{Opcode::V_CMP_LT_I32, 0xffffffff, 1, true, {0x2d, 0x06, 0xaf},
+                {0x7d, 0x57, 0x00}},
+        CmpCase{Opcode::V_CMP_LT_U32, 0xffffffff, 1, false, {},
+                {0xff, 0xff, 0xff}},
+        CmpCase{Opcode::V_CMP_GE_I32, 0, 0xffffffff, true, {},
+                {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_LT_F32, bits(-2.5f), bits(1.0f), true, {},
+                {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_GT_F32, bits(-2.5f), bits(1.0f), false,
+                {0x2d, 0x06, 0xaf}, {0x7f, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_GE_F32, bits(1.0f), bits(1.0f), true,
+                {0x1d, 0x88, 0xc3}, {0x55, 0x00, 0x00}}));
 
 namespace {
 

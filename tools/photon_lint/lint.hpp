@@ -1,19 +1,11 @@
 /**
  * @file
- * Public API of photon_lint, the in-tree phase-safety and determinism
+ * Public API of photon_lint, the in-tree concurrency and determinism
  * static-analysis pass (DESIGN.md §9).
  *
- * Three checks run over the given sources:
+ * Four checks run over the given sources:
  *
- *  1. Phase safety: functions tagged PHOTON_PHASE_FRONT must not reach
- *     (through the name-level call graph) any write to a field tagged
- *     PHOTON_SHARED_STATE, any method tagged PHOTON_SHARED_STATE, or
- *     any function tagged PHOTON_PHASE_COMMIT — unless the call site
- *     carries a `// photon-lint: serial-only` waiver or the callee is
- *     tagged PHOTON_PHASE_EXEMPT (internally synchronized). Violations
- *     report the full call chain from the front-phase root.
- *
- *  2. Determinism: flags wall-clock / libc randomness in simulation
+ *  1. Determinism: flags wall-clock / libc randomness in simulation
  *     code (rand, srand, drand48, time, clock, gettimeofday,
  *     std::random_device), range-for iteration over unordered
  *     containers (result-affecting order), pointer-keyed ordered
@@ -21,7 +13,7 @@
  *     initializes. Waivers: `// photon-lint: nondeterminism-ok`,
  *     `order-insensitive`, `pointer-key-ok`, `uninit-ok`.
  *
- *  3. Data layout: in files that opt into the structure-of-arrays
+ *  2. Data layout: in files that opt into the structure-of-arrays
  *     contract with a `// photon-lint: soa-hot-path` marker comment,
  *     flags any field that stores an aggregate class (two or more
  *     data members anywhere in the analyzed program) element-wise in
@@ -29,15 +21,15 @@
  *     array-of-structures, DESIGN.md §13). Waive a reviewed cold-path
  *     aggregate with `// photon-lint: aos-ok` on the declaration line.
  *
- *  4. Lock-set (flow-sensitive, per-function CFG + must-hold
+ *  3. Lock-set (flow-sensitive, per-function CFG + must-hold
  *     dataflow): every write to a PHOTON_GUARDED_BY(m) field must
  *     hold `m` on every control-flow path; every write to a plain
  *     PHOTON_SHARED_STATE field must hold some tracked lock — unless
- *     the writer sits in the serial commit closure or is itself
- *     tagged shared/exempt. Calls to PHOTON_REQUIRES_LOCK(m)
- *     functions must hold `m`. Waiver: `// photon-lint: lockset-ok`.
+ *     the writer is itself tagged shared/exempt. Calls to
+ *     PHOTON_REQUIRES_LOCK(m) functions must hold `m`. Waiver:
+ *     `// photon-lint: lockset-ok`.
  *
- *  5. Determinism taint (flow-sensitive, may-taint dataflow with
+ *  4. Determinism taint (flow-sensitive, may-taint dataflow with
  *     cross-function return summaries): values born from rand/time/
  *     std::random_device, std::this_thread::get_id, pointer→integer
  *     reinterpret_casts, or unordered-container iteration propagate
@@ -57,9 +49,6 @@ namespace photon::lint {
 
 enum class Kind
 {
-    FrontSharedWrite,    ///< shared-state field written in front closure
-    FrontSharedCall,     ///< shared-state method called from front closure
-    FrontCommitCall,     ///< commit-phase function called from front closure
     NondeterministicCall,///< rand/time/random_device in simulation code
     UnorderedIteration,  ///< range-for over unordered_map/unordered_set
     PointerKeyedOrder,   ///< std::map/set keyed by pointer value
@@ -78,14 +67,13 @@ struct Diagnostic
     std::string file;
     int line = 0;
     std::string message;
-    /** Call chain root-first, entries "Class::name (file:line)"; only
-     *  set for phase-safety findings. */
+    /** Root-first trace to the finding: the CFG path of a lock-set
+     *  finding or the source-to-sink chain of a taint finding. */
     std::vector<std::string> chain;
 };
 
 struct Options
 {
-    bool phaseCheck = true;
     bool determinismCheck = true;
     bool aosCheck = true;
     bool locksetCheck = true; ///< flow-sensitive lock-set analysis

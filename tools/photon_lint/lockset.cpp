@@ -1,6 +1,6 @@
 /**
  * @file
- * Flow-sensitive lock-set / phase-write analysis (DESIGN.md §9).
+ * Flow-sensitive lock-set analysis (DESIGN.md §9).
  *
  * For every function with a CFG, a must-hold set of mutex names flows
  * forward through the graph (join = intersection over reachable
@@ -14,10 +14,8 @@
  *    (internally synchronized by contract);
  *
  * and at each call event, callees tagged PHOTON_REQUIRES_LOCK(m)
- * require `m` held at the call site. Functions in the serial commit
- * closure (reachable from any PHOTON_PHASE_COMMIT root through the
- * call graph), constructors, and destructors are exempt: they run
- * single-threaded by protocol.
+ * require `m` held at the call site. Constructors and destructors are
+ * exempt: they run before the object is shared.
  *
  * Violations carry a concrete CFG path trace from the function entry
  * to the offending statement, annotated with every guard acquire /
@@ -26,7 +24,6 @@
  */
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -68,34 +65,6 @@ intersect(const LockSet &a, const LockSet &b)
             out.emplace(name, std::min(depth, it->second));
     }
     return out;
-}
-
-/** Function indices reachable from any PHOTON_PHASE_COMMIT root via
- *  the name-level call graph: the serial commit closure. */
-std::set<std::size_t>
-commitClosure(const Model &model,
-              const std::multimap<std::string, std::size_t> &byName)
-{
-    std::set<std::size_t> closure;
-    std::deque<std::size_t> queue;
-    for (std::size_t k = 0; k < model.functions.size(); ++k) {
-        if (model.functions[k].tagCommit) {
-            closure.insert(k);
-            queue.push_back(k);
-        }
-    }
-    while (!queue.empty()) {
-        std::size_t cur = queue.front();
-        queue.pop_front();
-        for (const CallSite &site : model.functions[cur].calls) {
-            auto range = byName.equal_range(site.callee);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (closure.insert(it->second).second)
-                    queue.push_back(it->second);
-            }
-        }
-    }
-    return closure;
 }
 
 /** Predecessor lists of a Cfg. */
@@ -184,10 +153,8 @@ checkLockset(const Model &model, std::vector<Diagnostic> &out)
     for (std::size_t k = 0; k < model.functions.size(); ++k)
         byName.emplace(model.functions[k].name, k);
 
-    const std::set<std::size_t> closure = commitClosure(model, byName);
-
     // Field name -> annotated field records (name-level matching,
-    // consistent with the phase check).
+    // consistent with the other checks).
     std::map<std::string, std::vector<const Field *>> fieldsByName;
     for (const Field &f : model.fields) {
         if (!f.guardMutex.empty() || f.tagShared)
@@ -196,7 +163,7 @@ checkLockset(const Model &model, std::vector<Diagnostic> &out)
 
     for (std::size_t k = 0; k < model.functions.size(); ++k) {
         const Function &fn = model.functions[k];
-        if (!fn.cfg || closure.count(k))
+        if (!fn.cfg)
             continue;
         // Constructors / destructors run before the object is shared.
         if (!fn.cls.empty() &&
@@ -344,9 +311,8 @@ checkLockset(const Model &model, std::vector<Diagnostic> &out)
                                 "write ('" + ev.how + "') to "
                                 "shared-state field '" +
                                 ev.chain +
-                                "' outside the commit closure with "
-                                "no lock held; guard it, tag the "
-                                "writer, or waive with `// "
+                                "' with no lock held; guard it, tag "
+                                "the writer, or waive with `// "
                                 "photon-lint: lockset-ok`";
                             d.chain = tracePath(
                                 fn, cfg, in, preds, b, e, "",

@@ -26,7 +26,6 @@ struct CallSite
     std::string callee; ///< bare name
     std::string file;
     int line = 0;
-    bool waivedSerial = false; ///< "// photon-lint: serial-only"
 };
 
 struct MutationSite
@@ -51,8 +50,6 @@ struct Function
     std::string name;
     std::string file;
     int line = 0;
-    bool tagFront = false;
-    bool tagCommit = false;
     bool tagShared = false;
     bool tagExempt = false;
     bool tagDetSink = false;     ///< PHOTON_DET_SINK
@@ -124,9 +121,6 @@ struct Model
 /** Parse one lexed file into the model. */
 void parseFile(const LexedFile &file, Model &model, const Options &options);
 
-/** Phase-safety pass over the merged model. */
-void checkPhases(const Model &model, std::vector<Diagnostic> &out);
-
 /** Whole-model determinism checks (unordered iteration, uninitialized
  *  members); token-level findings are already in tokenDiags. */
 void checkDeterminism(const Model &model, std::vector<Diagnostic> &out);
@@ -137,7 +131,7 @@ void checkAosHotPath(const Model &model, std::vector<Diagnostic> &out);
 
 /** Flow-sensitive lock-set pass: writes to PHOTON_GUARDED_BY /
  *  PHOTON_SHARED_STATE fields must hold the right mutex on every CFG
- *  path (or sit in the serial commit closure), and calls into
+ *  path, and calls into
  *  PHOTON_REQUIRES_LOCK functions must hold the stated mutex. */
 void checkLockset(const Model &model, std::vector<Diagnostic> &out);
 

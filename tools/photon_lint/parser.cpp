@@ -62,8 +62,7 @@ const std::set<std::string> kBannedCalls = {
 bool
 isTag(const std::string &t)
 {
-    return t == "PHOTON_PHASE_FRONT" || t == "PHOTON_PHASE_COMMIT" ||
-           t == "PHOTON_SHARED_STATE" || t == "PHOTON_PHASE_EXEMPT" ||
+    return t == "PHOTON_SHARED_STATE" || t == "PHOTON_PHASE_EXEMPT" ||
            t == "PHOTON_DET_SINK" || t == "PHOTON_DET_SOURCE_OK";
 }
 
@@ -321,8 +320,7 @@ class Parser
     parseDeclaration(const std::string &cls, bool isClass)
     {
         const int decl_line = tok().line;
-        bool tag_front = false, tag_commit = false, tag_shared = false,
-             tag_exempt = false, tag_det_sink = false,
+        bool tag_shared = false, tag_exempt = false, tag_det_sink = false,
              tag_det_source_ok = false;
         std::string guard_mutex;   ///< PHOTON_GUARDED_BY argument
         std::string requires_lock; ///< PHOTON_REQUIRES_LOCK argument
@@ -341,8 +339,6 @@ class Parser
             if (t.is("}"))
                 break; // unbalanced: let the caller see it
             if (t.isIdent() && isTag(t.text)) {
-                tag_front |= t.is("PHOTON_PHASE_FRONT");
-                tag_commit |= t.is("PHOTON_PHASE_COMMIT");
                 tag_shared |= t.is("PHOTON_SHARED_STATE");
                 tag_exempt |= t.is("PHOTON_PHASE_EXEMPT");
                 tag_det_sink |= t.is("PHOTON_DET_SINK");
@@ -481,8 +477,6 @@ class Parser
             std::string owner = !explicit_cls.empty() ? explicit_cls : cls;
             Function &fn = m_.functionFor(owner, func_name, f_.path,
                                           decl_line);
-            fn.tagFront |= tag_front;
-            fn.tagCommit |= tag_commit;
             fn.tagShared |= tag_shared;
             fn.tagExempt |= tag_exempt;
             fn.tagDetSink |= tag_det_sink;
@@ -737,9 +731,7 @@ class Parser
                 }
                 if (next.is("(")) {
                     if (!kCallKeywords.count(t.text)) {
-                        fn.calls.push_back(
-                            {t.text, f_.path, t.line,
-                             f_.waived(t.line, "serial-only")});
+                        fn.calls.push_back({t.text, f_.path, t.line});
                     }
                     advance();
                     continue;

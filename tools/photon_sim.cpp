@@ -62,7 +62,6 @@ struct Options
     bool stats = false;
     bool disasm = false;
     bool check = false;
-    std::uint32_t cuThreads = 1;
 
     // Telemetry / ablation flags.
     std::string telemetryPath;
@@ -91,7 +90,7 @@ usage()
         "                  [--mode M[,M...]] [--gpu G[,G...]]\n"
         "                  [--backend B[,B...]]\n"
         "                  [--compare] [--stats] [--disasm] [--check]\n"
-        "                  [--cu-threads N] [--telemetry PATH]\n"
+        "                  [--telemetry PATH]\n"
         "                  [--no-kernel-sampling] [--no-warp-sampling]\n"
         "                  [--no-bb-sampling]\n"
         "                  [--campaign FILE] [--jobs N] [--share P]\n"
@@ -104,14 +103,12 @@ usage()
         "     nodes for pagerank (0 = workload default)\n"
         "  M: full photon pka                         (default photon)\n"
         "  G: r9nano mi100 tiny                       (default r9nano)\n"
-        "  B: detailed interval auto                  (default detailed)\n"
-        "     timing backend; interval/auto need --mode full\n"
+        "  B: detailed interval                       (default detailed)\n"
+        "     timing backend; interval needs --mode full\n"
         "  --compare  also run full-detailed and report error/speedup\n"
         "  --stats    dump the memory-system statistics\n"
         "  --disasm   print the first kernel's disassembly\n"
         "  --check    verify results against the host reference\n"
-        "  --cu-threads N  worker threads ticking CUs inside each\n"
-        "                  kernel (bit-identical to 1; default 1)\n"
         "  --telemetry PATH  write per-kernel telemetry (schema-versioned\n"
         "                    JSON; '.csv' extension selects CSV)\n"
         "  --no-kernel-sampling / --no-warp-sampling / --no-bb-sampling\n"
@@ -189,8 +186,6 @@ runOnce(const Options &o, std::uint32_t size, driver::SimMode mode,
     if (!service::parseBackendName(o.backend, backend, &err))
         fatal(err);
     driver::Platform p(gpu, mode, samplingFromOptions(o), backend);
-    if (o.cuThreads > 1)
-        p.setCuThreads(o.cuThreads);
     if (o.noTraceReuse)
         p.setTraceReuse(false);
     else if (!o.traceCache.empty()) {
@@ -306,7 +301,6 @@ runCampaignMode(const Options &o)
 
     service::CampaignOptions opts;
     opts.workers = o.jobs ? o.jobs : 1;
-    opts.cuThreads = o.cuThreads;
     opts.sampling = samplingFromOptions(o);
     opts.traceReuse = !o.noTraceReuse;
     std::string err;
@@ -390,9 +384,7 @@ struct ServeOptions
     std::string backend = "detailed";
     std::string id;
     std::uint32_t serveWorkers = 2;
-    std::uint32_t cuThreads = 1;
     std::uint32_t checkpointEvery = 8;
-    std::uint32_t assumeCores = 0;
     double timeoutSeconds = 300.0;
     bool json = false;
     bool quiet = false;
@@ -405,9 +397,7 @@ serveUsage()
     std::printf(
         "usage: photon_sim serve    --socket PATH | --drop DIR\n"
         "                           [--store PATH] [--serve-workers N]\n"
-        "                           [--cu-threads N]\n"
-        "                           [--checkpoint-every N]\n"
-        "                           [--assume-cores N] [--quiet]\n"
+        "                           [--checkpoint-every N] [--quiet]\n"
         "       photon_sim submit   (--socket PATH | --drop DIR)\n"
         "                           --workload W [--size N] [--mode M]\n"
         "                           [--gpu G] [--backend B] [--id ID]\n"
@@ -444,11 +434,8 @@ parseServeArgs(int argc, char **argv, int first)
         else if (a == "--id") o.id = next();
         else if (a == "--serve-workers")
             o.serveWorkers = parseCount(a, next());
-        else if (a == "--cu-threads") o.cuThreads = parseCount(a, next());
         else if (a == "--checkpoint-every")
             o.checkpointEvery = parseCount(a, next());
-        else if (a == "--assume-cores")
-            o.assumeCores = parseCount(a, next());
         else if (a == "--timeout")
             o.timeoutSeconds = parseCount(a, next());
         else if (a == "--json") o.json = true;
@@ -468,10 +455,8 @@ runServeVerb(const ServeOptions &o)
     d.dropDir = o.dropDir;
     d.verbose = !o.quiet;
     d.server.workers = o.serveWorkers ? o.serveWorkers : 1;
-    d.server.cuThreads = o.cuThreads ? o.cuThreads : 1;
     d.server.store.path = o.storePath;
     d.server.store.checkpointEvery = o.checkpointEvery;
-    d.server.assumeCores = o.assumeCores;
     d.server.traceReuse = !o.noTraceReuse;
     return serve::runDaemon(d);
 }
@@ -496,7 +481,7 @@ printStatus(const serve::ServerStatus &s)
 {
     std::uint64_t lookups = s.store.cacheHits + s.store.cacheMisses;
     std::printf(
-        "photond: %u workers (cu-threads %u%s), %llu queued, "
+        "photond: %u workers, %llu queued, "
         "%llu running%s\n"
         "requests: %llu submitted, %llu completed, %llu executed, "
         "%llu dedup-collapsed\n"
@@ -506,7 +491,7 @@ printStatus(const serve::ServerStatus &s)
         "trace cache: %llu hits / %llu misses, %llu captures, "
         "%zu traces resident\n"
         "store: %zu kernel records, %zu analyses, %llu checkpoints\n",
-        s.workers, s.cuThreads, s.cuThreadsDegraded ? " [degraded]" : "",
+        s.workers,
         static_cast<unsigned long long>(s.queued),
         static_cast<unsigned long long>(s.running),
         s.draining ? " [draining]" : "",
@@ -674,7 +659,6 @@ main(int argc, char **argv)
         else if (a == "--stats") o.stats = true;
         else if (a == "--disasm") o.disasm = true;
         else if (a == "--check") o.check = true;
-        else if (a == "--cu-threads") o.cuThreads = parseCount(a, next());
         else if (a == "--telemetry") o.telemetryPath = next();
         else if (a == "--no-kernel-sampling") o.noKernelSampling = true;
         else if (a == "--no-warp-sampling") o.noWarpSampling = true;
