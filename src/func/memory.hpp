@@ -28,7 +28,7 @@ namespace photon::func {
  * costs microseconds instead of a ~100ms 512MB memset. Semantics are
  * unchanged (untouched memory still reads as zero) — this fixed cost
  * used to dominate short campaign jobs and masked the emulate-vs-replay
- * delta bench/trace_reuse measures.
+ * delta of functional-trace reuse.
  */
 class GlobalMemory
 {

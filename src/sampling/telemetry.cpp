@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/json.hpp"
+
 namespace photon::sampling {
 
 const char *
@@ -32,25 +34,6 @@ parseLevelName(std::string_view name, SampleLevel &out)
     else if (name == "bb") out = SampleLevel::BasicBlock;
     else return false;
     return true;
-}
-
-/** Minimal JSON string escape (names we emit are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 /** Shortest representation that round-trips through strtod. */
@@ -155,8 +138,12 @@ class Reader
         out.clear();
         while (pos_ < s_.size() && s_[pos_] != '"') {
             char c = s_[pos_++];
-            if (c == '\\' && pos_ < s_.size())
-                c = s_[pos_++];
+            if (c == '\\' && pos_ < s_.size()) {
+                const char *p = s_.data() + pos_;
+                if (!jsonUnescape(p, s_.data() + s_.size(), c))
+                    return fail("truncated escape");
+                pos_ = static_cast<std::size_t>(p - s_.data());
+            }
             out.push_back(c);
         }
         if (pos_ >= s_.size())

@@ -1,10 +1,11 @@
 #include "serve/protocol.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
+
+#include "sim/json.hpp"
 
 namespace photon::serve {
 
@@ -34,24 +35,6 @@ parseOp(const std::string &name, Op &out)
         }
     }
     return false;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 /**
@@ -178,25 +161,8 @@ class FlatJson
         out.clear();
         while (p_ < end_ && *p_ != '"') {
             char c = *p_++;
-            if (c == '\\' && p_ < end_) {
-                char esc = *p_++;
-                switch (esc) {
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  case 'u': {
-                      // \u00XX only (the escapes our encoder emits).
-                      if (end_ - p_ < 4)
-                          return false;
-                      char hex[5] = {p_[0], p_[1], p_[2], p_[3], 0};
-                      c = static_cast<char>(
-                          std::strtoul(hex, nullptr, 16));
-                      p_ += 4;
-                      break;
-                  }
-                  default: c = esc; break;
-                }
-            }
+            if (c == '\\' && p_ < end_ && !jsonUnescape(p_, end_, c))
+                return false;
             out.push_back(c);
         }
         return eat('"');

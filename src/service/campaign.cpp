@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "driver/report.hpp"
+#include "sim/json.hpp"
 #include "workloads/dnn/network.hpp"
 
 namespace photon::service {
@@ -283,25 +284,6 @@ CampaignResult::allTelemetry() const
 }
 
 namespace {
-
-/** Minimal JSON string escape (the names we emit are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
 
 const char *kLevelNames[kNumSampleLevels] = {"full", "kernel", "warp",
                                              "bb"};

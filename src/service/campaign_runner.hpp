@@ -96,16 +96,15 @@ struct CampaignOptions
     SamplingConfig sampling{};
     /** Work-stealing rebalancing across the worker deques (see
      *  service/work_steal.hpp). false pins every chain to the lane it
-     *  was seeded on — the static-partition baseline BENCH_campaign
-     *  measures against. Results are identical either way; only
-     *  wall-clock changes. */
+     *  was seeded on (a static partition). Results are identical
+     *  either way; only wall-clock changes. */
     bool stealing = true;
     /** Share captured functional traces across the campaign's jobs
      *  (DESIGN.md §15): the first full-mode job of a (program, launch,
      *  input) captures, every later job replays. Trace content is a
      *  pure function of its key, so reuse is schedule-independent
      *  under every share policy; false disables capture and replay
-     *  (the re-emulation baseline BENCH_trace measures against). */
+     *  (every job re-emulates). */
     bool traceReuse = true;
 };
 

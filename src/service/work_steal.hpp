@@ -56,8 +56,7 @@ class WorkStealDeques
     /**
      * @param workers number of lanes (>= 1 enforced)
      * @param stealing false disables rebalancing — each worker only
-     *        drains its own lane (the static-partition baseline the
-     *        campaign bench compares against)
+     *        drains its own lane (a static partition)
      */
     explicit WorkStealDeques(std::size_t workers, bool stealing = true)
         : stealing_(stealing)
@@ -160,12 +159,14 @@ class WorkStealDeques
 
     /** Move the back half (at least one) of @p victim onto @p self,
      *  relative order preserved, and pop the oldest stolen task into
-     *  @p out. Locks victim then self — lane locks never nest in the
-     *  other order (popFront holds only one), so no deadlock cycle. */
+     *  @p out. Two workers may steal from each other at once, taking
+     *  the same pair of lane locks from opposite sides, so both are
+     *  acquired together through std::scoped_lock's deadlock-avoiding
+     *  lock; nesting them would form a lock-order cycle. */
     bool
     stealInto(Lane &victim, Lane &self, T &out)
     {
-        std::lock_guard<std::mutex> vlock(victim.mu);
+        std::scoped_lock lock(victim.mu, self.mu);
         const std::size_t avail = victim.q.size();
         if (avail == 0)
             return false;
@@ -173,11 +174,8 @@ class WorkStealDeques
         const std::size_t from = avail - take;
 
         out = std::move(victim.q[from]);
-        {
-            std::lock_guard<std::mutex> slock(self.mu);
-            for (std::size_t i = from + 1; i < avail; ++i)
-                self.q.push_back(std::move(victim.q[i]));
-        }
+        for (std::size_t i = from + 1; i < avail; ++i)
+            self.q.push_back(std::move(victim.q[i]));
         victim.q.erase(victim.q.begin() +
                            static_cast<std::ptrdiff_t>(from),
                        victim.q.end());

@@ -118,13 +118,6 @@ class ComputeUnit
     std::uint64_t instsIssued() const { return instsIssued_; }
     std::uint32_t wavesRetired() const { return wavesRetired_; }
 
-    /** Arbitration-scan counters for the issue_loop microbench: how
-     *  many per-SIMD ready scans ran and how many found nothing (the
-     *  branch-miss proxy — a high empty share means the hint woke the
-     *  CU spuriously and the scan was pure overhead). */
-    std::uint64_t simdScans() const { return simdScans_; }
-    std::uint64_t emptyScans() const { return emptyScans_; }
-
   private:
     struct Workgroup
     {
@@ -192,7 +185,6 @@ class ComputeUnit
               Cycle &min_excl)
     {
         const std::uint32_t per_simd = cfg_.wavesPerSimd;
-        ++simdScans_;
         // One compare-only pass builds the issue mask and the all-slots
         // minimum together (no data-dependent branches to mispredict on
         // irregular ready patterns).
@@ -204,7 +196,6 @@ class ComputeUnit
             mn = mn < r ? mn : r;
         }
         if (mask == 0) {
-            ++emptyScans_;
             min_excl = mn;
             return per_simd;
         }
@@ -317,8 +308,6 @@ class ComputeUnit
     std::uint32_t residentWgs_ = 0;
     std::uint64_t instsIssued_ = 0;
     std::uint32_t wavesRetired_ = 0;
-    std::uint64_t simdScans_ = 0;
-    std::uint64_t emptyScans_ = 0;
 
     /** L1V misses of the issuing instruction, walked through L2 after
      *  the instruction fetch — a per-issue queue, not a scan lane. */

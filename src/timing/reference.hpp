@@ -17,8 +17,8 @@
  * cost baseline: optimizations to the event core cannot leak into it.
  *
  * Engaged through RunOptions::useSeedLoop ("seed" = the seed-style
- * per-cycle scanning loop); bench/hotloop_speedup's speedup_vs_seed is
- * the event core measured against this engine.
+ * per-cycle scanning loop). EventCore.EventLoopMatchesSeedLoop holds the
+ * event core bit-identical to this engine on synthetic and real kernels.
  */
 
 #ifndef PHOTON_TIMING_REFERENCE_HPP

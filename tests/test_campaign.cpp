@@ -8,6 +8,7 @@
 #include "service/artifact_store.hpp"
 #include "service/campaign.hpp"
 #include "service/campaign_runner.hpp"
+#include "service/work_steal.hpp"
 
 using namespace photon;
 using namespace photon::service;
@@ -361,4 +362,77 @@ TEST(CampaignRunner, StealingAndStaticPartitionMatchBitExactly)
     writeJsonReport(steal, os);
     EXPECT_NE(os.str().find("\"scheduler\""), std::string::npos);
     EXPECT_NE(os.str().find("\"steal_ops\""), std::string::npos);
+}
+
+TEST(CampaignRunner, WarmTraceSweepIsAllHitsAndBitIdentical)
+{
+    // Capture once, replay many on a backend/config sweep: the interval
+    // backend across two GPUs plus detailed validation jobs on tiny. A
+    // capture pass records every distinct launch; a sweep seeded with
+    // its store must be fully trace-served and model the same machine
+    // as a sweep that re-emulates every job.
+    const std::vector<std::string> workloads = {"relu", "fir", "sc", "aes"};
+    std::vector<JobSpec> jobs = expandJobs(workloads, {64, 128}, {"full"},
+                                           {"tiny", "r9nano"},
+                                           {"interval"});
+    std::vector<JobSpec> validation =
+        expandJobs(workloads, {64}, {"full"}, {"tiny"}, {"detailed"});
+    jobs.insert(jobs.end(), validation.begin(), validation.end());
+    ASSERT_EQ(jobs.size(), 20u);
+
+    CampaignOptions opts;
+    opts.workers = 1;
+    CampaignResult captured = runCampaign(jobs, opts);
+    EXPECT_FALSE(captured.finalStore.traces.empty());
+
+    CampaignResult warm = runCampaign(jobs, opts, captured.finalStore);
+    opts.traceReuse = false;
+    CampaignResult cold = runCampaign(jobs, opts);
+
+    std::uint64_t hits = 0, misses = 0, captures = 0;
+    for (const JobResult &j : warm.jobs) {
+        hits += j.traceHits;
+        misses += j.traceMisses;
+        captures += j.traceCaptures;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(misses, 0u);
+    EXPECT_EQ(captures, 0u);
+    EXPECT_EQ(warm.totalCycles(), cold.totalCycles());
+    EXPECT_EQ(warm.totalInsts(), cold.totalInsts());
+}
+
+// ----- Work-stealing deques -----
+
+TEST(WorkStealDeques, StealsBackHalfInBothDirections)
+{
+    // Worker 0 steals from lane 1, then worker 1 steals from lane 0:
+    // the two transfers take the same pair of lane locks from opposite
+    // sides, which must not form a lock-order cycle.
+    WorkStealDeques<int> d(2);
+    for (int v : {1, 2, 3, 4})
+        d.pushTo(1, v);
+
+    int out = 0;
+    ASSERT_TRUE(d.tryPop(0, out)); // lane 0 empty: steal [3, 4] from 1
+    EXPECT_EQ(out, 3);
+    for (int v : {5, 6, 7})
+        d.pushTo(0, v); // lane 0: [4, 5, 6, 7]
+    for (int want : {1, 2}) {
+        ASSERT_TRUE(d.tryPop(1, out));
+        EXPECT_EQ(out, want);
+    }
+    ASSERT_TRUE(d.tryPop(1, out)); // lane 1 empty: steal [6, 7] from 0
+    EXPECT_EQ(out, 6);
+    for (auto [w, want] : {std::pair{1, 7}, {0, 4}, {0, 5}}) {
+        ASSERT_TRUE(d.tryPop(static_cast<std::size_t>(w), out));
+        EXPECT_EQ(out, want);
+    }
+    EXPECT_FALSE(d.tryPop(0, out));
+    EXPECT_FALSE(d.tryPop(1, out));
+    EXPECT_EQ(d.sizeApprox(), 0u);
+
+    StealStats st = d.stats();
+    EXPECT_EQ(st.stealOps, 2u);
+    EXPECT_EQ(st.stolenTasks, 4u);
 }

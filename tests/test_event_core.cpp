@@ -4,7 +4,8 @@
  * match the reference per-cycle scanning loop (useSeedLoop) exactly —
  * same cycles, instruction counts, IPC trace, monitor callback stream
  * and exported statistics — on both issue paths (monitored and
- * monitor-free).
+ * monitor-free), for synthetic kernels and for real workloads on the
+ * r9nano config.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "driver/platform.hpp"
 #include "isa/builder.hpp"
 #include "timing/dispatcher.hpp"
 #include "timing/gpu.hpp"
 #include "timing/monitor.hpp"
+#include "workloads/workload.hpp"
 
 using namespace photon;
 using namespace photon::isa;
@@ -186,6 +189,39 @@ const struct KernelCase
     {"mem", [] { return memKernel(12); }, {32, 4, 0}, 64ull << 20},
 };
 
+struct WorkloadRun
+{
+    Cycle cycles = 0;
+    std::uint64_t insts = 0;
+    std::map<std::string, double> stats;
+};
+
+/** Every launch of a fresh @p w instance on a full-detailed r9nano
+ *  platform, driven straight through Gpu::runKernel with no monitor
+ *  (the event core's fused tickFast path unless @p seed_loop). */
+WorkloadRun
+runWorkloadLaunches(workloads::WorkloadPtr w, bool seed_loop)
+{
+    driver::Platform platform(GpuConfig::r9Nano(),
+                              driver::SimMode::FullDetailed);
+    w->setup(platform);
+    RunOptions opts;
+    opts.useSeedLoop = seed_loop;
+    WorkloadRun r;
+    for (const workloads::LaunchSpec &l : w->launches()) {
+        func::LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup,
+                              l.kernarg};
+        RunOutcome out = platform.gpu().runKernel(
+            *l.program, dims, platform.mem(), nullptr, opts);
+        r.cycles += out.cycles();
+        r.insts += out.instsIssued;
+    }
+    StatRegistry reg;
+    platform.gpu().exportStats(reg);
+    r.stats = reg.values();
+    return r;
+}
+
 } // namespace
 
 TEST(EventCore, EventLoopMatchesSeedLoop)
@@ -210,6 +246,28 @@ TEST(EventCore, EventLoopMatchesSeedLoop)
         GpuRun fast = runOnGpuNoMonitor(prog, kc.dims, kc.memBytes, opts);
         expectSameOutcome(fast.out, seed_free.out, what);
         EXPECT_EQ(fast.stats, seed_free.stats) << what;
+    }
+}
+
+TEST(EventCore, RealWorkloadsMatchSeedLoop)
+{
+    // A compute-bound and a memory-bound workload at full r9nano scale:
+    // dispatch across 64 CUs, real cache and DRAM contention.
+    const struct
+    {
+        const char *name;
+        workloads::WorkloadPtr (*make)();
+    } cases[] = {
+        {"mm 128", [] { return workloads::makeMm(128); }},
+        {"spmv 1024", [] { return workloads::makeSpmv(1024); }},
+    };
+    for (const auto &c : cases) {
+        WorkloadRun ev = runWorkloadLaunches(c.make(), false);
+        WorkloadRun seed = runWorkloadLaunches(c.make(), true);
+        EXPECT_GT(seed.insts, 0u) << c.name;
+        EXPECT_EQ(ev.cycles, seed.cycles) << c.name;
+        EXPECT_EQ(ev.insts, seed.insts) << c.name;
+        EXPECT_EQ(ev.stats, seed.stats) << c.name;
     }
 }
 

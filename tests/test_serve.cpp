@@ -323,6 +323,29 @@ TEST(SimServer, ConcurrentMixedRequestsMatchSerialResults)
     // by the paused-admission test above.)
     StoreStats stats = server.store().stats();
     EXPECT_EQ(stats.dedupCollapsed + stats.jobsExecuted, clients);
+
+    // Warm pass on the same server: the shared store now knows every
+    // kernel, so each photon-mode request is answered entirely from the
+    // cache with the serial baseline's cycles. Full-mode requests never
+    // consult the kernel cache, so they are never a cache hit.
+    std::vector<ServeResult> warm(clients);
+    threads.clear();
+    for (std::size_t i = 0; i < clients; ++i) {
+        const service::JobSpec s =
+            i < distinct.size() ? distinct[i] : spec("relu", 256);
+        threads.emplace_back(
+            [&server, &warm, i, s] { warm[i] = server.runSync(s); });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < clients; ++i) {
+        const ServeResult &expect =
+            i < distinct.size() ? serial[i] : serial[0];
+        ASSERT_TRUE(warm[i].ok) << warm[i].error;
+        EXPECT_EQ(warm[i].cycles, expect.cycles) << warm[i].spec.label();
+        EXPECT_EQ(warm[i].cacheHit, warm[i].spec.mode == "photon")
+            << warm[i].spec.label();
+    }
 }
 
 // ----- Checkpoint / restart -----

@@ -148,6 +148,9 @@ TEST(Telemetry, JsonRoundTripIsBitExact)
     full.level = SampleLevel::Full;
     full.totalWarps = 16;
     full.detailedWarps = 16;
+    // Control characters, quotes and backslashes in a job label are
+    // written as escapes and must decode back to the same bytes.
+    full.job = "sweep\t\"a\\b\"\nline2";
     records.push_back(full);
 
     std::ostringstream os;

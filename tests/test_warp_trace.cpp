@@ -362,7 +362,7 @@ struct PlatformRun
 
 PlatformRun
 runFullDetailed(const char *workload, std::uint32_t size,
-                TraceStore *shared, bool trace_reuse)
+                TraceStore *shared, bool reuse)
 {
     GpuConfig gpu;
     driver::SimMode mode;
@@ -370,7 +370,7 @@ runFullDetailed(const char *workload, std::uint32_t size,
     EXPECT_TRUE(service::parseGpuName("tiny", gpu, &err)) << err;
     EXPECT_TRUE(service::parseMode("full", mode, &err)) << err;
     driver::Platform p(gpu, mode, SamplingConfig{});
-    p.setTraceReuse(trace_reuse);
+    p.setTraceReuse(reuse);
     if (shared)
         p.setTraceStore(shared);
     workloads::WorkloadPtr w = service::makeWorkload(workload, size, &err);
