@@ -123,11 +123,14 @@ Platform::launch(const isa::ProgramPtr &program,
         break;
       }
       case SimMode::Photon: {
-        // Consume-only: photon's sampled passes emulate only a few
-        // warps, so capturing (a full functional run) would cost more
-        // than it saves — but a trace captured elsewhere (campaign
-        // sibling, photond warm state) replaces the per-warp analysis
-        // emulation bit-identically.
+        // Consume-only: a launch trace is a functional run of every
+        // warp, and a switch leaves the undispatched warps unrun, so
+        // photon never captures one up front. Its detailed phase
+        // captures each warp as it is placed and replays that instead
+        // (timing/cu.hpp), which is as cheap as full mode's capture
+        // plus replay. A trace captured elsewhere (campaign sibling,
+        // photond warm state) replaces the per-warp analysis emulation
+        // bit-identically.
         func::LaunchTracePtr trace;
         if (traceReuse_ && func::traceable(*program)) {
             trace =

@@ -253,6 +253,97 @@ traceKey(const isa::Program &program, const LaunchDims &dims,
     return key;
 }
 
+void
+WarpCapturer::capture(const isa::Program &program, const LaunchDims &dims,
+                      GlobalMemory &mem, WarpId warp, LaunchTrace &trace,
+                      std::size_t index, bool log_stores)
+{
+    LaunchTrace::WarpSlice &s = trace.warps[index];
+    s = {};
+    // The branch arena packs every slice's bits back to back, so this
+    // slice starts where the previous one ended.
+    std::uint64_t bit_cursor = 0;
+    if (index > 0) {
+        const LaunchTrace::WarpSlice &prev = trace.warps[index - 1];
+        bit_cursor = prev.branchBase + prev.branchBits;
+    }
+    s.branchBase = bit_cursor;
+    s.execBase = trace.execWords.size();
+    s.memBase = trace.memBytes.size();
+    s.storeBase = trace.storeBytes.size();
+
+    auto append_bit = [&](bool bit) {
+        if ((bit_cursor & 63) == 0)
+            trace.branchWords.push_back(0);
+        trace.branchWords.back() |= std::uint64_t{bit ? 1u : 0u}
+                                    << (bit_cursor & 63);
+        ++bit_cursor;
+    };
+
+    // Per-warp LDS stand-in: traceable programs contain no LDS ops,
+    // so the (empty or zeroed) arena is never read.
+    lds_.resize(program.ldsBytes());
+    WaveState &ws = ws_;
+    StepResult &res = res_;
+    ws.init(program, dims, warp);
+    Addr prev_line = 0;
+    Addr prev_store_line = 0;
+    while (!ws.done) {
+        const isa::Instruction &inst = program.at(ws.pc);
+        emu_.step(program, ws, mem, lds_, res);
+        ++s.instCount;
+        if (isConditionalBranch(inst.op)) {
+            append_bit(res.branchTaken);
+        } else if (isMaskOp(inst.op)) {
+            if (inst.dst.value == isa::kMaskExec)
+                trace.execWords.push_back(ws.exec);
+        } else if (res.numLines > 0 || inst.op == Opcode::S_LOAD_DWORD ||
+                   inst.op == Opcode::FLAT_LOAD_DWORD ||
+                   inst.op == Opcode::FLAT_STORE_DWORD) {
+            encodeLines(trace.memBytes, res, prev_line);
+            if (log_stores && inst.op == Opcode::FLAT_STORE_DWORD) {
+                // Post-write line snapshots: replaying them in the
+                // same order reproduces this launch's memory
+                // evolution without executing register semantics.
+                for (std::uint32_t i = 0; i < res.numLines; ++i) {
+                    Addr line = res.lines[i];
+                    putVarint(trace.storeBytes,
+                              zigzag(static_cast<std::int64_t>(line) -
+                                     static_cast<std::int64_t>(
+                                         prev_store_line)));
+                    prev_store_line = line;
+                    const std::uint8_t *src =
+                        mem.span(line * kLineBytes, kLineBytes);
+                    trace.storeBytes.insert(trace.storeBytes.end(), src,
+                                            src + kLineBytes);
+                }
+            }
+        }
+    }
+    s.branchBits = static_cast<std::uint32_t>(bit_cursor - s.branchBase);
+    s.execCount =
+        static_cast<std::uint32_t>(trace.execWords.size() - s.execBase);
+    s.memLen =
+        static_cast<std::uint32_t>(trace.memBytes.size() - s.memBase);
+    s.storeLen =
+        static_cast<std::uint32_t>(trace.storeBytes.size() - s.storeBase);
+    trace.totalInsts += s.instCount;
+}
+
+void
+WarpCapturer::captureAlone(const isa::Program &program,
+                           const LaunchDims &dims, GlobalMemory &mem,
+                           WarpId warp, LaunchTrace &buf)
+{
+    buf.totalInsts = 0;
+    buf.warps.resize(1);
+    buf.branchWords.clear();
+    buf.execWords.clear();
+    buf.memBytes.clear();
+    buf.storeBytes.clear();
+    capture(program, dims, mem, warp, buf, 0, false);
+}
+
 LaunchTracePtr
 captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
                    GlobalMemory &mem)
@@ -269,75 +360,9 @@ captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
 
     const std::uint32_t total = dims.totalWaves();
     trace->warps.resize(total);
-
-    Emulator emu;
-    WaveState ws;
-    // Per-warp LDS stand-in: traceable programs contain no LDS ops,
-    // so the (empty or zeroed) arena is never read.
-    std::vector<std::uint8_t> lds(program.ldsBytes(), 0);
-    StepResult res;
-    std::uint64_t bit_cursor = 0;
-
-    auto append_bit = [&](bool bit) {
-        if ((bit_cursor & 63) == 0)
-            trace->branchWords.push_back(0);
-        trace->branchWords.back() |= std::uint64_t{bit ? 1u : 0u}
-                                     << (bit_cursor & 63);
-        ++bit_cursor;
-    };
-
-    for (WarpId warp = 0; warp < total; ++warp) {
-        LaunchTrace::WarpSlice &s = trace->warps[warp];
-        s.branchBase = bit_cursor;
-        s.execBase = trace->execWords.size();
-        s.memBase = trace->memBytes.size();
-        s.storeBase = trace->storeBytes.size();
-
-        ws.init(program, dims, warp);
-        Addr prev_line = 0;
-        Addr prev_store_line = 0;
-        while (!ws.done) {
-            const isa::Instruction &inst = program.at(ws.pc);
-            emu.step(program, ws, mem, lds, res);
-            ++s.instCount;
-            if (isConditionalBranch(inst.op)) {
-                append_bit(res.branchTaken);
-            } else if (isMaskOp(inst.op)) {
-                if (inst.dst.value == isa::kMaskExec)
-                    trace->execWords.push_back(ws.exec);
-            } else if (res.numLines > 0 || inst.op == Opcode::S_LOAD_DWORD ||
-                       inst.op == Opcode::FLAT_LOAD_DWORD ||
-                       inst.op == Opcode::FLAT_STORE_DWORD) {
-                encodeLines(trace->memBytes, res, prev_line);
-                if (inst.op == Opcode::FLAT_STORE_DWORD) {
-                    // Post-write line snapshots: replaying them in the
-                    // same order reproduces this launch's memory
-                    // evolution without executing register semantics.
-                    for (std::uint32_t i = 0; i < res.numLines; ++i) {
-                        Addr line = res.lines[i];
-                        putVarint(trace->storeBytes,
-                                  zigzag(static_cast<std::int64_t>(line) -
-                                         static_cast<std::int64_t>(
-                                             prev_store_line)));
-                        prev_store_line = line;
-                        const std::uint8_t *src =
-                            mem.span(line * kLineBytes, kLineBytes);
-                        trace->storeBytes.insert(trace->storeBytes.end(),
-                                                 src, src + kLineBytes);
-                    }
-                }
-            }
-        }
-        s.branchBits =
-            static_cast<std::uint32_t>(bit_cursor - s.branchBase);
-        s.execCount = static_cast<std::uint32_t>(
-            trace->execWords.size() - s.execBase);
-        s.memLen = static_cast<std::uint32_t>(trace->memBytes.size() -
-                                              s.memBase);
-        s.storeLen = static_cast<std::uint32_t>(
-            trace->storeBytes.size() - s.storeBase);
-        trace->totalInsts += s.instCount;
-    }
+    WarpCapturer capturer;
+    for (WarpId warp = 0; warp < total; ++warp)
+        capturer.capture(program, dims, mem, warp, *trace, warp, true);
     return trace;
 }
 
@@ -387,21 +412,19 @@ WarpReplayCursor::step(const isa::Program &program, WaveState &ws,
     std::uint32_t next_pc = ws.pc + 1;
 
     auto take_bit = [&] {
-        bool bit = (t_->branchWords[branchBit_ >> 6] >>
+        bool bit = (branchWords_[branchBit_ >> 6] >>
                     (branchBit_ & 63)) &
                    1;
         ++branchBit_;
         return bit;
     };
     auto decode_lines = [&] {
-        std::uint64_t header = getVarint(t_->memBytes.data(),
-                                         t_->memBytes.size(), memPos_);
+        std::uint64_t header = getVarint(memBytes_, memSize_, memPos_);
         std::uint32_t n = static_cast<std::uint32_t>(header >> 1);
         out.numLines = n;
         if (n == 0)
             return;
-        std::uint64_t d = getVarint(t_->memBytes.data(),
-                                    t_->memBytes.size(), memPos_);
+        std::uint64_t d = getVarint(memBytes_, memSize_, memPos_);
         Addr first = static_cast<Addr>(
             static_cast<std::int64_t>(prevLine_) + unzigzag(d));
         out.lines[0] = first;
@@ -412,8 +435,7 @@ WarpReplayCursor::step(const isa::Program &program, WaveState &ws,
             for (std::uint32_t i = 1; i < n; ++i)
                 out.lines[i] =
                     out.lines[i - 1] +
-                    getVarint(t_->memBytes.data(), t_->memBytes.size(),
-                              memPos_);
+                    getVarint(memBytes_, memSize_, memPos_);
         }
         prevLine_ = first;
     };
@@ -439,7 +461,7 @@ WarpReplayCursor::step(const isa::Program &program, WaveState &ws,
       case Opcode::S_OR_MASK:
       case Opcode::S_ANDN2_MASK:
         if (inst.dst.value == isa::kMaskExec)
-            ws.exec = t_->execWords[execIdx_++];
+            ws.exec = execWords_[execIdx_++];
         break;
       case Opcode::S_BARRIER:
         out.barrier = true;

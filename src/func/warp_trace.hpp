@@ -112,6 +112,44 @@ std::string traceKey(const isa::Program &program, const LaunchDims &dims,
                      const GlobalMemory &mem);
 
 /**
+ * The per-warp body of a capture: runs one warp functionally to
+ * completion and appends its side streams to a LaunchTrace's arenas.
+ * captureLaunchTrace drives it over every warp of a launch; the
+ * detailed core drives it one warp at a time as warps are placed on a
+ * compute unit (dispatch-time capture, timing/cu.hpp), into a per-slot
+ * buffer that the slot then replays through a WarpReplayCursor. It owns
+ * the emulation scratch (register file, LDS stand-in, step result), so
+ * back-to-back captures reuse one cache-warm register file.
+ */
+class WarpCapturer
+{
+  public:
+    /**
+     * Emulate @p warp to completion against @p mem (its stores land)
+     * and record it as slice @p index of @p trace. Slices must be
+     * captured in index order: each one's streams are appended after
+     * slice index-1's. With @p log_stores the slice also carries the
+     * post-write store log that replay re-applies; a dispatch capture
+     * skips it, because its own emulation already wrote the stores.
+     * Requires traceable(program).
+     */
+    void capture(const isa::Program &program, const LaunchDims &dims,
+                 GlobalMemory &mem, WarpId warp, LaunchTrace &trace,
+                 std::size_t index, bool log_stores);
+
+    /** Capture @p warp alone into @p buf, reusing its arena capacity:
+     *  @p buf becomes a one-slice trace (slice 0) with no store log. */
+    void captureAlone(const isa::Program &program, const LaunchDims &dims,
+                      GlobalMemory &mem, WarpId warp, LaunchTrace &buf);
+
+  private:
+    Emulator emu_;
+    WaveState ws_;
+    std::vector<std::uint8_t> lds_;
+    StepResult res_;
+};
+
+/**
  * Capture a launch's trace by running every warp functionally to
  * completion (in warp order, per-warp zeroed LDS stand-in). Stores are
  * applied to @p mem exactly as a cold functional pass would — after a
@@ -140,19 +178,23 @@ class WarpReplayCursor
   public:
     WarpReplayCursor() = default;
 
-    /** Point the cursor at @p warp's slice of @p trace (restartable). */
+    /** Point the cursor at @p warp's slice of @p trace (restartable).
+     *  The arenas' data pointers are cached here, so a step reads only
+     *  the cursor and its stream bytes, never the trace object; the
+     *  trace must not change while the cursor is in use. */
     void
     bind(const LaunchTrace *trace, WarpId warp)
     {
-        t_ = trace;
         const LaunchTrace::WarpSlice &s = trace->warps[warp];
+        branchWords_ = trace->branchWords.data();
+        execWords_ = trace->execWords.data();
+        memBytes_ = trace->memBytes.data();
+        memSize_ = trace->memBytes.size();
         branchBit_ = s.branchBase;
         execIdx_ = s.execBase;
         memPos_ = s.memBase;
         prevLine_ = 0;
     }
-
-    bool bound() const { return t_ != nullptr; }
 
     /** Mirror of Emulator::step's observable effects (see file
      *  comment). @p ws must be at the same (pc, exec, done) state the
@@ -161,7 +203,10 @@ class WarpReplayCursor
               StepResult &out);
 
   private:
-    const LaunchTrace *t_ = nullptr;
+    const std::uint64_t *branchWords_ = nullptr;
+    const std::uint64_t *execWords_ = nullptr;
+    const std::uint8_t *memBytes_ = nullptr;
+    std::uint64_t memSize_ = 0;
     std::uint64_t branchBit_ = 0;
     std::uint64_t execIdx_ = 0;
     std::uint64_t memPos_ = 0;

@@ -60,18 +60,26 @@ struct WaveState
     std::array<std::uint32_t, isa::kMaxSgprs> sgpr{};
     std::vector<std::uint32_t> vgpr; ///< numVgprs x 64 lanes
 
-    /** Initialise registers for the dispatcher's calling convention. */
+    /** Initialise identity and control flow only: all a wavefront
+     *  stepped by a trace replay cursor reads or writes. */
     void
-    init(const isa::Program &program, const LaunchDims &dims, WarpId warp)
+    initControl(const LaunchDims &dims, WarpId warp)
     {
         warpId = warp;
         workgroupId = warp / dims.wavesPerWorkgroup;
         waveInGroup = warp % dims.wavesPerWorkgroup;
         pc = 0;
         done = false;
+        exec = ~std::uint64_t{0};
+    }
+
+    /** Initialise registers for the dispatcher's calling convention. */
+    void
+    init(const isa::Program &program, const LaunchDims &dims, WarpId warp)
+    {
+        initControl(dims, warp);
         scc = false;
         vcc = 0;
-        exec = ~std::uint64_t{0};
         maskRegs.fill(0);
         sgpr.fill(0);
         sgpr[isa::kSgprWorkgroupId] = workgroupId;

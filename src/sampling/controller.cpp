@@ -20,13 +20,26 @@ PhotonController::captureDetectors()
 }
 
 void
+PhotonController::freezeWithoutSwitch()
+{
+    // Freeze the detector state anyway so Full-level telemetry still
+    // reports how close each level came to firing.
+    captureDetectors();
+    if (!warp_ && !bb_)
+        decision_.noSwitchReason = "levels_disabled";
+    else if (consulted_)
+        decision_.noSwitchReason = "never_stable";
+    else
+        decision_.noSwitchReason = "all_dispatched";
+}
+
+void
 PhotonController::onKernelPhase(timing::KernelPhase phase, Cycle)
 {
-    // When the kernel ran to completion without a switch, freeze the
-    // final detector state anyway so Full-level telemetry still reports
-    // how close each level came to firing.
-    if (phase == timing::KernelPhase::Complete && !stopped_)
-        captureDetectors();
+    // A run loop that never polled for a release (the seed reference
+    // loop) ends here without a decision.
+    if (phase == timing::KernelPhase::Complete && !stopped_ && !released_)
+        freezeWithoutSwitch();
 }
 
 void
@@ -49,6 +62,8 @@ PhotonController::onWaveRetired(WarpId w, Cycle now, std::uint64_t)
         drainRetires_.push_back(now);
         return;
     }
+    if (released_)
+        return;
     if (warp_)
         warp_->onWaveRetired(w, now);
 }
@@ -76,6 +91,7 @@ PhotonController::wantsStop(Cycle now)
         return true;
     if (retired_ < minRetired_)
         return false;
+    consulted_ = true;
     SampleLevel winner = SampleLevel::Full;
     // Warp-sampling is preferred: it skips functional emulation too.
     if (warp_ && warp_->wantsSwitch())
@@ -90,6 +106,18 @@ PhotonController::wantsStop(Cycle now)
     decision_.residentAtStop =
         static_cast<std::uint32_t>(dispatched_ - retired_);
     captureDetectors();
+    return true;
+}
+
+bool
+PhotonController::wantsRelease(Cycle now, bool all_dispatched)
+{
+    if (!stopped_ && !all_dispatched && (warp_ || bb_))
+        return false;
+    if (!stopped_)
+        freezeWithoutSwitch();
+    released_ = true;
+    decision_.releasedCycle = now;
     return true;
 }
 

@@ -14,7 +14,8 @@
  *   └───────────────────────────┬─────────────────────────┘
  *                               │ onKernelPhase / onWaveDispatched /
  *                               │ onWaveRetired / onInstruction /
- *                               │ onBbExecuted / wantsStop
+ *                               │ onBbExecuted / wantsStop /
+ *                               │ wantsRelease
  *   ┌───────────────────────────▼─────────────────────────┐
  *   │ control plane (src/sampling): SamplingController     │
  *   │   PhotonController ──► WarpSampler / BbSampler       │
@@ -38,17 +39,29 @@ namespace photon::sampling {
 class WarpSampler;
 class BbSampler;
 
-/** Everything the control plane decided about one detailed run, frozen
- *  at decision time (or at kernel completion when no level fired). */
+/** Everything the control plane decided about one detailed run. The
+ *  detectors are frozen at the stop decision, or — when no level fired
+ *  — at the hook release (kernel completion if the run loop never
+ *  polled for one). */
 struct SwitchDecision
 {
     SampleLevel level = SampleLevel::Full; ///< winning level; Full = none
     Cycle cycle = 0;                       ///< cycle of the stop request
     std::uint32_t residentAtStop = 0;      ///< wavefronts left draining
-    /** Warp detector state at decision (or completion) time. */
+    /** Warp detector state at decision (or release) time. */
     StabilitySnapshot warpDetector;
-    /** Weighted stable-block rate at decision (or completion) time. */
+    /** Weighted stable-block rate at decision (or release) time. */
     double bbStableRate = 0.0;
+    /** Why no level fired; empty when one did. "all_dispatched": the
+     *  last workgroup was placed before the warm-up gate let any
+     *  detector be consulted, so no switch could have skipped a warp.
+     *  "never_stable": detectors were consulted while workgroups were
+     *  still waiting, and none became stable. "levels_disabled": both
+     *  warp and block levels are ablated. */
+    const char *noSwitchReason = "";
+    /** Absolute cycle at which the controller released its hooks;
+     *  kNoCycle if it never did. */
+    Cycle releasedCycle = kNoCycle;
 };
 
 /**
@@ -72,6 +85,12 @@ class SamplingController : public timing::KernelMonitor
  * when both trigger — it skips functional emulation too), and freezes
  * the detectors at the stop decision. Pass nullptr for a policy to
  * ablate that level.
+ *
+ * Photon predicts only never-dispatched warps, so once the last
+ * workgroup is placed no switch can pay, and after a stop the drain
+ * needs nothing but retire times: at either point (or at once, when no
+ * level is attached) the controller releases its hooks and the run
+ * finishes on the monitor-free issue path.
  */
 class PhotonController final : public SamplingController
 {
@@ -91,6 +110,7 @@ class PhotonController final : public SamplingController
     void onBbExecuted(WarpId warp, isa::BbId bb, Cycle issue, Cycle retire,
                       std::uint32_t active_lanes) override;
     bool wantsStop(Cycle now) override;
+    bool wantsRelease(Cycle now, bool all_dispatched) override;
 
     const SwitchDecision &decision() const override { return decision_; }
     std::vector<Cycle> takeDrainRetires() override
@@ -104,12 +124,18 @@ class PhotonController final : public SamplingController
     /** Freeze detector state into the decision record. */
     void captureDetectors();
 
+    /** Freeze the detectors and record why no level fired. */
+    void freezeWithoutSwitch();
+
     WarpSampler *warp_;
     BbSampler *bb_;
     std::uint64_t minRetired_;
     std::uint64_t dispatched_ = 0;
     std::uint64_t retired_ = 0;
     bool stopped_ = false;
+    bool released_ = false;
+    /** wantsStop got past the warm-up gate at least once. */
+    bool consulted_ = false;
     SwitchDecision decision_;
     std::vector<Cycle> drainRetires_;
 };

@@ -117,6 +117,8 @@ PhotonSampler::runKernel(const isa::Program &program,
     tele.residentAtSwitch = decision.residentAtStop;
     tele.warpDetector = decision.warpDetector;
     tele.bbStableRate = decision.bbStableRate;
+    tele.noSwitchReason = decision.noSwitchReason;
+    tele.hooksReleasedCycle = decision.releasedCycle;
 
     if (!outcome.stoppedEarly) {
         res.cycles = outcome.cycles();

@@ -13,7 +13,10 @@
  *      switch, dispatching halts, residents drain, and the remaining
  *      warps are predicted (warp level: mean duration, scheduler-only;
  *      block level: functional simulation plus per-block time
- *      prediction) through the slot-occupancy scheduler model.
+ *      prediction) through the slot-occupancy scheduler model. Once
+ *      the switch fires, or once every workgroup is dispatched and no
+ *      switch could skip a warp, the controller releases its hooks and
+ *      the rest of the run takes the monitor-free issue path.
  *   4. If no level triggers, the kernel falls back to full detail.
  *
  * Every launch yields a KernelTelemetry record (see telemetry.hpp)
@@ -61,8 +64,10 @@ class PhotonSampler
      *  this exact launch (DESIGN.md §15): the online-analysis pass and
      *  the block-level epilogue then replay warps from the capture
      *  instead of emulating them (bit-identical BBVs, stores applied
-     *  from the trace's log). The detailed phase keeps emulating — its
-     *  stores must land exactly for the dispatched warps. */
+     *  from the trace's log). The detailed phase does not use it: the
+     *  core captures each dispatched warp as it is placed (its stores
+     *  landing) and replays that capture, so exactly the dispatched
+     *  warps' stores reach memory. */
     KernelRunResult runKernel(const isa::Program &program,
                               const func::LaunchDims &dims,
                               func::GlobalMemory &mem,

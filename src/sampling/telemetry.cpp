@@ -79,7 +79,13 @@ writeRecord(const KernelTelemetry &t, std::ostream &os)
        << ",\n     \"backend\": \"" << jsonEscape(t.backend) << "\""
        << ", \"backend_detailed_cycles\": " << t.backendDetailedCycles
        << ", \"backend_interval_cycles\": " << t.backendIntervalCycles
-       << "}";
+       << ",\n     \"no_switch_reason\": \"" << jsonEscape(t.noSwitchReason)
+       << "\", \"hooks_released_cycle\": ";
+    if (t.hooksReleasedCycle == kNoCycle)
+        os << "null";
+    else
+        os << t.hooksReleasedCycle;
+    os << "}";
 }
 
 /**
@@ -351,6 +357,17 @@ readRecord(Reader &r, KernelTelemetry &t)
             if (!r.readNumber(d))
                 return false;
             t.backendIntervalCycles = static_cast<Cycle>(d);
+        } else if (key == "no_switch_reason") {
+            if (!r.readString(t.noSwitchReason))
+                return false;
+        } else if (key == "hooks_released_cycle") {
+            if (r.tryNull()) {
+                t.hooksReleasedCycle = kNoCycle;
+            } else {
+                if (!r.readNumber(d))
+                    return false;
+                t.hooksReleasedCycle = static_cast<Cycle>(d);
+            }
         } else {
             if (!r.skipValue())
                 return false;
@@ -387,7 +404,8 @@ writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
           "detailed_cycles,detailed_insts,detailed_warps,total_warps,"
           "analysis_insts,analysis_reused,detailed_fraction,"
           "wall_seconds,backend,backend_detailed_cycles,"
-          "backend_interval_cycles\n";
+          "backend_interval_cycles,no_switch_reason,"
+          "hooks_released_cycle\n";
     for (const KernelTelemetry &t : records) {
         os << t.kernel << ',' << t.job << ',' << t.numWorkgroups << ','
            << t.wavesPerWorkgroup << ',' << t.levelName() << ','
@@ -405,7 +423,10 @@ writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
            << (t.analysisReused ? 1 : 0) << ','
            << num(t.detailedFraction()) << ',' << num(t.wallSeconds)
            << ',' << t.backend << ',' << t.backendDetailedCycles << ','
-           << t.backendIntervalCycles << "\n";
+           << t.backendIntervalCycles << ',' << t.noSwitchReason << ',';
+        if (t.hooksReleasedCycle != kNoCycle)
+            os << t.hooksReleasedCycle;
+        os << "\n";
     }
 }
 

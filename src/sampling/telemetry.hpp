@@ -54,8 +54,11 @@ const char *sampleLevelName(SampleLevel level);
  *  v3: per-launch timing-backend identity (backend) and per-backend
  *  cycle split (backend_detailed_cycles / backend_interval_cycles);
  *  the epoch statistics become nullable.
- *  v4: the epoch statistics are gone (the detailed core is serial). */
-inline constexpr std::uint32_t kTelemetrySchemaVersion = 4;
+ *  v4: the epoch statistics are gone (the detailed core is serial).
+ *  v5: why a Photon launch did not switch (no_switch_reason) and the
+ *  cycle its controller released the issue hooks
+ *  (hooks_released_cycle, null when it never did). */
+inline constexpr std::uint32_t kTelemetrySchemaVersion = 5;
 
 /** Everything Photon can report about one kernel launch. */
 struct KernelTelemetry
@@ -95,6 +98,16 @@ struct KernelTelemetry
     std::string backend = "detailed";
     Cycle backendDetailedCycles = 0; ///< cycles from the detailed core
     Cycle backendIntervalCycles = 0; ///< cycles from the interval model
+
+    // Switch pay-off (schema v5), deterministic like the decision.
+    /** Why a Photon launch stayed at level Full: "all_dispatched",
+     *  "never_stable" or "levels_disabled" (see
+     *  SwitchDecision::noSwitchReason); "" for every other launch. */
+    std::string noSwitchReason;
+    /** Absolute cycle at which Photon's controller released its issue
+     *  hooks (at the stop, or once every workgroup was dispatched);
+     *  kNoCycle when no controller ran or it never released. */
+    Cycle hooksReleasedCycle = kNoCycle;
 
     /** Share of warps that ran through the detailed model. */
     double

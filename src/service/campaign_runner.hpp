@@ -103,8 +103,8 @@ struct CampaignOptions
      *  (DESIGN.md §15): the first full-mode job of a (program, launch,
      *  input) captures, every later job replays. Trace content is a
      *  pure function of its key, so reuse is schedule-independent
-     *  under every share policy; false disables capture and replay
-     *  (every job re-emulates). */
+     *  under every share policy; false disables the launch-trace
+     *  cache (every job re-emulates). */
     bool traceReuse = true;
 };
 

@@ -77,6 +77,12 @@ ComputeUnit::startKernel(const KernelContext &ctx)
     PHOTON_ASSERT(ctx.codeBase % kLineBytes == 0,
                   "code base not line-aligned");
     codeLineBase_ = ctx.codeBase / kLineBytes;
+    replayed_ = ctx.replay != nullptr || ctx.capture != nullptr;
+    hooksReleased_ = false;
+    // Capture buffers only for platforms that ever capture at dispatch
+    // (full-mode launches replay their launch trace instead).
+    if (ctx.capture && slotTrace_.empty())
+        slotTrace_.resize(waveState_.size());
     std::fill(waveActive_.begin(), waveActive_.end(), 0);
     std::fill(slotReady_.begin(), slotReady_.end(), kNoCycle);
     for (Workgroup &wg : wgs_) {
@@ -129,7 +135,10 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
             ++wave_slot;
         func::WaveState &ws = waveState_[wave_slot];
         WarpId warp = wg * ctx_.dims->wavesPerWorkgroup + i;
-        ws.init(*ctx_.program, *ctx_.dims, warp);
+        if (replayed_)
+            ws.initControl(*ctx_.dims, warp);
+        else
+            ws.init(*ctx_.program, *ctx_.dims, warp);
         waveActive_[wave_slot] = 1;
         waveAtBarrier_[wave_slot] = 0;
         waveReadyAt_[wave_slot] = now + 4; // dispatch latency
@@ -137,26 +146,34 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
         waveWgSlot_[wave_slot] = wg_slot;
         waveLastFetchLine_[wave_slot] = ~std::uint64_t{0};
         waveBbValid_[wave_slot] = 0;
-        if (ctx_.replay)
+        if (ctx_.replay) {
             waveCursor_[wave_slot].bind(ctx_.replay, warp);
+        } else if (ctx_.capture) {
+            func::LaunchTrace &buf = slotTrace_[wave_slot];
+            ctx_.capture->captureAlone(*ctx_.program, *ctx_.dims,
+                                       *ctx_.mem, warp, buf);
+            waveCursor_[wave_slot].bind(&buf, 0);
+        }
         const std::uint32_t ri = readyIndex(wave_slot);
         slotWarp_[ri] = warp;
         group.slots.push_back(wave_slot);
         setSlotReady(wave_slot, waveReadyAt_[wave_slot]);
         ++residentWaves_;
-        if (ctx_.monitor)
+        if (ctx_.monitor && !hooksReleased_)
             ctx_.monitor->onWaveDispatched(warp, now);
     }
     recomputeHint();
 }
 
-std::uint32_t
+ComputeUnit::TickSummary
 ComputeUnit::tick(Cycle now)
 {
-    if (residentWaves_ == 0)
-        return 0;
-
-    std::uint32_t issued = 0;
+    TickSummary out;
+    if (residentWaves_ == 0) {
+        out.hint = nextHint_;
+        return out;
+    }
+    const std::uint32_t before = wavesRetired_;
     const std::uint32_t simds = cfg_.simdsPerCu;
     const std::uint32_t per_simd = cfg_.wavesPerSimd;
 
@@ -181,17 +198,19 @@ ComputeUnit::tick(Cycle now)
         simdMin_[s] = min_excl;
         if (best != per_simd) {
             issue(s + best * simds, now);
-            ++issued;
+            ++out.issued;
         }
     }
     recomputeHint();
-    return issued;
+    out.retired = wavesRetired_ - before;
+    out.hint = nextHint_;
+    return out;
 }
 
-ComputeUnit::FastTick
+ComputeUnit::TickSummary
 ComputeUnit::tickFast(Cycle now)
 {
-    FastTick out;
+    TickSummary out;
     if (residentWaves_ == 0) {
         out.hint = nextHint_;
         return out;
@@ -227,18 +246,21 @@ ComputeUnit::issueFast(std::uint32_t slot, std::uint32_t ri,
     Workgroup &wg = wgs_[wg_slot];
     const std::uint32_t pc_before = ws.pc;
 
-    // No monitor: dynamic basic-block tracking and per-wave issue
-    // counting (observable only through monitor callbacks) are skipped.
+    // No per-instruction monitor: dynamic basic-block tracking is
+    // skipped, and per-wave issue counting (observable only through
+    // onWaveRetired) runs only for a monitor that released its hooks.
 
     std::uint64_t fetch_line = codeLineBase_ + pc_before / kPcsPerLine;
     const bool do_fetch = fetch_line != waveLastFetchLine_[slot];
     waveLastFetchLine_[slot] = fetch_line;
 
     func::StepResult &step = step_;
-    if (ctx_.replay)
+    if (replayed_)
         waveCursor_[slot].step(*ctx_.program, ws, step);
     else
         emu_.step(*ctx_.program, ws, *ctx_.mem, wg.lds, step);
+    if (ctx_.monitor)
+        ++waveInstCount_[slot];
     ++instsIssued_;
 
     // Identical latency math and shared-memory access order to issue():
@@ -332,7 +354,7 @@ ComputeUnit::issue(std::uint32_t slot, Cycle now)
     waveLastFetchLine_[slot] = fetch_line;
 
     func::StepResult &step = step_;
-    if (ctx_.replay)
+    if (replayed_)
         waveCursor_[slot].step(*ctx_.program, ws, step);
     else
         emu_.step(*ctx_.program, ws, *ctx_.mem, wg.lds, step);
@@ -418,7 +440,7 @@ ComputeUnit::retireWave(std::uint32_t slot, Cycle now)
 
     if (ctx_.monitor) {
         const func::WaveState &ws = waveState_[slot];
-        if (waveBbValid_[slot]) {
+        if (waveBbValid_[slot] && !hooksReleased_) {
             ctx_.monitor->onBbExecuted(ws.warpId, waveCurBb_[slot],
                                        waveCurBbIssue_[slot], now,
                                        waveCurBbLanes_[slot]);

@@ -8,8 +8,16 @@
  * Two issue paths share one arbitration and one latency model: tick()
  * runs the monitored issue (basic-block tracking and KernelMonitor
  * callbacks for the sampling control plane), tickFast() the fused
- * monitor-free issue of full-detail runs. Both touch the memory system
- * in the same order, so they produce identical schedules.
+ * monitor-free issue of full-detail runs and of monitored runs whose
+ * monitor released its hooks (releaseHooks()). Both touch the memory
+ * system in the same order, so they produce identical schedules.
+ *
+ * Neither path executes register semantics for a traceable program:
+ * each wave slot steps a WarpReplayCursor, either over the launch's
+ * captured trace or over a one-warp trace captured into the slot's
+ * buffer when the warp is placed (dispatch-time capture). Only programs
+ * with LDS ops, which traces cannot record, still run Emulator::step
+ * inside the issue.
  *
  * Data layout (DESIGN.md §13): wavefront bookkeeping is
  * structure-of-arrays. The scheduling-hot lanes — ready cycle and warp
@@ -55,6 +63,13 @@ struct KernelContext
      *  and no memory reads/writes (the launch applies the trace's
      *  store log up front). */
     const func::LaunchTrace *replay = nullptr;
+    /** When non-null (and replay is null), each warp is captured through
+     *  this capturer as it is placed — emulated to completion, its
+     *  stores landing in mem — into its slot's trace buffer, and the
+     *  slot then replays that buffer. Per-warp functional semantics do
+     *  not depend on cross-wave order, so the StepResult stream and the
+     *  final memory equal inline emulation's. */
+    func::WarpCapturer *capture = nullptr;
     /** Virtual base address of the kernel's code (for L1I tags). */
     Addr codeBase = 1ull << 40;
 };
@@ -75,16 +90,14 @@ class ComputeUnit
     /** Place workgroup @p wg; requires canAcceptWorkgroup(). */
     void placeWorkgroup(WorkgroupId wg, Cycle now);
 
-    /**
-     * Let every SIMD try to issue one instruction at cycle @p now
-     * through the monitored issue path.
-     * @return number of instructions issued.
-     */
-    std::uint32_t tick(Cycle now);
+    /** The monitor let go of its hooks (KernelMonitor::wantsRelease)
+     *  for the rest of the kernel: from here on the CU is driven by
+     *  tickFast() and reports only wave retirements to the monitor. */
+    void releaseHooks() { hooksReleased_ = true; }
 
-    /** What one fused fast tick did, so the event loop can update its
+    /** What one tick did, so the event loop can update its
      *  bookkeeping without re-reading the (cold) CU object. */
-    struct FastTick
+    struct TickSummary
     {
         std::uint32_t issued = 0;
         std::uint32_t retired = 0; ///< waves retired by this tick
@@ -92,12 +105,19 @@ class ComputeUnit
     };
 
     /**
+     * Let every SIMD try to issue one instruction at cycle @p now
+     * through the monitored issue path.
+     */
+    TickSummary tick(Cycle now);
+
+    /**
      * Tick for monitor-free runs: identical arbitration and timing to
      * tick(), with the monitor hooks and basic-block tracking compiled
      * out. This is the event-driven core's hot path. Requires a
-     * monitor-free kernel context.
+     * monitor-free kernel context or released hooks; a released
+     * monitor still sees onWaveRetired.
      */
-    FastTick tickFast(Cycle now);
+    TickSummary tickFast(Cycle now);
 
     /** Earliest cycle at which any resident wavefront can issue;
      *  kNoCycle when the CU is empty or fully barrier-blocked. Exact,
@@ -137,10 +157,9 @@ class ComputeUnit
      *  bookkeeping — in that order. */
     void issue(std::uint32_t slot, Cycle now);
 
-    /** issue() minus monitor hooks, bb tracking and per-wave issue
-     *  counting (observable only through monitors), with the same
-     *  shared-memory access order. @p ri is the slot's SIMD-major lane
-     *  index, already in hand from arbitration. */
+    /** issue() minus the per-instruction monitor hooks and bb
+     *  tracking, with the same shared-memory access order. @p ri is the
+     *  slot's SIMD-major lane index, already in hand from arbitration. */
     void issueFast(std::uint32_t slot, std::uint32_t ri,
                    std::uint32_t simd, Cycle now);
 
@@ -283,6 +302,10 @@ class ComputeUnit
      *  context carries a replay trace; touched only on issue, exactly
      *  like waveState_. */
     std::vector<func::WarpReplayCursor> waveCursor_; // photon-lint: aos-ok
+    /** Per-slot one-warp trace buffer filled by dispatch-time capture
+     *  (allocated at the first such kernel); reused across the slot's
+     *  warps, so its arenas keep capacity. */
+    std::vector<func::LaunchTrace> slotTrace_; // photon-lint: aos-ok
     std::vector<std::uint64_t> waveLastFetchLine_;
     // Dynamic basic-block tracking (monitor-observable only).
     std::vector<std::uint8_t> waveBbValid_;
@@ -304,6 +327,11 @@ class ComputeUnit
     std::array<Cycle, 8> unitCompleteLat_{};
     std::array<Cycle, 8> unitIssueLat_{};
     Cycle nextHint_ = kNoCycle;
+    /** Wave slots step their replay cursors (ctx_.replay or
+     *  ctx_.capture set) instead of the emulator. */
+    bool replayed_ = false;
+    /** See releaseHooks(); reset at every kernel start. */
+    bool hooksReleased_ = false;
     std::uint32_t residentWaves_ = 0;
     std::uint32_t residentWgs_ = 0;
     std::uint64_t instsIssued_ = 0;

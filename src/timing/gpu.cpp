@@ -90,6 +90,13 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
         return out;
     }
 
+    // A traceable launch without a trace is captured warp by warp as
+    // its warps are placed, then replayed: emulating each warp to
+    // completion in one go keeps one register file cache-warm, where
+    // stepping it inside the issue loop touches a different resident
+    // wave's registers on almost every issue.
+    if (!ctx.replay && func::traceable(program))
+        ctx.capture = &capturer_;
     for (ComputeUnit &cu : cus_)
         cu.startKernel(ctx);
     dispatcher_.resume();
@@ -144,15 +151,16 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
     due.reserve(cfg_.numCus);
 
     // Monitor-free runs take the fused tick: no monitor callbacks or
-    // basic-block tracking can be observed, so the CU's tickFast —
-    // which skips both and returns the issue/retire/hint summary the
-    // bookkeeping below needs — produces the identical simulation
-    // schedule while touching the cold CU object only when a
-    // retirement actually happened.
-    const bool fast = monitor == nullptr;
+    // basic-block tracking can be observed, so the CU's tickFast, which
+    // skips both, produces the identical simulation schedule. A
+    // monitored run switches to it for good once the monitor releases
+    // its hooks. Both ticks return the issue/retire/hint summary the
+    // bookkeeping below needs, so the cold CU object is touched only
+    // when a retirement actually happened.
+    bool fast = monitor == nullptr;
 
     while (true) {
-        if (monitor && !stopping && monitor->wantsStop(now_)) {
+        if (!fast && !stopping && monitor->wantsStop(now_)) {
             stopping = true;
             dispatcher_.halt();
             monitor->onKernelPhase(KernelPhase::Draining, now_);
@@ -165,6 +173,12 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
                 updateBusy(cu);
                 fileCu(cu, now_);
             }
+        }
+        if (!fast &&
+            monitor->wantsRelease(now_, dispatcher_.allDispatched())) {
+            fast = true;
+            for (ComputeUnit &cu : cus_)
+                cu.releaseHooks();
         }
 
         bool any_resident = activeCuCount_ > 0;
@@ -202,23 +216,17 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
         }
 
         std::uint32_t issued = 0;
-        if (fast) {
-            for (std::uint32_t cu : due) {
-                ComputeUnit::FastTick ft = cus_[cu].tickFast(now_);
-                issued += ft.issued;
-                if (ft.retired) {
-                    noteRetirements(cu);
-                    updateBusy(cu);
-                }
-                fileCuAt(cu, ft.hint, now_ + 1);
-            }
-        } else {
-            for (std::uint32_t cu : due) {
-                issued += cus_[cu].tick(now_);
+        for (std::uint32_t cu : due) {
+            ComputeUnit::TickSummary t =
+                fast ? cus_[cu].tickFast(now_) : cus_[cu].tick(now_);
+            issued += t.issued;
+            // Residency changes only on placement (filed above) or a
+            // retirement, so the bookkeeping can skip retire-free ticks.
+            if (t.retired) {
                 noteRetirements(cu);
                 updateBusy(cu);
-                fileCu(cu, now_ + 1);
             }
+            fileCuAt(cu, t.hint, now_ + 1);
         }
 
         if (issued > 0)

@@ -8,7 +8,11 @@
  * keyed by their next-event cycle and only ticked when due, instead of
  * being scanned every cycle. Monitor-free runs take each CU's fused
  * tickFast; monitored runs (the sampling control plane) take the
- * monitored tick. A self-contained AoS per-cycle scanning engine
+ * monitored tick until the monitor releases its hooks
+ * (KernelMonitor::wantsRelease), then tickFast too. Traceable launches
+ * replay per-warp traces — the caller's launch trace, or one captured
+ * per warp at dispatch — so only LDS programs emulate inside the issue.
+ * A self-contained AoS per-cycle scanning engine
  * (timing/reference.hpp) is kept behind useSeedLoop as the frozen
  * reference implementation for cross-checks and as the bench baseline.
  */
@@ -24,6 +28,7 @@
 
 #include "func/emulator.hpp"
 #include "func/memory.hpp"
+#include "func/warp_trace.hpp"
 #include "func/wave_state.hpp"
 #include "isa/program.hpp"
 #include "sim/config.hpp"
@@ -162,6 +167,9 @@ class Gpu
     GpuConfig cfg_;
     MemorySystem memsys_;
     func::Emulator emu_;
+    /** Dispatch-time capture engine shared by every CU (the core is
+     *  serial), so all captures reuse one warm register file. */
+    func::WarpCapturer capturer_;
     std::vector<ComputeUnit> cus_;
     Dispatcher dispatcher_;
     /** Frozen AoS baseline serving useSeedLoop runs; built on first

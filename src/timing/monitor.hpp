@@ -114,6 +114,25 @@ class KernelMonitor
         (void)now;
         return false;
     }
+
+    /**
+     * Polled by the run loop after each dispatch step; return true to
+     * let go of the event stream for the rest of the kernel, e.g. once
+     * no decision the monitor could still take would change anything.
+     * @p all_dispatched is true once the last workgroup is placed.
+     * After a release the run loop takes the monitor-free issue path:
+     * onInstruction, onBbExecuted and onWaveDispatched stop, wantsStop()
+     * is no longer polled, and only onWaveRetired and the Complete
+     * phase are still delivered. Simulated cycles are unchanged. The
+     * default never releases, so a monitor sees every event.
+     */
+    virtual bool
+    wantsRelease(Cycle now, bool all_dispatched)
+    {
+        (void)now;
+        (void)all_dispatched;
+        return false;
+    }
 };
 
 } // namespace photon::timing

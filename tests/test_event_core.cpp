@@ -194,31 +194,42 @@ struct WorkloadRun
     Cycle cycles = 0;
     std::uint64_t insts = 0;
     std::map<std::string, double> stats;
+    std::uint64_t monitorHash = 0;
+    std::uint64_t memHash = 0;
 };
 
 /** Every launch of a fresh @p w instance on a full-detailed r9nano
- *  platform, driven straight through Gpu::runKernel with no monitor
- *  (the event core's fused tickFast path unless @p seed_loop). */
+ *  platform, driven straight through Gpu::runKernel with no launch
+ *  trace: the event core captures each warp at dispatch and replays
+ *  it, the seed loop (@p seed_loop) emulates inline at issue. With
+ *  @p monitored, a HashingMonitor that never releases its hooks rides
+ *  along (the monitored issue path); otherwise the run is
+ *  monitor-free (the fused tickFast path). */
 WorkloadRun
-runWorkloadLaunches(workloads::WorkloadPtr w, bool seed_loop)
+runWorkloadLaunches(workloads::WorkloadPtr w, bool seed_loop,
+                    bool monitored = false)
 {
     driver::Platform platform(GpuConfig::r9Nano(),
                               driver::SimMode::FullDetailed);
     w->setup(platform);
     RunOptions opts;
     opts.useSeedLoop = seed_loop;
+    HashingMonitor mon;
     WorkloadRun r;
     for (const workloads::LaunchSpec &l : w->launches()) {
         func::LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup,
                               l.kernarg};
         RunOutcome out = platform.gpu().runKernel(
-            *l.program, dims, platform.mem(), nullptr, opts);
+            *l.program, dims, platform.mem(), monitored ? &mon : nullptr,
+            opts);
         r.cycles += out.cycles();
         r.insts += out.instsIssued;
     }
     StatRegistry reg;
     platform.gpu().exportStats(reg);
     r.stats = reg.values();
+    r.monitorHash = mon.h;
+    r.memHash = platform.mem().contentHash();
     return r;
 }
 
@@ -268,6 +279,106 @@ TEST(EventCore, RealWorkloadsMatchSeedLoop)
         EXPECT_EQ(ev.cycles, seed.cycles) << c.name;
         EXPECT_EQ(ev.insts, seed.insts) << c.name;
         EXPECT_EQ(ev.stats, seed.stats) << c.name;
+        EXPECT_EQ(ev.memHash, seed.memHash) << c.name;
+
+        // Monitored leg: dispatch capture under a monitor that keeps
+        // every event must reproduce inline emulation's event stream.
+        const std::string what = std::string(c.name) + " monitored";
+        WorkloadRun ev_mon = runWorkloadLaunches(c.make(), false, true);
+        WorkloadRun seed_mon = runWorkloadLaunches(c.make(), true, true);
+        EXPECT_NE(seed_mon.monitorHash, HashingMonitor{}.h) << what;
+        EXPECT_EQ(ev_mon.cycles, seed_mon.cycles) << what;
+        EXPECT_EQ(ev_mon.insts, seed_mon.insts) << what;
+        EXPECT_EQ(ev_mon.stats, seed_mon.stats) << what;
+        EXPECT_EQ(ev_mon.monitorHash, seed_mon.monitorHash) << what;
+        EXPECT_EQ(ev_mon.memHash, seed_mon.memHash) << what;
+        EXPECT_EQ(ev_mon.cycles, seed.cycles) << what;
+    }
+}
+
+TEST(EventCore, ReleasedMonitorFinishesOnTheFastPath)
+{
+    // A monitor that lets go of its hooks once the last workgroup is
+    // placed: the run must still match the monitor-free run exactly,
+    // every retirement must still reach the monitor (with its full
+    // instruction count), and no per-instruction, block or dispatch
+    // event may arrive after the release.
+    struct ReleaseAtLastDispatch : KernelMonitor
+    {
+        bool released = false;
+        Cycle releasedAt = kNoCycle;
+        std::uint64_t afterRelease = 0;
+        std::uint64_t retired = 0;
+        std::uint64_t retiredInsts = 0;
+        std::vector<timing::KernelPhase> phases;
+
+        void
+        onKernelPhase(timing::KernelPhase p, Cycle) override
+        {
+            phases.push_back(p);
+        }
+        void
+        onWaveDispatched(WarpId, Cycle) override
+        {
+            afterRelease += released;
+        }
+        void
+        onWaveRetired(WarpId, Cycle, std::uint64_t insts) override
+        {
+            ++retired;
+            retiredInsts += insts;
+        }
+        void
+        onInstruction(WarpId, const func::StepResult &, Cycle,
+                      Cycle) override
+        {
+            afterRelease += released;
+        }
+        void
+        onBbExecuted(WarpId, isa::BbId, Cycle, Cycle,
+                     std::uint32_t) override
+        {
+            afterRelease += released;
+        }
+        bool
+        wantsRelease(Cycle now, bool all_dispatched) override
+        {
+            if (all_dispatched && !released) {
+                released = true;
+                releasedAt = now;
+            }
+            return released;
+        }
+    };
+    for (const auto &kc : kKernelCases) {
+        ProgramPtr prog = kc.build();
+        // Eight times the cases' geometry: more workgroups than the
+        // tiny GPU holds, so the release happens mid-run.
+        func::LaunchDims dims = kc.dims;
+        dims.numWorkgroups *= 8;
+        RunOptions opts;
+        opts.collectIpcTrace = true;
+        opts.ipcBucketCycles = 64;
+        GpuRun free_run = runOnGpuNoMonitor(prog, dims, kc.memBytes, opts);
+
+        Gpu gpu(GpuConfig::testTiny());
+        func::GlobalMemory mem(kc.memBytes);
+        if (kc.memBytes > (1 << 20))
+            mem.allocate(kc.memBytes / 2);
+        ReleaseAtLastDispatch mon;
+        RunOutcome out = gpu.runKernel(*prog, dims, mem, &mon, opts);
+        StatRegistry reg;
+        gpu.exportStats(reg);
+
+        expectSameOutcome(out, free_run.out, kc.name);
+        EXPECT_EQ(reg.values(), free_run.stats) << kc.name;
+        EXPECT_TRUE(mon.released) << kc.name;
+        EXPECT_GT(mon.releasedAt, out.startCycle) << kc.name;
+        EXPECT_EQ(mon.afterRelease, 0u) << kc.name;
+        EXPECT_EQ(mon.retired, dims.totalWaves()) << kc.name;
+        EXPECT_EQ(mon.retiredInsts, out.instsIssued) << kc.name;
+        EXPECT_EQ(mon.phases.back(), timing::KernelPhase::Complete)
+            << kc.name;
     }
 }
 

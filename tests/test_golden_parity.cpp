@@ -7,7 +7,10 @@
  *  SamplingController/SwitchGovernor and added telemetry capture, but
  *  none of that may perturb a single simulated cycle — every case must
  *  reproduce bit-identically. Full-mode runs take the monitor-free
- *  tickFast path, photon-mode runs the monitored issue path. */
+ *  tickFast path and replay their launch trace; photon-mode runs
+ *  capture each warp at dispatch and take the monitored issue path
+ *  until the controller releases its hooks (at the switch, or once the
+ *  last workgroup is placed), then tickFast. */
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,17 @@ runCase(const GoldenCase &c)
     for (std::size_t i = 0; i < c.levels.size(); ++i)
         EXPECT_EQ(p.launchLog()[i].sample.level, c.levels[i])
             << c.workload << " launch " << i;
+
+    // A switch label must come from a switch that skipped warps: the
+    // controller lets go once the last workgroup is placed, so no stop
+    // can fire after the last dispatch.
+    for (const driver::LaunchResult &l : p.launchLog()) {
+        const sampling::KernelTelemetry &t = l.sample.telemetry;
+        if (t.level == L::Warp || t.level == L::BasicBlock) {
+            EXPECT_LT(t.detailedWarps, t.totalWarps)
+                << c.workload << "/" << c.size << " on " << c.gpu;
+        }
+    }
 }
 
 /** Pagerank issues 16 launches (2 kernels x 8 iterations); with the

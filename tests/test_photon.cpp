@@ -78,6 +78,53 @@ TEST(Photon, LevelDisablingIsRespected)
     auto rs = workloads::runWorkload(*w, p);
     for (const auto &r : rs)
         EXPECT_EQ(r.sample.level, sampling::SampleLevel::Full);
+    // With neither in-kernel level attached nothing can fire, so the
+    // controller lets go of its hooks at the first dispatch.
+    for (const auto &r : rs) {
+        EXPECT_EQ(r.sample.telemetry.noSwitchReason, "levels_disabled");
+        EXPECT_NE(r.sample.telemetry.hooksReleasedCycle, kNoCycle);
+    }
+}
+
+TEST(Photon, ReleasesHooksWhenNothingCanBeSkipped)
+{
+    // mm 256 (1,024 warps) and spmv 512 rows x 64 (512 warps) fit in
+    // r9nano's 2,048 effective wave slots, so every workgroup is placed
+    // at the first cycle. Photon predicts only never-dispatched warps,
+    // so no switch can pay: the controller releases its hooks right
+    // there and the run must reproduce full detail exactly.
+    const struct
+    {
+        const char *name;
+        workloads::WorkloadPtr (*make)();
+    } cases[] = {
+        {"mm 256", [] { return workloads::makeMm(256); }},
+        {"spmv 512x64", [] { return workloads::makeSpmv(512 * 64, 64, 1); }},
+    };
+    for (const auto &c : cases) {
+        driver::Platform full(GpuConfig::r9Nano(),
+                              driver::SimMode::FullDetailed);
+        auto wf = c.make();
+        wf->setup(full);
+        workloads::runWorkload(*wf, full);
+
+        driver::Platform p(GpuConfig::r9Nano(), driver::SimMode::Photon);
+        auto w = c.make();
+        w->setup(p);
+        auto rs = workloads::runWorkload(*w, p);
+        EXPECT_EQ(p.totalKernelCycles(), full.totalKernelCycles())
+            << c.name;
+        EXPECT_EQ(p.totalInsts(), full.totalInsts()) << c.name;
+        ASSERT_FALSE(rs.empty()) << c.name;
+        for (const auto &r : rs) {
+            const sampling::KernelTelemetry &t = r.sample.telemetry;
+            EXPECT_EQ(r.sample.level, sampling::SampleLevel::Full)
+                << c.name;
+            EXPECT_EQ(t.noSwitchReason, "all_dispatched") << c.name;
+            EXPECT_NE(t.hooksReleasedCycle, kNoCycle) << c.name;
+            EXPECT_EQ(t.detailedWarps, t.totalWarps) << c.name;
+        }
+    }
 }
 
 TEST(Photon, OfflineAnalysisReuseKeepsPredictions)

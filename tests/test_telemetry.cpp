@@ -1,6 +1,6 @@
 /** @file Tests for the per-kernel telemetry spine: deterministic JSON /
  *  CSV serialization, the schema-versioned round trip (current schema
- *  plus v1/v3-document compatibility), and telemetry persistence
+ *  plus v1/v3/v4-document compatibility), and telemetry persistence
  *  through the binary artifact store (v6, with v1/v2/v3/v5 load
  *  compatibility). */
 
@@ -153,6 +153,17 @@ TEST(Telemetry, JsonRoundTripIsBitExact)
     full.job = "sweep\t\"a\\b\"\nline2";
     records.push_back(full);
 
+    // v5 switch pay-off fields: a switch released at its stop cycle, a
+    // Full launch released at absolute cycle 0 (which must not read
+    // back as "never"), and a record that never released (null).
+    records[0].hooksReleasedCycle = records[0].switchCycle;
+    full.noSwitchReason = "all_dispatched";
+    full.hooksReleasedCycle = 0;
+    records[1] = full;
+    KernelTelemetry unreleased;
+    unreleased.kernel = "pka_kernel";
+    records.push_back(unreleased);
+
     std::ostringstream os;
     writeTelemetryJson(records, os);
     std::string doc = os.str();
@@ -161,13 +172,24 @@ TEST(Telemetry, JsonRoundTripIsBitExact)
               std::string::npos);
     EXPECT_NE(doc.find("\"wall_seconds\""), std::string::npos);
     EXPECT_EQ(doc.find("\"epochs\""), std::string::npos);
+    EXPECT_NE(doc.find("\"no_switch_reason\": \"all_dispatched\""),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"hooks_released_cycle\": null"),
+              std::string::npos);
 
     std::vector<KernelTelemetry> parsed;
     std::string err;
     ASSERT_TRUE(readTelemetryJson(doc, parsed, &err)) << err;
     ASSERT_EQ(parsed.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i)
+    for (std::size_t i = 0; i < records.size(); ++i) {
         expectEqual(records[i], parsed[i]);
+        EXPECT_EQ(records[i].noSwitchReason, parsed[i].noSwitchReason);
+        EXPECT_EQ(records[i].hooksReleasedCycle,
+                  parsed[i].hooksReleasedCycle);
+    }
+    EXPECT_EQ(parsed[0].hooksReleasedCycle, 31408u);
+    EXPECT_EQ(parsed[1].hooksReleasedCycle, 0u);
+    EXPECT_EQ(parsed[2].hooksReleasedCycle, kNoCycle);
 
     // Writers are deterministic: re-serializing the parsed records
     // reproduces the document byte for byte.
@@ -262,6 +284,25 @@ TEST(Telemetry, V3DocumentLoadsAndDropsEpochStats)
     writeTelemetryJson(parsed, os);
     EXPECT_EQ(os.str().find("epoch"), std::string::npos);
     EXPECT_EQ(os.str().find("barrier_crossings"), std::string::npos);
+}
+
+/** Schema v4 documents predate the switch pay-off fields; they load
+ *  with no reason and no release cycle. */
+TEST(Telemetry, V4DocumentLoadsWithoutSwitchPayoff)
+{
+    std::string doc =
+        "{\"schema_version\": 4, \"kernels\": [\n"
+        "  {\"kernel\": \"k\", \"level\": \"full\","
+        " \"predicted_cycles\": 100, \"wall_seconds\": 0.5,"
+        " \"backend\": \"detailed\", \"backend_detailed_cycles\": 100,"
+        " \"backend_interval_cycles\": 0}]}";
+    std::vector<KernelTelemetry> parsed;
+    std::string err;
+    ASSERT_TRUE(readTelemetryJson(doc, parsed, &err)) << err;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].predictedCycles, 100u);
+    EXPECT_EQ(parsed[0].noSwitchReason, "");
+    EXPECT_EQ(parsed[0].hooksReleasedCycle, kNoCycle);
 }
 
 TEST(Telemetry, CsvCarriesSchemaVersionHeader)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -154,6 +155,51 @@ TEST(WarpTrace, ApplyAllStoresReproducesEmulatedMemory)
     EXPECT_NE(replay_mem.contentHash(), cap_mem.contentHash());
     applyAllStores(*trace, replay_mem);
     EXPECT_EQ(replay_mem.contentHash(), cap_mem.contentHash());
+}
+
+TEST(WarpTrace, CaptureAloneMatchesLaunchSlices)
+{
+    // Dispatch-time capture records one warp at a time into a reused
+    // one-slice buffer. Each buffer must carry exactly the side streams
+    // of that warp's slice in a whole-launch capture, minus the store
+    // log, while its emulation lands the same stores in memory.
+    ProgramPtr prog;
+    LaunchDims dims;
+    GlobalMemory launch_mem(1 << 20);
+    LaunchTracePtr trace = captureUnitTrace(prog, dims, launch_mem);
+
+    GlobalMemory mem(1 << 20);
+    setupMem(mem, 4);
+    WarpCapturer capturer;
+    LaunchTrace buf;
+    auto bit = [](const LaunchTrace &t, std::uint64_t i) {
+        return (t.branchWords[i >> 6] >> (i & 63)) & 1;
+    };
+    for (WarpId w = 0; w < dims.totalWaves(); ++w) {
+        capturer.captureAlone(*prog, dims, mem, w, buf);
+        ASSERT_EQ(buf.warps.size(), 1u);
+        const LaunchTrace::WarpSlice &a = trace->warps[w];
+        const LaunchTrace::WarpSlice &b = buf.warps[0];
+        EXPECT_EQ(b.instCount, a.instCount) << "warp " << w;
+        EXPECT_EQ(buf.totalInsts, a.instCount) << "warp " << w;
+        ASSERT_EQ(b.branchBits, a.branchBits) << "warp " << w;
+        for (std::uint32_t i = 0; i < a.branchBits; ++i)
+            EXPECT_EQ(bit(buf, b.branchBase + i),
+                      bit(*trace, a.branchBase + i));
+        ASSERT_EQ(b.execCount, a.execCount);
+        for (std::uint32_t i = 0; i < a.execCount; ++i)
+            EXPECT_EQ(buf.execWords[b.execBase + i],
+                      trace->execWords[a.execBase + i]);
+        ASSERT_EQ(b.memLen, a.memLen);
+        EXPECT_TRUE(std::equal(
+            buf.memBytes.begin() + b.memBase,
+            buf.memBytes.begin() + b.memBase + b.memLen,
+            trace->memBytes.begin() + a.memBase));
+        EXPECT_GT(a.storeLen, 0u);
+        EXPECT_EQ(b.storeLen, 0u);
+        EXPECT_TRUE(buf.storeBytes.empty());
+    }
+    EXPECT_EQ(mem.contentHash(), launch_mem.contentHash());
 }
 
 TEST(WarpTrace, TraceableRejectsLdsPrograms)

@@ -127,7 +127,7 @@ usage()
         "functional-trace reuse (on by default; works in both modes):\n"
         "  --trace-cache PATH  persist captured launch traces to PATH\n"
         "                      and replay from it on later runs\n"
-        "  --no-trace-reuse    capture/replay nothing (every launch\n"
+        "  --no-trace-reuse    cache no launch traces (every launch\n"
         "                      re-executes register semantics)\n");
 }
 
