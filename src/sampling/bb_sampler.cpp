@@ -86,7 +86,7 @@ BbSampler::predictSlotTime(std::uint32_t slot) const
 std::uint64_t
 BbSampler::stateFingerprint() const
 {
-    std::uint64_t h = kMemoFnvBasis;
+    std::uint64_t h = kFnvBasis;
     h = memoMix(h, detectors_.size());
     for (std::size_t i = 0; i < detectors_.size(); ++i) {
         const StabilityDetector &d = *detectors_[i];

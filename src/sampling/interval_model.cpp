@@ -46,7 +46,7 @@ InstLatencyTable::latency(isa::Opcode op) const
 std::uint64_t
 InstLatencyTable::fingerprint() const
 {
-    std::uint64_t h = kMemoFnvBasis;
+    std::uint64_t h = kFnvBasis;
     for (std::size_t i = 0; i < count_.size(); ++i) {
         if (count_[i] == 0)
             continue;
@@ -74,7 +74,7 @@ IntervalModel::predictBb(const isa::Program &program,
 std::uint64_t
 IntervalMemo::fingerprint(const Bbv &bbv)
 {
-    std::uint64_t h = kMemoFnvBasis;
+    std::uint64_t h = kFnvBasis;
     const auto &counts = bbv.counts();
     for (std::uint32_t s = 0; s < counts.size(); ++s) {
         if (counts[s] == 0)

@@ -23,22 +23,19 @@
 #include "isa/program.hpp"
 #include "sampling/bbv.hpp"
 #include "sim/config.hpp"
+#include "sim/hash.hpp"
 #include "sim/types.hpp"
 
 namespace photon::sampling {
 
-/** FNV-1a basis for the memo fingerprints (same constants as the
- *  serve-layer admission fingerprints, reimplemented here because
- *  sampling/ sits below serve/ in the layering). */
-inline constexpr std::uint64_t kMemoFnvBasis = 0xcbf29ce484222325ull;
-
-/** Fold one 64-bit word into an FNV-1a hash, byte by byte. */
+/** Fold one 64-bit word into an FNV-1a hash (sim/hash.hpp), byte by
+ *  byte in little-endian order whatever the host's. */
 inline std::uint64_t
 memoMix(std::uint64_t h, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i) {
         h ^= (v >> (8 * i)) & 0xffu;
-        h *= 0x100000001b3ull;
+        h *= kFnvPrime;
     }
     return h;
 }

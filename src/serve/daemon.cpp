@@ -115,8 +115,19 @@ connectionLoop(Workers &workers, int fd)
     std::string partial;
     for (;;) {
         int n = net::recvLine(fd, line, 0.4);
-        if (n < 0) {
+        if (n < 0)
             partial += line;
+        if (partial.size() + (n > 0 ? line.size() : 0) >
+            net::kMaxLineBytes) {
+            // Refuse an over-long request line and drop the connection:
+            // the rest of the line cannot be told from the next request.
+            Response resp;
+            resp.error = "request line exceeds " +
+                         std::to_string(net::kMaxLineBytes) + " bytes";
+            net::sendLine(fd, encodeResponse(resp));
+            break;
+        }
+        if (n < 0) {
             // Timeout slice: keep reading unless the daemon is
             // draining — a drained daemon abandons idle connections.
             if (workers.stopping.load())

@@ -7,25 +7,6 @@
 namespace photon::serve {
 
 std::uint64_t
-fnv1a(std::uint64_t h, const void *bytes, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(bytes);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1aString(std::uint64_t h, const std::string &s)
-{
-    std::uint64_t len = s.size();
-    h = fnv1a(h, &len, sizeof(len));
-    return fnv1a(h, s.data(), s.size());
-}
-
-std::uint64_t
 fingerprintGpuBbv(const sampling::GpuBbv &signature)
 {
     std::uint64_t h = kFnvBasis;

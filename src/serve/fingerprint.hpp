@@ -15,9 +15,9 @@
  *    kernels reduce to identical GPU BBVs collapse onto one in-flight
  *    run.
  *
- * All hashing is 64-bit FNV-1a over exact byte patterns; the online
- * analysis is deterministic, so identical launches hash identically
- * across processes and restarts.
+ * All hashing is 64-bit FNV-1a (sim/hash.hpp) over exact byte
+ * patterns; the online analysis is deterministic, so identical launches
+ * hash identically across processes and restarts.
  */
 
 #ifndef PHOTON_SERVE_FINGERPRINT_HPP
@@ -29,17 +29,9 @@
 #include "sampling/gpu_bbv.hpp"
 #include "sampling/photon.hpp"
 #include "service/campaign.hpp"
+#include "sim/hash.hpp"
 
 namespace photon::serve {
-
-/** 64-bit FNV-1a offset basis (the accumulator seed). */
-inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-
-/** Fold @p bytes into @p h (FNV-1a step). */
-std::uint64_t fnv1a(std::uint64_t h, const void *bytes, std::size_t n);
-
-/** Fold a string (length-prefixed, so "ab"+"c" != "a"+"bc"). */
-std::uint64_t fnv1aString(std::uint64_t h, const std::string &s);
 
 /** Hash one GPU-BBV signature (dims, clusters, exact vector bits). */
 std::uint64_t fingerprintGpuBbv(const sampling::GpuBbv &signature);

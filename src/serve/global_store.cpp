@@ -1,5 +1,6 @@
 #include "serve/global_store.hpp"
 
+#include <filesystem>
 #include <fstream>
 
 #include "serve/fingerprint.hpp"
@@ -17,14 +18,31 @@ GlobalStore::GlobalStore(Options options) : opts_(std::move(options))
     if (!probe)
         return; // cold start
     probe.close();
-    service::LoadStatus st = service::loadArtifact(opts_.path, store_);
-    if (!st.ok) {
+    service::PrefixLoad load =
+        service::loadArtifactPrefix(opts_.path, store_);
+    if (!load.status.ok) {
         fatal("serve store '", opts_.path,
               "': refusing to start over a corrupt checkpoint: ",
-              st.error);
+              load.status.error);
+    }
+    if (!load.tailError.empty()) {
+        // A writer killed mid-append: keep every batch before the bad
+        // one and cut the file back to them before the next append.
+        warn("serve store '", opts_.path, "': dropped ",
+             load.fileBytes - load.goodBytes,
+             " bytes after its last good batch (", load.tailError,
+             "); batches kept: ", load.batches);
+        truncateTo_ = load.goodBytes;
+    }
+    if (load.version == service::kArtifactVersion) {
+        appendable_ = true;
+    } else {
+        // A pre-v7 file takes no batches: the first checkpoint rewrites
+        // it whole, as it writes a cold store's first file.
+        pending_ = store_;
     }
     // Warm restart: re-seed the resident trace store from the
-    // checkpoint's v5 trace section.
+    // checkpoint's trace section.
     traceStore_.import(store_.traces);
 }
 
@@ -32,8 +50,13 @@ service::StoreGroup
 GlobalStore::snapshot(const std::string &gpu) const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    service::StoreGroup seed;
     auto it = store_.groups.find(gpu);
-    return it == store_.groups.end() ? service::StoreGroup{} : it->second;
+    if (it != store_.groups.end()) {
+        seed.kernels = it->second.kernels;
+        seed.analyses = it->second.analyses;
+    }
+    return seed;
 }
 
 void
@@ -45,14 +68,23 @@ GlobalStore::publish(
 {
     std::lock_guard<std::mutex> lock(mu_);
     service::StoreGroup &g = store_.groups[gpu];
+    service::StoreGroup &fresh = pending_.groups[gpu];
     g.kernels.insert(g.kernels.end(), kernels.begin(), kernels.end());
+    fresh.kernels.insert(fresh.kernels.end(), kernels.begin(),
+                         kernels.end());
     // First entry wins: an analysis is a pure function of the launch,
     // so re-published duplicates are identical and can be dropped.
     bool fresh_analysis = false;
-    for (const auto &[key, analysis] : analyses) // photon-lint: order-insensitive
-        fresh_analysis |= g.analyses.emplace(key, analysis).second;
+    for (const auto &[key, analysis] : analyses) { // photon-lint: order-insensitive
+        if (g.analyses.emplace(key, analysis).second) {
+            fresh.analyses.emplace(key, analysis);
+            fresh_analysis = true;
+        }
+    }
     g.telemetry.insert(g.telemetry.end(), telemetry.begin(),
                        telemetry.end());
+    fresh.telemetry.insert(fresh.telemetry.end(), telemetry.begin(),
+                           telemetry.end());
     if (!kernels.empty() || fresh_analysis || !telemetry.empty())
         dirty_ = true;
 }
@@ -209,22 +241,39 @@ GlobalStore::writeCheckpointLocked(std::string *error)
 {
     if (opts_.path.empty())
         return true;
-    // Fold freshly captured traces into the artifact (first-wins keys,
-    // so a re-fold is a no-op; growth marks the store dirty).
-    std::map<std::string, func::LaunchTracePtr> traces =
-        traceStore_.exportAll();
-    if (traces.size() != store_.traces.size()) {
-        store_.traces = std::move(traces);
+    // Fold freshly captured traces into the batch. store_.traces holds
+    // every trace already persisted or pending, and the trace store
+    // only grows (first-wins), so equal sizes mean nothing is new.
+    if (traceStore_.size() != store_.traces.size()) {
+        for (const auto &[key, trace] : traceStore_.exportAll()) {
+            if (store_.traces.emplace(key, trace).second)
+                pending_.traces.emplace(key, trace);
+        }
         dirty_ = true;
     }
     if (!dirty_)
         return true;
-    service::LoadStatus st = service::saveArtifact(store_, opts_.path);
+    if (truncateTo_) {
+        std::error_code ec;
+        std::filesystem::resize_file(opts_.path, truncateTo_, ec);
+        if (ec) {
+            if (error)
+                *error = "cannot drop the torn tail of '" + opts_.path +
+                         "': " + ec.message();
+            return false;
+        }
+        truncateTo_ = 0;
+    }
+    service::LoadStatus st =
+        appendable_ ? service::appendArtifact(pending_, opts_.path)
+                    : service::saveArtifact(pending_, opts_.path);
     if (!st.ok) {
         if (error)
             *error = st.error;
-        return false;
+        return false; // pending_ stays queued for the next checkpoint
     }
+    pending_ = service::Artifact{};
+    appendable_ = true;
     dirty_ = false;
     sinceCheckpoint_ = 0;
     ++stats_.checkpoints;

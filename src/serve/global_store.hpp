@@ -13,8 +13,12 @@
  *    `photon_sim status` / `photon_sim cache`;
  *  - the admission-fingerprint registry: spec -> learned GPU-BBV
  *    fingerprint (see serve/fingerprint.hpp);
- *  - periodic checkpointing through artifact store v3 plus reload on
- *    construction, so a daemon restart keeps the warm cache.
+ *  - periodic checkpointing plus reload on construction, so a daemon
+ *    restart keeps the warm cache. A checkpoint appends one artifact v7
+ *    batch holding exactly the records published and the traces
+ *    captured since the previous one, so its cost follows the new
+ *    records, not the store's history; a restart over a torn or
+ *    corrupt tail keeps every batch before it.
  *
  * Every public method locks internally (PHOTON_PHASE_EXEMPT): callers
  * are the resident workers and the transport threads.
@@ -60,7 +64,7 @@ class GlobalStore
   public:
     struct Options
     {
-        /** Checkpoint file (artifact store v3 format); "" disables
+        /** Checkpoint file (a batched artifact, v7); "" disables
          *  persistence entirely. */
         std::string path;
         /** Write a checkpoint every N executed jobs (0 = only on
@@ -69,12 +73,17 @@ class GlobalStore
     };
 
     /** Loads the checkpoint at @p options.path when one exists; a
-     *  missing file is a cold start, a corrupt one is fatal (refusing
-     *  to silently discard a warm store). */
+     *  missing file is a cold start. A partial or checksum-failing
+     *  tail batch (a writer killed mid-append) is dropped with a
+     *  warning and truncated away before the next append; a bad magic,
+     *  version or pre-v7 body is fatal (refusing to silently discard a
+     *  warm store). */
     explicit GlobalStore(Options options);
     GlobalStore();
 
-    /** Copy of one GPU's group (empty when absent). */
+    /** Seed for a fresh job: copies of one GPU's kernel records and
+     *  analyses (empty when absent). Telemetry, which only grows and
+     *  seeds nothing, is left out. */
     PHOTON_PHASE_EXEMPT
     service::StoreGroup snapshot(const std::string &gpu) const;
 
@@ -158,7 +167,8 @@ class GlobalStore
     /**
      * Called after every executed job: writes a checkpoint when the
      * configured interval elapsed and the store is dirty. Returns false
-     * + @p error on I/O failure (the daemon logs and keeps running).
+     * + @p error on I/O failure (the daemon logs and keeps running; the
+     * unwritten records stay pending for the next checkpoint).
      */
     PHOTON_PHASE_EXEMPT bool maybeCheckpoint(std::string *error = nullptr);
 
@@ -168,10 +178,11 @@ class GlobalStore
     const Options &options() const { return opts_; }
 
   private:
-    /** Flush to opts_.path; the caller already holds mu_ (enforced by
-     *  the lint lock-set pass at every call site). Folds the trace
-     *  store's current contents into the artifact first, so every
-     *  checkpoint carries the traces captured so far. */
+    /** Flush pending_ to opts_.path; the caller already holds mu_
+     *  (enforced by the lint lock-set pass at every call site). Folds
+     *  the traces captured since the last checkpoint into the batch
+     *  first. The first checkpoint of a store without a v7 file writes
+     *  the file; every later one appends. */
     PHOTON_REQUIRES_LOCK(mu_)
     bool writeCheckpointLocked(std::string *error);
 
@@ -181,9 +192,23 @@ class GlobalStore
      *  launch, so it deliberately sits outside mu_. */
     PHOTON_SHARED_STATE
     func::TraceStore traceStore_;
+    /** Everything resident. Its trace map holds every trace handed to
+     *  a checkpoint batch (written or pending); the live set is
+     *  traceStore_. */
     PHOTON_SHARED_STATE
     PHOTON_GUARDED_BY(mu_)
     service::Artifact store_;
+    /** The next checkpoint's batch: records published (and traces
+     *  captured) since the last successful one. */
+    PHOTON_GUARDED_BY(mu_)
+    service::Artifact pending_;
+    /** opts_.path holds a v7 artifact the next batch can append to. */
+    PHOTON_GUARDED_BY(mu_)
+    bool appendable_ = false;
+    /** Size to cut the file back to before the next append: the end of
+     *  its last good batch when the load dropped a torn tail, else 0. */
+    PHOTON_GUARDED_BY(mu_)
+    std::uint64_t truncateTo_ = 0;
     PHOTON_SHARED_STATE
     PHOTON_GUARDED_BY(mu_)
     StoreStats stats_;

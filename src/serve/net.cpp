@@ -152,22 +152,37 @@ int
 recvLine(int fd, std::string &line, double deadline_seconds)
 {
     line.clear();
-    // The socket's 200 ms receive timeout slices the wait; accumulate
+    // Peek at what has arrived, then consume exactly through the first
+    // '\n': two syscalls per line, and the next line stays queued. The
+    // socket's 200 ms receive timeout slices the wait; accumulate
     // slices until the caller's deadline elapses.
     double waited = 0.0;
-    char c = 0;
-    bool any = false;
+    char buf[4096];
     for (;;) {
-        ssize_t n = ::recv(fd, &c, 1, 0);
-        if (n == 1) {
-            any = true;
-            if (c == '\n')
+        ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_PEEK);
+        if (n > 0) {
+            const char *nl = static_cast<const char *>(
+                std::memchr(buf, '\n', static_cast<std::size_t>(n)));
+            const std::size_t take =
+                nl ? static_cast<std::size_t>(nl - buf) + 1
+                   : static_cast<std::size_t>(n);
+            ssize_t got = ::recv(fd, buf, take, 0);
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got <= 0)
+                return -1;
+            const bool done =
+                nl && static_cast<std::size_t>(got) == take;
+            line.append(buf, done ? take - 1
+                                  : static_cast<std::size_t>(got));
+            if (line.size() > kMaxLineBytes)
+                return -1;
+            if (done)
                 return 1;
-            line.push_back(c);
             continue;
         }
         if (n == 0)
-            return any ? 1 : 0; // EOF; a partial line still counts
+            return line.empty() ? 0 : 1; // EOF; a partial line counts
         if (errno == EINTR)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {

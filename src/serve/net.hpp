@@ -9,6 +9,7 @@
 #ifndef PHOTON_SERVE_NET_HPP
 #define PHOTON_SERVE_NET_HPP
 
+#include <cstddef>
 #include <string>
 
 namespace photon::serve::net {
@@ -31,12 +32,19 @@ int connectUnix(const std::string &path, std::string *error);
 /** Send all of @p data (+ '\n'); false on error. */
 bool sendLine(int fd, const std::string &data);
 
+/** Longest line recvLine accepts, terminator excluded. The protocol's
+ *  largest line, a `status` reply, is well under 2 KiB. */
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 /**
  * Read one '\n'-terminated line (the terminator is stripped). Returns
- * 1 on a line, 0 on orderly EOF before any byte, -1 on error/timeout.
- * @p deadline_seconds bounds the total wait. @p line is cleared on
- * entry; on -1 it holds the bytes received so far, which a caller
- * polling in short slices must keep and prepend to the next read.
+ * 1 on a line, 0 on orderly EOF before any byte, -1 on error/timeout
+ * or once the line exceeds kMaxLineBytes. @p deadline_seconds bounds
+ * the total wait. @p line is cleared on entry; on -1 it holds the bytes
+ * consumed so far, which a caller polling in short slices must keep and
+ * prepend to the next read (and hold to kMaxLineBytes itself). Bytes
+ * after the terminator stay in the socket for the next call, so a
+ * pipelined request is never swallowed.
  */
 int recvLine(int fd, std::string &line, double deadline_seconds);
 

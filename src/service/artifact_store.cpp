@@ -2,15 +2,25 @@
 
 #include <algorithm>
 #include <bit>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/hash.hpp"
 
 namespace photon::service {
 
 namespace {
 
 constexpr char kMagic[4] = {'P', 'H', 'A', 'S'};
+/** Magic plus the u32 version. */
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4;
+/** A batch's u64 length prefix plus its u64 checksum. */
+constexpr std::size_t kBatchFrameBytes = 16;
+/** First version whose body is a sequence of checksummed batches. */
+constexpr std::uint32_t kFirstBatchedVersion = 7;
 
 // ----- Little-endian primitive encoding -----
 
@@ -279,6 +289,8 @@ putTelemetry(std::string &out, const sampling::KernelTelemetry &t)
     putString(out, t.backend);
     putU64(out, t.backendDetailedCycles);
     putU64(out, t.backendIntervalCycles);
+    putString(out, t.noSwitchReason);
+    putU64(out, t.hooksReleasedCycle);
 }
 
 sampling::KernelTelemetry
@@ -327,7 +339,223 @@ getTelemetry(Reader &r, std::uint32_t version)
     }
     if (version == 4 || version == 5)
         r.u32(); // hasDetailedStats
+    if (version >= 7) {
+        t.noSwitchReason = r.str();
+        t.hooksReleasedCycle = r.u64();
+    }
     return t;
+}
+
+/** The section layout every batch carries: groups, then traces. */
+void
+putBody(std::string &out, const Artifact &artifact)
+{
+    putU32(out, static_cast<std::uint32_t>(artifact.groups.size()));
+    for (const auto &[gpu, g] : artifact.groups) {
+        putString(out, gpu);
+        putU32(out, static_cast<std::uint32_t>(g.kernels.size()));
+        for (const auto &rec : g.kernels)
+            putKernelRecord(out, rec);
+        // The analysis store is an unordered_map; sort the keys so
+        // serialization is byte-deterministic.
+        std::vector<const std::string *> keys;
+        keys.reserve(g.analyses.size());
+        for (const auto &[key, a] : g.analyses) // photon-lint: order-insensitive
+            keys.push_back(&key);
+        std::sort(keys.begin(), keys.end(),
+                  [](const auto *a, const auto *b) { return *a < *b; });
+        putU32(out, static_cast<std::uint32_t>(keys.size()));
+        for (const std::string *key : keys) {
+            putString(out, *key);
+            putAnalysis(out, g.analyses.at(*key));
+        }
+        putU32(out, static_cast<std::uint32_t>(g.telemetry.size()));
+        for (const auto &t : g.telemetry)
+            putTelemetry(out, t);
+    }
+    // v5 trace section: std::map iteration is key-sorted, so the
+    // section is byte-deterministic. Each trace is its own versioned
+    // blob (magic "PHTR") behind a length prefix.
+    putU32(out, static_cast<std::uint32_t>(artifact.traces.size()));
+    for (const auto &[key, trace] : artifact.traces) {
+        putString(out, key);
+        std::vector<std::uint8_t> blob;
+        func::serializeLaunchTrace(*trace, blob);
+        putU64(out, blob.size());
+        out.append(reinterpret_cast<const char *>(blob.data()),
+                   blob.size());
+    }
+}
+
+/** Append one batch (length, body, checksum), serializing the body in
+ *  place and patching its length afterwards. */
+void
+putBatch(std::string &out, const Artifact &artifact)
+{
+    const std::size_t len_at = out.size();
+    putU64(out, 0);
+    const std::size_t body_at = out.size();
+    putBody(out, artifact);
+    const std::uint64_t len = out.size() - body_at;
+    for (int i = 0; i < 8; ++i)
+        out[len_at + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    putU64(out, fnv1a(kFnvBasis, out.data() + body_at, len));
+}
+
+Artifact
+getBody(Reader &body, std::uint32_t version)
+{
+    Artifact parsed;
+    std::uint32_t num_groups = body.u32();
+    for (std::uint32_t gi = 0; gi < num_groups; ++gi) {
+        std::string gpu = body.str();
+        StoreGroup &g = parsed.groups[gpu];
+        std::uint32_t num_kernels = body.u32();
+        g.kernels.reserve(num_kernels);
+        for (std::uint32_t i = 0; i < num_kernels; ++i)
+            g.kernels.push_back(getKernelRecord(body));
+        std::uint32_t num_analyses = body.u32();
+        for (std::uint32_t i = 0; i < num_analyses; ++i) {
+            std::string key = body.str();
+            g.analyses.emplace(std::move(key), getAnalysis(body));
+        }
+        if (version >= 2) {
+            std::uint32_t num_tele = body.u32();
+            g.telemetry.reserve(num_tele);
+            for (std::uint32_t i = 0; i < num_tele; ++i)
+                g.telemetry.push_back(getTelemetry(body, version));
+        }
+    }
+    if (version >= 5) {
+        std::uint32_t num_traces = body.u32();
+        for (std::uint32_t i = 0; i < num_traces; ++i) {
+            std::string key = body.str();
+            std::uint64_t len = body.u64();
+            std::string_view blob = body.raw(static_cast<std::size_t>(len));
+            auto trace = std::make_shared<func::LaunchTrace>();
+            std::string err;
+            if (!func::deserializeLaunchTrace(
+                    reinterpret_cast<const std::uint8_t *>(blob.data()),
+                    blob.size(), *trace, &err))
+                throw ParseError("trace '" + key + "': " + err);
+            parsed.traces.emplace(std::move(key), std::move(trace));
+        }
+    }
+    return parsed;
+}
+
+/** Merge a later batch into @p into: kernel records and telemetry
+ *  append, analyses and traces are first-wins (GlobalStore::publish's
+ *  rules, so a batched file loads to the store that wrote it). */
+void
+mergeArtifact(Artifact &into, Artifact &&from)
+{
+    for (auto &[gpu, g] : from.groups) {
+        auto [it, fresh] = into.groups.try_emplace(gpu);
+        StoreGroup &dst = it->second;
+        if (fresh) {
+            dst = std::move(g);
+            continue;
+        }
+        dst.kernels.insert(dst.kernels.end(),
+                           std::make_move_iterator(g.kernels.begin()),
+                           std::make_move_iterator(g.kernels.end()));
+        for (auto &[key, a] : g.analyses) // photon-lint: order-insensitive
+            dst.analyses.emplace(key, std::move(a));
+        dst.telemetry.insert(dst.telemetry.end(),
+                             std::make_move_iterator(g.telemetry.begin()),
+                             std::make_move_iterator(g.telemetry.end()));
+    }
+    for (auto &[key, trace] : from.traces)
+        into.traces.emplace(key, std::move(trace));
+}
+
+/**
+ * Parse @p bytes into @p out. A bad header or pre-v7 body throws
+ * ParseError; a v7 file stops at its first bad batch, with the batches
+ * before it merged into @p out and the reason in load.tailError.
+ */
+void
+parseArtifact(std::string_view bytes, Artifact &out, PrefixLoad &load)
+{
+    load.fileBytes = bytes.size();
+    if (bytes.size() < sizeof(kMagic))
+        throw ParseError("truncated artifact (no magic)");
+    if (!std::equal(kMagic, kMagic + sizeof(kMagic), bytes.begin()))
+        throw ParseError("not a Photon artifact (bad magic)");
+    load.version = Reader(bytes.substr(sizeof(kMagic))).u32();
+    if (load.version < 1 || load.version > kArtifactVersion) {
+        std::ostringstream os;
+        os << "artifact version mismatch: file has v" << load.version
+           << ", this build reads v1..v" << kArtifactVersion;
+        throw ParseError(os.str());
+    }
+    if (load.version < kFirstBatchedVersion) {
+        Reader body(bytes.substr(kHeaderBytes));
+        out = getBody(body, load.version);
+        if (!body.atEnd())
+            throw ParseError("trailing bytes after artifact body");
+        load.goodBytes = bytes.size();
+        load.batches = 1;
+        return;
+    }
+    std::size_t pos = kHeaderBytes;
+    load.goodBytes = pos;
+    while (pos < bytes.size()) {
+        const std::string_view rest = bytes.substr(pos);
+        const std::string at = " at offset " + std::to_string(pos);
+        if (rest.size() < 8) {
+            load.tailError = "trailing bytes after the last artifact "
+                             "batch (" + std::to_string(rest.size()) +
+                             " bytes" + at + ")";
+            return;
+        }
+        const std::uint64_t len = Reader(rest).u64();
+        if (rest.size() < kBatchFrameBytes ||
+            len > rest.size() - kBatchFrameBytes) {
+            load.tailError = "truncated artifact batch" + at + " (" +
+                             std::to_string(len) + "-byte body, " +
+                             std::to_string(rest.size()) +
+                             " bytes remain)";
+            return;
+        }
+        const std::string_view body = rest.substr(8, len);
+        if (fnv1a(kFnvBasis, body.data(), body.size()) !=
+            Reader(rest.substr(8 + len)).u64()) {
+            load.tailError = "artifact batch" + at + " fails its checksum";
+            return;
+        }
+        try {
+            Reader r(body);
+            Artifact batch = getBody(r, load.version);
+            if (!r.atEnd())
+                throw ParseError("trailing bytes inside the batch");
+            mergeArtifact(out, std::move(batch));
+        } catch (const ParseError &e) {
+            load.tailError = "artifact batch" + at + ": " + e.what();
+            return;
+        }
+        pos += kBatchFrameBytes + len;
+        load.goodBytes = pos;
+        ++load.batches;
+    }
+}
+
+LoadStatus
+readFile(const std::string &path, std::string &bytes)
+{
+    std::ifstream f(path, std::ios::binary | std::ios::ate);
+    if (!f)
+        return LoadStatus::fail("cannot open '" + path + "' for reading");
+    const std::streamoff size = f.tellg();
+    if (size < 0)
+        return LoadStatus::fail("read from '" + path + "' failed");
+    bytes.resize(static_cast<std::size_t>(size));
+    f.seekg(0);
+    f.read(bytes.data(), size);
+    if (!f)
+        return LoadStatus::fail("read from '" + path + "' failed");
+    return {};
 }
 
 } // namespace
@@ -365,41 +593,7 @@ serializeArtifact(const Artifact &artifact)
     std::string out;
     out.append(kMagic, sizeof(kMagic));
     putU32(out, kArtifactVersion);
-    putU32(out, static_cast<std::uint32_t>(artifact.groups.size()));
-    for (const auto &[gpu, g] : artifact.groups) {
-        putString(out, gpu);
-        putU32(out, static_cast<std::uint32_t>(g.kernels.size()));
-        for (const auto &rec : g.kernels)
-            putKernelRecord(out, rec);
-        // The analysis store is an unordered_map; sort the keys so
-        // serialization is byte-deterministic.
-        std::vector<const std::string *> keys;
-        keys.reserve(g.analyses.size());
-        for (const auto &[key, a] : g.analyses) // photon-lint: order-insensitive
-            keys.push_back(&key);
-        std::sort(keys.begin(), keys.end(),
-                  [](const auto *a, const auto *b) { return *a < *b; });
-        putU32(out, static_cast<std::uint32_t>(keys.size()));
-        for (const std::string *key : keys) {
-            putString(out, *key);
-            putAnalysis(out, g.analyses.at(*key));
-        }
-        putU32(out, static_cast<std::uint32_t>(g.telemetry.size()));
-        for (const auto &t : g.telemetry)
-            putTelemetry(out, t);
-    }
-    // v5 trace section: std::map iteration is key-sorted, so the
-    // section is byte-deterministic. Each trace is its own versioned
-    // blob (magic "PHTR") behind a length prefix.
-    putU32(out, static_cast<std::uint32_t>(artifact.traces.size()));
-    for (const auto &[key, trace] : artifact.traces) {
-        putString(out, key);
-        std::vector<std::uint8_t> blob;
-        func::serializeLaunchTrace(*trace, blob);
-        putU64(out, blob.size());
-        out.append(reinterpret_cast<const char *>(blob.data()),
-                   blob.size());
-    }
+    putBatch(out, artifact);
     return out;
 }
 
@@ -407,65 +601,17 @@ LoadStatus
 deserializeArtifact(std::string_view bytes, Artifact &out)
 {
     out = Artifact{};
+    Artifact parsed;
+    PrefixLoad load;
     try {
-        if (bytes.size() < sizeof(kMagic))
-            return LoadStatus::fail("truncated artifact (no magic)");
-        if (!std::equal(kMagic, kMagic + sizeof(kMagic), bytes.begin()))
-            return LoadStatus::fail("not a Photon artifact (bad magic)");
-        Reader body(bytes.substr(sizeof(kMagic)));
-        std::uint32_t version = body.u32();
-        if (version < 1 || version > kArtifactVersion) {
-            std::ostringstream os;
-            os << "artifact version mismatch: file has v" << version
-               << ", this build reads v1..v" << kArtifactVersion;
-            return LoadStatus::fail(os.str());
-        }
-        std::uint32_t num_groups = body.u32();
-        Artifact parsed;
-        for (std::uint32_t gi = 0; gi < num_groups; ++gi) {
-            std::string gpu = body.str();
-            StoreGroup &g = parsed.groups[gpu];
-            std::uint32_t num_kernels = body.u32();
-            g.kernels.reserve(num_kernels);
-            for (std::uint32_t i = 0; i < num_kernels; ++i)
-                g.kernels.push_back(getKernelRecord(body));
-            std::uint32_t num_analyses = body.u32();
-            for (std::uint32_t i = 0; i < num_analyses; ++i) {
-                std::string key = body.str();
-                g.analyses.emplace(std::move(key), getAnalysis(body));
-            }
-            if (version >= 2) {
-                std::uint32_t num_tele = body.u32();
-                g.telemetry.reserve(num_tele);
-                for (std::uint32_t i = 0; i < num_tele; ++i)
-                    g.telemetry.push_back(getTelemetry(body, version));
-            }
-        }
-        if (version >= 5) {
-            std::uint32_t num_traces = body.u32();
-            for (std::uint32_t i = 0; i < num_traces; ++i) {
-                std::string key = body.str();
-                std::uint64_t len = body.u64();
-                std::string_view blob =
-                    body.raw(static_cast<std::size_t>(len));
-                auto trace = std::make_shared<func::LaunchTrace>();
-                std::string err;
-                if (!func::deserializeLaunchTrace(
-                        reinterpret_cast<const std::uint8_t *>(
-                            blob.data()),
-                        blob.size(), *trace, &err))
-                    throw ParseError("trace '" + key + "': " + err);
-                parsed.traces.emplace(std::move(key), std::move(trace));
-            }
-        }
-        if (!body.atEnd())
-            return LoadStatus::fail("trailing bytes after artifact body");
-        out = std::move(parsed);
-        return {};
+        parseArtifact(bytes, parsed, load);
     } catch (const ParseError &e) {
-        out = Artifact{};
         return LoadStatus::fail(e.what());
     }
+    if (!load.tailError.empty())
+        return LoadStatus::fail(load.tailError);
+    out = std::move(parsed);
+    return {};
 }
 
 LoadStatus
@@ -483,17 +629,58 @@ saveArtifact(const Artifact &artifact, const std::string &path)
 }
 
 LoadStatus
+appendArtifact(const Artifact &batch, const std::string &path)
+{
+    std::error_code ec;
+    const std::uintmax_t before = std::filesystem::file_size(path, ec);
+    if (ec || before < kHeaderBytes)
+        return LoadStatus::fail("cannot append to '" + path +
+                                "': no artifact header to append to");
+    std::string bytes;
+    putBatch(bytes, batch);
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    if (!f)
+        return LoadStatus::fail("cannot open '" + path + "' for appending");
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    f.close();
+    if (!f) {
+        std::filesystem::resize_file(path, before, ec);
+        return LoadStatus::fail(
+            "append to '" + path + "' failed" +
+            (ec ? "; truncating it back also failed: " + ec.message()
+                : "; file restored to " + std::to_string(before) +
+                      " bytes"));
+    }
+    return {};
+}
+
+LoadStatus
 loadArtifact(const std::string &path, Artifact &out)
 {
     out = Artifact{};
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return LoadStatus::fail("cannot open '" + path + "' for reading");
-    std::ostringstream os;
-    os << f.rdbuf();
-    if (f.bad())
-        return LoadStatus::fail("read from '" + path + "' failed");
-    return deserializeArtifact(os.str(), out);
+    std::string bytes;
+    LoadStatus st = readFile(path, bytes);
+    if (!st.ok)
+        return st;
+    return deserializeArtifact(bytes, out);
+}
+
+PrefixLoad
+loadArtifactPrefix(const std::string &path, Artifact &out)
+{
+    out = Artifact{};
+    PrefixLoad load;
+    std::string bytes;
+    load.status = readFile(path, bytes);
+    if (!load.status.ok)
+        return load;
+    try {
+        parseArtifact(bytes, out, load);
+    } catch (const ParseError &e) {
+        out = Artifact{};
+        load.status = LoadStatus::fail(e.what());
+    }
+    return load;
 }
 
 } // namespace photon::service

@@ -11,6 +11,17 @@
  * The format is explicitly little-endian and carries a magic + version
  * header; loaders reject unknown versions and truncated or corrupt input
  * with a diagnostic instead of crashing.
+ *
+ * Since v7 the header is followed by one or more checksummed *batches*:
+ *
+ *   file  := "PHAS" u32 version batch*
+ *   batch := u64 body_len  body[body_len]  u64 fnv1a64(body)
+ *   body  := the v6 section layout (groups, then traces)
+ *
+ * Loading merges the batches in order with the daemon store's publish
+ * rules: kernel records and telemetry append, analyses and traces are
+ * first-wins. saveArtifact writes a one-batch file; appendArtifact adds
+ * one batch, so a store that only grows persists each record once.
  */
 
 #ifndef PHOTON_SERVICE_ARTIFACT_STORE_HPP
@@ -44,8 +55,14 @@ namespace photon::service {
  *  groups; v1..v4 artifacts load with an empty trace map.
  *  v6: telemetry records drop the epoch statistics and
  *  hasDetailedStats (telemetry schema v4); v3..v5 records are read
- *  and the dropped fields discarded. */
-inline constexpr std::uint32_t kArtifactVersion = 6;
+ *  and the dropped fields discarded.
+ *  v7: the body becomes a sequence of length-prefixed batches, each
+ *  followed by an FNV-1a 64 checksum of its bytes, so a checkpoint
+ *  appends only what changed and a torn or flipped tail is detected;
+ *  telemetry records gain no_switch_reason and hooks_released_cycle
+ *  (telemetry schema v5), which v1..v6 records load as "" and
+ *  kNoCycle. */
+inline constexpr std::uint32_t kArtifactVersion = 7;
 
 /** Reusable state produced by runs on one GPU configuration. */
 struct StoreGroup
@@ -95,22 +112,54 @@ struct LoadStatus
     }
 };
 
-/** Serialize @p artifact to the binary format (deterministic: map
+/** Serialize @p artifact as a one-batch file (deterministic: map
  *  iteration order is sorted, analysis keys are sorted). */
 std::string serializeArtifact(const Artifact &artifact);
 
-/** Parse a serialized artifact; on failure @p out is left empty. */
+/** Parse a serialized artifact, merging every batch; any bad batch
+ *  fails the whole parse, and on failure @p out is left empty. */
 LoadStatus deserializeArtifact(std::string_view bytes, Artifact &out);
 
-/** Write @p artifact to @p path; returns ok=false on I/O failure.
- *  Persisted artifacts must be bit-identical across reruns, so a
- *  nondeterministic value reaching this writer is a bug. */
+/** Write @p artifact to @p path as a one-batch file; returns ok=false
+ *  on I/O failure. Persisted artifacts must be bit-identical across
+ *  reruns, so a nondeterministic value reaching this writer is a bug. */
 PHOTON_DET_SINK
 LoadStatus saveArtifact(const Artifact &artifact, const std::string &path);
 
-/** Read an artifact from @p path (I/O, magic, version and structural
- *  errors are all reported through the status). */
+/** Append @p batch as one more batch to the current-version artifact
+ *  at @p path. A failed write (short write, full disk) truncates the
+ *  file back to its size before the call, so the file never keeps a
+ *  partial batch this process could have removed. */
+PHOTON_DET_SINK
+LoadStatus appendArtifact(const Artifact &batch, const std::string &path);
+
+/** Read an artifact from @p path (I/O, magic, version, checksum and
+ *  structural errors are all reported through the status; nothing is
+ *  loaded partially). */
 LoadStatus loadArtifact(const std::string &path, Artifact &out);
+
+/** What loadArtifactPrefix recovered from one file. */
+struct PrefixLoad
+{
+    /** Fatal problems only: I/O, magic, version, or a pre-v7 body that
+     *  does not parse. A bad v7 batch is not fatal (see tailError). */
+    LoadStatus status;
+    std::uint32_t version = 0; ///< the file's format version
+    std::uint64_t fileBytes = 0;
+    /** Bytes through the last good batch: where the next batch belongs.
+     *  Equals fileBytes when every batch is intact. */
+    std::uint64_t goodBytes = 0;
+    std::size_t batches = 0;  ///< good batches merged into the output
+    std::string tailError;    ///< why the first bad batch was rejected
+};
+
+/**
+ * Read every intact batch of @p path in order and stop at the first
+ * partial or checksum-failing one: the restart path of a store whose
+ * writer may have died mid-append. @p out holds the batches before the
+ * bad one; pre-v7 files have no batches and load all or nothing.
+ */
+PrefixLoad loadArtifactPrefix(const std::string &path, Artifact &out);
 
 } // namespace photon::service
 

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "serve/client.hpp"
@@ -356,6 +360,7 @@ TEST(SimServer, RestartReloadsCheckpointedStore)
     std::string path = (dir / "store.bin").string();
 
     std::uint64_t coldCycles = 0;
+    std::string exported; // the store as the last process left it
     {
         ServerOptions o = tinyServer(2);
         o.store.path = path;
@@ -365,6 +370,7 @@ TEST(SimServer, RestartReloadsCheckpointedStore)
         EXPECT_FALSE(r.cacheHit);
         coldCycles = r.cycles;
         server.drain(); // flushes the checkpoint
+        exported = service::serializeArtifact(server.store().exportAll());
     }
     ASSERT_TRUE(fs::exists(path));
 
@@ -372,12 +378,202 @@ TEST(SimServer, RestartReloadsCheckpointedStore)
     o.store.path = path;
     SimServer restarted(o);
     EXPECT_GE(restarted.store().numKernelRecords(), 1u);
+    EXPECT_EQ(service::serializeArtifact(restarted.store().exportAll()),
+              exported);
     ServeResult warm = restarted.runSync(spec("relu", 512));
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_TRUE(warm.cacheHit);
     EXPECT_EQ(warm.cycles, coldCycles);
 
     restarted.drain(); // flush before the scratch dir disappears
+
+    // Two more restarts, each appending fresh records (a new photon
+    // job, a full-mode job that captures a trace) to the file the
+    // previous process left: every restart reloads exactly the store
+    // the previous process exported.
+    exported = service::serializeArtifact(restarted.store().exportAll());
+    const std::vector<std::vector<service::JobSpec>> rounds = {
+        {spec("fir", 128), spec("relu", 512)},
+        {spec("fir", 256, "full"), spec("fir", 128)},
+    };
+    for (const auto &jobs : rounds) {
+        const auto before = fs::file_size(path);
+        SimServer again(o);
+        EXPECT_EQ(service::serializeArtifact(again.store().exportAll()),
+                  exported);
+        for (const service::JobSpec &job : jobs) {
+            ServeResult r = again.runSync(job);
+            ASSERT_TRUE(r.ok) << r.error;
+        }
+        again.drain();
+        EXPECT_GT(fs::file_size(path), before); // appended a batch
+        exported = service::serializeArtifact(again.store().exportAll());
+    }
+    service::Artifact onDisk;
+    service::LoadStatus st = service::loadArtifact(path, onDisk);
+    ASSERT_TRUE(st.ok) << st.error;
+    EXPECT_EQ(service::serializeArtifact(onDisk), exported);
+    fs::remove_all(dir);
+}
+
+namespace {
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream os;
+    os << f.rdbuf();
+    return os.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Options for a one-worker server checkpointing after every job. */
+ServerOptions
+checkpointingServer(const std::string &path)
+{
+    ServerOptions o = tinyServer(1);
+    o.store.path = path;
+    o.store.checkpointEvery = 1;
+    return o;
+}
+
+} // namespace
+
+TEST(SimServer, WarmCheckpointAppendsWithoutRewritingTraces)
+{
+    fs::path dir = scratchDir("append");
+    std::string path = (dir / "store.bin").string();
+    SimServer server(checkpointingServer(path));
+    const service::JobSpec job = spec("fir", 512, "full");
+
+    ServeResult cold = server.runSync(job);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    ASSERT_GE(server.store().stats().traceCaptures, 1u);
+    const std::string before = readFile(path);
+    service::Artifact traces_only;
+    traces_only.traces = server.store().exportAll().traces;
+    const std::size_t trace_bytes =
+        service::serializeArtifact(traces_only).size() -
+        service::serializeArtifact(service::Artifact{}).size();
+
+    // A warm job captures nothing; its checkpoint appends its telemetry
+    // and leaves every byte already on disk untouched.
+    const StoreStats s0 = server.store().stats();
+    ServeResult warm = server.runSync(job);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    const StoreStats s1 = server.store().stats();
+    EXPECT_EQ(s1.traceCaptures, s0.traceCaptures);
+    EXPECT_EQ(s1.checkpoints, s0.checkpoints + 1);
+    const std::string after = readFile(path);
+    ASSERT_GT(after.size(), before.size());
+    EXPECT_EQ(after.substr(0, before.size()), before);
+    EXPECT_LT(after.size() - before.size(), trace_bytes);
+
+    // The appended file loads to exactly the resident store.
+    service::Artifact onDisk;
+    service::LoadStatus st = service::loadArtifact(path, onDisk);
+    ASSERT_TRUE(st.ok) << st.error;
+    EXPECT_EQ(service::serializeArtifact(onDisk),
+              service::serializeArtifact(server.store().exportAll()));
+    server.drain();
+    fs::remove_all(dir);
+}
+
+TEST(SimServer, RestartOverATornTailKeepsEarlierBatches)
+{
+    fs::path dir = scratchDir("torn");
+    std::string path = (dir / "store.bin").string();
+    std::string first_batch, two_batches;
+    {
+        SimServer server(checkpointingServer(path));
+        ASSERT_TRUE(server.runSync(spec("relu", 512)).ok);
+        first_batch = readFile(path);
+        ASSERT_TRUE(server.runSync(spec("fir", 256, "full")).ok);
+        server.drain();
+        two_batches = readFile(path);
+    }
+    ASSERT_GT(two_batches.size(), first_batch.size() + 16);
+    service::Artifact kept;
+    ASSERT_TRUE(service::deserializeArtifact(first_batch, kept).ok);
+
+    // A writer killed mid-append (the last batch cut short) and a bit
+    // flipped inside the last batch's body.
+    std::string flipped = two_batches;
+    flipped[(first_batch.size() + two_batches.size()) / 2] ^= 0x04;
+    const std::vector<std::string> damaged = {
+        two_batches.substr(0, two_batches.size() - 5), flipped};
+    for (const std::string &bytes : damaged) {
+        writeFile(path, bytes);
+        testing::internal::CaptureStderr();
+        SimServer restarted(checkpointingServer(path));
+        const std::string log = testing::internal::GetCapturedStderr();
+        EXPECT_NE(log.find("dropped " +
+                           std::to_string(bytes.size() -
+                                          first_batch.size()) +
+                           " bytes"),
+                  std::string::npos)
+            << log;
+        EXPECT_EQ(service::serializeArtifact(restarted.store().exportAll()),
+                  service::serializeArtifact(kept));
+        // The torn tail is cut away before the next append, and the
+        // file then loads in full.
+        ServeResult r = restarted.runSync(spec("fir", 128));
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(restarted.store().stats().checkpoints, 1u);
+        service::Artifact onDisk;
+        service::LoadStatus st = service::loadArtifact(path, onDisk);
+        ASSERT_TRUE(st.ok) << st.error;
+        EXPECT_EQ(service::serializeArtifact(onDisk),
+                  service::serializeArtifact(restarted.store().exportAll()));
+        EXPECT_EQ(readFile(path).substr(0, first_batch.size()), first_batch);
+        restarted.drain();
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SimServer, FailedCheckpointKeepsRecordsPending)
+{
+    fs::path dir = scratchDir("enospc");
+    std::string path = (dir / "store.bin").string();
+    SimServer server(checkpointingServer(path));
+    ASSERT_TRUE(server.runSync(spec("relu", 512)).ok);
+    const std::string before = readFile(path);
+
+    // A file-size limit just past the current end turns the next
+    // append into a short write, as a full disk would.
+    rlimit old{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old), 0);
+    rlimit lim = old;
+    lim.rlim_cur = before.size() + 10;
+    void (*prev)(int) = signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lim), 0);
+    testing::internal::CaptureStderr();
+    ServeResult r = server.runSync(spec("fir", 128));
+    const std::string log = testing::internal::GetCapturedStderr();
+    setrlimit(RLIMIT_FSIZE, &old);
+    signal(SIGXFSZ, prev);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_NE(log.find("periodic checkpoint failed"), std::string::npos)
+        << log;
+    EXPECT_EQ(readFile(path), before); // the partial batch is gone
+    EXPECT_EQ(server.store().stats().checkpoints, 1u);
+
+    // The next checkpoint writes the records the failed one could not.
+    std::string err;
+    ASSERT_TRUE(server.store().checkpointNow(&err)) << err;
+    service::Artifact onDisk;
+    service::LoadStatus st = service::loadArtifact(path, onDisk);
+    ASSERT_TRUE(st.ok) << st.error;
+    EXPECT_EQ(service::serializeArtifact(onDisk),
+              service::serializeArtifact(server.store().exportAll()));
+    server.drain();
     fs::remove_all(dir);
 }
 
@@ -541,6 +737,122 @@ TEST(ServeDaemon, RequestLineSurvivesTimeoutSlices)
     stop.store(true);
     daemon.join();
     fs::remove_all(dir);
+}
+
+namespace {
+
+/** A socket daemon on a background thread, stopped on destruction. */
+class TestDaemon
+{
+  public:
+    explicit TestDaemon(const std::string &name) : dir_(scratchDir(name))
+    {
+        d_.socketPath = (dir_ / "pd.sock").string();
+        d_.server = tinyServer(1);
+        d_.installSignalHandlers = false;
+        d_.verbose = false;
+        d_.pollMs = 20;
+        d_.externalStop = &stop_;
+        thread_ = std::thread([this] { EXPECT_EQ(runDaemon(d_), 0); });
+    }
+
+    ~TestDaemon()
+    {
+        stop_.store(true);
+        thread_.join();
+        fs::remove_all(dir_);
+    }
+
+    /** Retry a ping until the daemon answers; false if it never does. */
+    bool
+    waitReady()
+    {
+        Request ping;
+        ping.op = Op::Ping;
+        ping.id = "ready";
+        for (int i = 0; i < 100; ++i) {
+            if (requestOverSocket(d_.socketPath, ping, 10.0).ok)
+                return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        return false;
+    }
+
+    const std::string &socket() const { return d_.socketPath; }
+
+  private:
+    fs::path dir_;
+    DaemonOptions d_;
+    std::atomic<bool> stop_{false};
+    std::thread thread_;
+};
+
+} // namespace
+
+/** Two request lines in one send must both be answered, in order: the
+ *  reader consumes exactly one line and leaves the next queued. */
+TEST(ServeDaemon, PipelinedRequestLinesAreBothAnswered)
+{
+    if (!net::available())
+        GTEST_SKIP() << "no Unix-domain sockets on this platform";
+    TestDaemon daemon("pipelined");
+    ASSERT_TRUE(daemon.waitReady());
+
+    int fd = net::connectUnix(daemon.socket(), nullptr);
+    ASSERT_GE(fd, 0);
+    Request a;
+    a.op = Op::Ping;
+    a.id = "first";
+    Request b;
+    b.op = Op::Status;
+    b.id = "second";
+    const std::string both = encodeRequest(a) + "\n" + encodeRequest(b) + "\n";
+    ASSERT_EQ(::write(fd, both.data(), both.size()),
+              static_cast<ssize_t>(both.size()));
+    for (const char *id : {"first", "second"}) {
+        std::string reply;
+        ASSERT_EQ(net::recvLine(fd, reply, 10.0), 1) << id;
+        Response resp;
+        std::string err;
+        ASSERT_TRUE(decodeResponse(reply, resp, &err)) << err;
+        EXPECT_TRUE(resp.ok) << resp.error;
+        EXPECT_EQ(resp.id, id);
+    }
+    net::closeFd(fd);
+}
+
+/** A request line past net::kMaxLineBytes is refused and its
+ *  connection closed; the daemon keeps serving other connections. */
+TEST(ServeDaemon, OverLongRequestLineIsRefused)
+{
+    if (!net::available())
+        GTEST_SKIP() << "no Unix-domain sockets on this platform";
+    TestDaemon daemon("overlong");
+    ASSERT_TRUE(daemon.waitReady());
+
+    int fd = net::connectUnix(daemon.socket(), nullptr);
+    ASSERT_GE(fd, 0);
+    // The daemon may hang up before the whole line is sent.
+    (void)net::sendLine(fd, std::string(net::kMaxLineBytes + 100, 'x'));
+    std::string reply;
+    int n = net::recvLine(fd, reply, 10.0);
+    if (n == 1) {
+        Response resp;
+        ASSERT_TRUE(decodeResponse(reply, resp)) << reply;
+        EXPECT_FALSE(resp.ok);
+        EXPECT_NE(resp.error.find("exceeds"), std::string::npos)
+            << resp.error;
+        n = net::recvLine(fd, reply, 10.0);
+    }
+    EXPECT_LE(n, 0) << "connection still open: " << reply;
+    net::closeFd(fd);
+
+    Request ping;
+    ping.op = Op::Ping;
+    ping.id = "after";
+    ClientResult pr = requestOverSocket(daemon.socket(), ping, 10.0);
+    ASSERT_TRUE(pr.ok) << pr.error;
+    EXPECT_EQ(pr.response.id, "after");
 }
 
 // ----- Interval-memo sharing through the GlobalStore -----

@@ -1,15 +1,19 @@
 /** @file Tests for the per-kernel telemetry spine: deterministic JSON /
  *  CSV serialization, the schema-versioned round trip (current schema
  *  plus v1/v3/v4-document compatibility), and telemetry persistence
- *  through the binary artifact store (v6, with v1/v2/v3/v5 load
+ *  through the binary artifact store (v7, with v1/v2/v3/v5/v6 load
  *  compatibility). */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "sampling/telemetry.hpp"
 #include "service/artifact_store.hpp"
+
+#include "legacy_artifact.hpp"
 
 using namespace photon;
 using namespace photon::sampling;
@@ -86,8 +90,8 @@ expectEqual(const KernelTelemetry &a, const KernelTelemetry &b)
     EXPECT_EQ(a.backendIntervalCycles, b.backendIntervalCycles);
 }
 
-/** Byte sizes of the tail of the current (v6) telemetry record and of
- *  the artifact behind it: the backend fields ("interval" string with
+/** Byte sizes of the tail of a v6 telemetry record and of the
+ *  artifact behind it: the backend fields ("interval" string with
  *  its u32 length, two u64 cycle counters) and the trailing v5+
  *  trace-section count. */
 constexpr std::size_t kBackendTail = 4 + 8 + 8 + 8;
@@ -102,8 +106,8 @@ appendLe(std::string &out, std::uint64_t v, int bytes)
 }
 
 /**
- * Rewrite the serialization of a one-group, one-record artifact whose
- * record is sampleRecord() as a legacy v3, v4 or v5 file: v3..v5
+ * Rewrite the v6 serialization of a one-group, one-record artifact
+ * whose record is sampleRecord() as a legacy v3, v4 or v5 file: v3..v5
  * records carry three epoch counters (here non-zero) right after
  * wall_seconds, v4/v5 append a hasDetailedStats flag after the backend
  * fields, and only v5 ends with the trace-section count.
@@ -113,7 +117,7 @@ legacyArtifact(std::uint32_t version)
 {
     service::Artifact art;
     art.group("tiny").telemetry.push_back(sampleRecord());
-    std::string bytes = service::serializeArtifact(art);
+    std::string bytes = testing_support::v6Serialization(art);
     const std::size_t tail = kBackendTail + kTraceCount;
     std::string backend = bytes.substr(bytes.size() - tail, kBackendTail);
     bytes.resize(bytes.size() - tail);
@@ -345,13 +349,13 @@ TEST(Telemetry, ArtifactStorePersistsTelemetry)
 
 TEST(Telemetry, ArtifactLoaderStillAcceptsV1)
 {
-    // A v1 artifact is the current layout minus the per-group telemetry
+    // A v1 artifact is the v6 layout minus the per-group telemetry
     // section and the trailing v5 trace section; synthesize one by
     // patching the version field of an empty-group artifact and
     // dropping the trailing trace count + telemetry count.
     service::Artifact art;
     art.group("tiny"); // one empty group
-    std::string bytes = service::serializeArtifact(art);
+    std::string bytes = testing_support::v6Serialization(art);
     ASSERT_GE(bytes.size(), 8u + 8u);
     bytes[4] = 1;                              // version -> 1
     bytes.resize(bytes.size() - 8);            // drop trace+telemetry counts
@@ -370,7 +374,7 @@ TEST(Telemetry, ArtifactLoaderStillAcceptsV2)
     // version and truncating all of that off the last record.
     service::Artifact art;
     art.group("tiny").telemetry.push_back(sampleRecord());
-    std::string bytes = service::serializeArtifact(art);
+    std::string bytes = testing_support::v6Serialization(art);
     const std::size_t tail = 8 + kBackendTail + kTraceCount;
     ASSERT_GE(bytes.size(), 8u + tail);
     bytes[4] = 2;                              // version -> 2
@@ -417,4 +421,67 @@ TEST(Telemetry, ArtifactLoaderStillAcceptsV5)
     ASSERT_EQ(back.numTelemetryRecords(), 1u);
     expectEqual(sampleRecord(), back.groups.at("tiny").telemetry[0]);
     EXPECT_TRUE(back.traces.empty());
+}
+
+TEST(Telemetry, ArtifactLoaderStillAcceptsV6)
+{
+    // A v6 file is one unframed body whose records end after the
+    // backend fields: the v7 switch pay-off fields load at their
+    // defaults.
+    service::Artifact art;
+    KernelTelemetry rec = sampleRecord();
+    art.group("tiny").telemetry.push_back(rec);
+    service::Artifact back;
+    service::LoadStatus st = service::deserializeArtifact(
+        testing_support::v6Serialization(art), back);
+    ASSERT_TRUE(st.ok) << st.error;
+    ASSERT_EQ(back.numTelemetryRecords(), 1u);
+    const KernelTelemetry &t = back.groups.at("tiny").telemetry[0];
+    expectEqual(rec, t);
+    EXPECT_EQ(t.noSwitchReason, "");
+    EXPECT_EQ(t.hooksReleasedCycle, kNoCycle);
+}
+
+TEST(Telemetry, ArtifactStorePersistsSwitchPayoffFields)
+{
+    // v7 persists no_switch_reason and hooks_released_cycle through a
+    // save, an append and a load: a Full launch that released at cycle
+    // 0 (which must not read back as "never"), a switched launch that
+    // released at its stop, and one that never released (null).
+    KernelTelemetry full = sampleRecord();
+    full.level = SampleLevel::Full;
+    full.noSwitchReason = "all_dispatched";
+    full.hooksReleasedCycle = 0;
+    KernelTelemetry released = sampleRecord();
+    released.hooksReleasedCycle = released.switchCycle;
+    KernelTelemetry unreleased = sampleRecord();
+    unreleased.noSwitchReason = "never_stable";
+    unreleased.level = SampleLevel::Full;
+
+    const std::string path =
+        testing::TempDir() + "photon_telemetry_v7_fields.bin";
+    service::Artifact first;
+    first.group("tiny").telemetry = {full, released};
+    ASSERT_TRUE(service::saveArtifact(first, path).ok);
+    service::Artifact second;
+    second.group("tiny").telemetry = {unreleased};
+    ASSERT_TRUE(service::appendArtifact(second, path).ok);
+
+    service::Artifact back;
+    service::LoadStatus st = service::loadArtifact(path, back);
+    ASSERT_TRUE(st.ok) << st.error;
+    const std::vector<KernelTelemetry> expect = {full, released,
+                                                 unreleased};
+    const auto &got = back.groups.at("tiny").telemetry;
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        expectEqual(expect[i], got[i]);
+        EXPECT_EQ(got[i].noSwitchReason, expect[i].noSwitchReason) << i;
+        EXPECT_EQ(got[i].hooksReleasedCycle, expect[i].hooksReleasedCycle)
+            << i;
+    }
+    EXPECT_EQ(got[0].hooksReleasedCycle, 0u);
+    EXPECT_EQ(got[1].hooksReleasedCycle, 31408u);
+    EXPECT_EQ(got[2].hooksReleasedCycle, kNoCycle);
+    std::remove(path.c_str());
 }

@@ -21,6 +21,8 @@
 #include "service/campaign.hpp"
 #include "workloads/workload.hpp"
 
+#include "legacy_artifact.hpp"
+
 using namespace photon;
 using namespace photon::isa;
 using namespace photon::func;
@@ -327,10 +329,10 @@ TEST(WarpTrace, ArtifactV4WithoutTraceSectionStillLoads)
 {
     // A v4 artifact simply ends after the per-GPU groups; synthesize
     // one by patching the version and dropping the (empty) v5 trace
-    // count off a current serialization.
+    // count off a v6 serialization.
     service::Artifact art;
     art.group("tiny");
-    std::string bytes = service::serializeArtifact(art);
+    std::string bytes = testing_support::v6Serialization(art);
     ASSERT_GE(bytes.size(), 8u + 4u);
     bytes[4] = 4;
     bytes.resize(bytes.size() - 4);
