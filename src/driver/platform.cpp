@@ -126,13 +126,13 @@ Platform::launch(const isa::ProgramPtr &program,
         // Consume-only: a launch trace is a functional run of every
         // warp, and a switch leaves the undispatched warps unrun, so
         // photon never captures one up front. Its detailed phase
-        // captures each warp as it is placed and replays that instead
+        // captures each workgroup as it is placed and replays that
         // (timing/cu.hpp), which is as cheap as full mode's capture
         // plus replay. A trace captured elsewhere (campaign sibling,
         // photond warm state) replaces the per-warp analysis emulation
         // bit-identically.
         func::LaunchTracePtr trace;
-        if (traceReuse_ && func::traceable(*program)) {
+        if (traceReuse_) {
             trace =
                 traceStore_->lookup(func::traceKey(*program, dims, mem_));
             if (trace)
@@ -171,7 +171,7 @@ func::LaunchTracePtr
 Platform::acquireTrace(const isa::Program &program,
                        const func::LaunchDims &dims)
 {
-    if (!traceReuse_ || !func::traceable(program))
+    if (!traceReuse_)
         return nullptr;
     const std::string key = func::traceKey(program, dims, mem_);
     func::LaunchTracePtr trace = traceStore_->lookup(key);

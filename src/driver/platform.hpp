@@ -153,7 +153,7 @@ class Platform
     /** Lookup-or-capture for a full-detailed launch: on a hit, applies
      *  the trace's store log to memory (replay runs never write); on a
      *  miss, captures (which executes the launch functionally). Null
-     *  when reuse is off or the program is untraceable. */
+     *  when reuse is off. */
     func::LaunchTracePtr acquireTrace(const isa::Program &program,
                                       const func::LaunchDims &dims);
 

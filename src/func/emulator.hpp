@@ -1,9 +1,10 @@
 /**
  * @file
  * The functional emulator: executes one instruction of one wavefront
- * against its architectural state and simulated memory. Used both by the
- * detailed timing model (execution-driven, at issue time) and by the
- * fast-forward / online-analysis paths (functional only).
+ * against its architectural state and simulated memory. Used by trace
+ * capture (func/warp_trace.hpp, whose traces the timing backends
+ * replay), by the frozen reference engine (inline at issue) and by the
+ * online-analysis path (functional only).
  */
 
 #ifndef PHOTON_FUNC_EMULATOR_HPP
@@ -59,8 +60,9 @@ class Emulator
 
     /**
      * Run one wavefront functionally to completion (fast-forward mode).
-     * Barriers are ignored — functional semantics in this simulator never
-     * depend on cross-wavefront ordering within a kernel.
+     * Barriers are ignored: the wave runs alone, so LDS holds only what
+     * it wrote. Waves that exchange data through LDS must be
+     * interleaved at their barriers, as trace capture does.
      *
      * @return the number of instructions executed.
      */

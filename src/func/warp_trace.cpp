@@ -126,6 +126,104 @@ encodeLines(std::vector<std::uint8_t> &out, const StepResult &res,
     prev_line = res.lines[0];
 }
 
+/** Empty @p trace down to @p slices blank slices, keeping the arenas'
+ *  capacity. */
+void
+resetTrace(LaunchTrace &trace, std::size_t slices)
+{
+    trace.totalInsts = 0;
+    trace.warps.assign(slices, {});
+    trace.branchWords.clear();
+    trace.execWords.clear();
+    trace.memBytes.clear();
+    trace.storeBytes.clear();
+}
+
+/** Appends one warp's side streams to slice @p index of a trace as the
+ *  warp executes. The slice's streams start where slice index-1's
+ *  ended, so slices are written in index order, one at a time. */
+class SliceWriter
+{
+  public:
+    SliceWriter(LaunchTrace &trace, std::size_t index)
+        : t_(trace), s_(trace.warps[index])
+    {
+        s_ = {};
+        // The branch arena packs every slice's bits back to back.
+        if (index > 0) {
+            const LaunchTrace::WarpSlice &prev = trace.warps[index - 1];
+            bit_ = prev.branchBase + prev.branchBits;
+        }
+        s_.branchBase = bit_;
+        s_.execBase = trace.execWords.size();
+        s_.memBase = trace.memBytes.size();
+        s_.storeBase = trace.storeBytes.size();
+    }
+
+    LaunchTrace::WarpSlice &slice() { return s_; }
+
+    void
+    appendBit(bool bit)
+    {
+        if ((bit_ & 63) == 0)
+            t_.branchWords.push_back(0);
+        t_.branchWords.back() |= std::uint64_t{bit ? 1u : 0u} << (bit_ & 63);
+        ++bit_;
+    }
+
+    /** Record one executed instruction's side streams; @p exec is the
+     *  wave's EXEC after it. */
+    void
+    record(const isa::Instruction &inst, const StepResult &res,
+           std::uint64_t exec)
+    {
+        ++s_.instCount;
+        if (isConditionalBranch(inst.op)) {
+            appendBit(res.branchTaken);
+        } else if (isMaskOp(inst.op)) {
+            if (inst.dst.value == isa::kMaskExec)
+                t_.execWords.push_back(exec);
+        } else if (res.numLines > 0 || inst.op == Opcode::S_LOAD_DWORD ||
+                   inst.op == Opcode::FLAT_LOAD_DWORD ||
+                   inst.op == Opcode::FLAT_STORE_DWORD) {
+            encodeLines(t_.memBytes, res, prevLine_);
+        }
+    }
+
+    /** Append a store-log entry: @p line's current bytes in @p mem. */
+    void
+    logStore(Addr line, const GlobalMemory &mem)
+    {
+        putVarint(t_.storeBytes,
+                  zigzag(static_cast<std::int64_t>(line) -
+                         static_cast<std::int64_t>(prevStoreLine_)));
+        prevStoreLine_ = line;
+        const std::uint8_t *src = mem.span(line * kLineBytes, kLineBytes);
+        t_.storeBytes.insert(t_.storeBytes.end(), src, src + kLineBytes);
+    }
+
+    /** Fix the slice's extents once the warp is done. */
+    void
+    close()
+    {
+        s_.branchBits = static_cast<std::uint32_t>(bit_ - s_.branchBase);
+        s_.execCount =
+            static_cast<std::uint32_t>(t_.execWords.size() - s_.execBase);
+        s_.memLen =
+            static_cast<std::uint32_t>(t_.memBytes.size() - s_.memBase);
+        s_.storeLen =
+            static_cast<std::uint32_t>(t_.storeBytes.size() - s_.storeBase);
+        t_.totalInsts += s_.instCount;
+    }
+
+  private:
+    LaunchTrace &t_;
+    LaunchTrace::WarpSlice &s_;
+    std::uint64_t bit_ = 0;
+    Addr prevLine_ = 0;
+    Addr prevStoreLine_ = 0;
+};
+
 // ---- Little-endian blob primitives (mirrors the artifact store) -----
 
 constexpr std::uint32_t kTraceMagic = 0x52544850u; // "PHTR"
@@ -220,21 +318,6 @@ LaunchTrace::byteSize() const
            sizeof(LaunchTrace);
 }
 
-bool
-traceable(const isa::Program &program)
-{
-    if (program.size() == 0)
-        return false;
-    // Traces record no LDS contents: a program whose stored values
-    // could depend on LDS reads must keep the emulated path.
-    for (const isa::Instruction &inst : program.code()) {
-        if (inst.op == Opcode::DS_READ_B32 ||
-            inst.op == Opcode::DS_WRITE_B32)
-            return false;
-    }
-    return true;
-}
-
 std::string
 traceKey(const isa::Program &program, const LaunchDims &dims,
          const GlobalMemory &mem)
@@ -254,102 +337,112 @@ traceKey(const isa::Program &program, const LaunchDims &dims,
 }
 
 void
-WarpCapturer::capture(const isa::Program &program, const LaunchDims &dims,
-                      GlobalMemory &mem, WarpId warp, LaunchTrace &trace,
-                      std::size_t index, bool log_stores)
+WarpCapturer::captureWorkgroup(const isa::Program &program,
+                               const LaunchDims &dims, GlobalMemory &mem,
+                               WorkgroupId wg, LaunchTrace &trace,
+                               std::size_t first, bool log_stores)
 {
-    LaunchTrace::WarpSlice &s = trace.warps[index];
-    s = {};
-    // The branch arena packs every slice's bits back to back, so this
-    // slice starts where the previous one ended.
-    std::uint64_t bit_cursor = 0;
-    if (index > 0) {
-        const LaunchTrace::WarpSlice &prev = trace.warps[index - 1];
-        bit_cursor = prev.branchBase + prev.branchBits;
+    if (program.usesLds()) {
+        capturePhases(program, dims, mem, wg, trace, first, log_stores);
+        return;
     }
-    s.branchBase = bit_cursor;
-    s.execBase = trace.execWords.size();
-    s.memBase = trace.memBytes.size();
-    s.storeBase = trace.storeBytes.size();
-
-    auto append_bit = [&](bool bit) {
-        if ((bit_cursor & 63) == 0)
-            trace.branchWords.push_back(0);
-        trace.branchWords.back() |= std::uint64_t{bit ? 1u : 0u}
-                                    << (bit_cursor & 63);
-        ++bit_cursor;
-    };
-
-    // Per-warp LDS stand-in: traceable programs contain no LDS ops,
-    // so the (empty or zeroed) arena is never read.
-    lds_.resize(program.ldsBytes());
-    WaveState &ws = ws_;
-    StepResult &res = res_;
-    ws.init(program, dims, warp);
-    Addr prev_line = 0;
-    Addr prev_store_line = 0;
-    while (!ws.done) {
-        const isa::Instruction &inst = program.at(ws.pc);
-        emu_.step(program, ws, mem, lds_, res);
-        ++s.instCount;
-        if (isConditionalBranch(inst.op)) {
-            append_bit(res.branchTaken);
-        } else if (isMaskOp(inst.op)) {
-            if (inst.dst.value == isa::kMaskExec)
-                trace.execWords.push_back(ws.exec);
-        } else if (res.numLines > 0 || inst.op == Opcode::S_LOAD_DWORD ||
-                   inst.op == Opcode::FLAT_LOAD_DWORD ||
-                   inst.op == Opcode::FLAT_STORE_DWORD) {
-            encodeLines(trace.memBytes, res, prev_line);
+    // Waves run one at a time, straight into their slices. The store
+    // log takes post-write line snapshots: replaying them in the same
+    // order reproduces the memory evolution without executing register
+    // semantics. With no LDS ops, the LDS stand-in is never read.
+    const std::uint32_t n = dims.wavesPerWorkgroup;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        SliceWriter out(trace, first + i);
+        ws_.init(program, dims, wg * n + i);
+        while (!ws_.done) {
+            const isa::Instruction &inst = program.at(ws_.pc);
+            emu_.step(program, ws_, mem, lds_, res_);
+            out.record(inst, res_, ws_.exec);
             if (log_stores && inst.op == Opcode::FLAT_STORE_DWORD) {
-                // Post-write line snapshots: replaying them in the
-                // same order reproduces this launch's memory
-                // evolution without executing register semantics.
-                for (std::uint32_t i = 0; i < res.numLines; ++i) {
-                    Addr line = res.lines[i];
-                    putVarint(trace.storeBytes,
-                              zigzag(static_cast<std::int64_t>(line) -
-                                     static_cast<std::int64_t>(
-                                         prev_store_line)));
-                    prev_store_line = line;
-                    const std::uint8_t *src =
-                        mem.span(line * kLineBytes, kLineBytes);
-                    trace.storeBytes.insert(trace.storeBytes.end(), src,
-                                            src + kLineBytes);
-                }
+                for (std::uint32_t l = 0; l < res_.numLines; ++l)
+                    out.logStore(res_.lines[l], mem);
             }
         }
+        out.close();
     }
-    s.branchBits = static_cast<std::uint32_t>(bit_cursor - s.branchBase);
-    s.execCount =
-        static_cast<std::uint32_t>(trace.execWords.size() - s.execBase);
-    s.memLen =
-        static_cast<std::uint32_t>(trace.memBytes.size() - s.memBase);
-    s.storeLen =
-        static_cast<std::uint32_t>(trace.storeBytes.size() - s.storeBase);
-    trace.totalInsts += s.instCount;
+}
+
+void
+WarpCapturer::capturePhases(const isa::Program &program,
+                            const LaunchDims &dims, GlobalMemory &mem,
+                            WorkgroupId wg, LaunchTrace &trace,
+                            std::size_t first, bool log_stores)
+{
+    const std::uint32_t n = dims.wavesPerWorkgroup;
+    if (waves_.size() < n)
+        waves_.resize(n);
+    std::vector<SliceWriter> outs;
+    outs.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        PhaseWave &w = waves_[i];
+        w.ws.init(program, dims, wg * n + i);
+        resetTrace(w.buf, 1);
+        w.storeLines.clear();
+        outs.emplace_back(w.buf, 0);
+    }
+    lds_.assign(program.ldsBytes(), 0);
+
+    // Each wave runs to its next s_barrier or s_endpgm, in wave order,
+    // until every wave is done. A wave's streams go to its own buffer,
+    // since slices must be contiguous.
+    for (std::uint32_t left = n; left > 0;) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            PhaseWave &w = waves_[i];
+            if (w.ws.done)
+                continue;
+            do {
+                const isa::Instruction &inst = program.at(w.ws.pc);
+                emu_.step(program, w.ws, mem, lds_, res_);
+                outs[i].record(inst, res_, w.ws.exec);
+                if (log_stores && inst.op == Opcode::FLAT_STORE_DWORD)
+                    w.storeLines.insert(w.storeLines.end(),
+                                        res_.lines.begin(),
+                                        res_.lines.begin() + res_.numLines);
+            } while (!w.ws.done && !res_.barrier);
+            if (w.ws.done)
+                --left;
+        }
+    }
+
+    // Append the slices in warp order. The store snapshots are taken
+    // now that the whole workgroup has finished, so every wave's log
+    // carries the workgroup's final bytes of each line it wrote.
+    for (std::uint32_t i = 0; i < n; ++i) {
+        outs[i].close();
+        const LaunchTrace &src = waves_[i].buf;
+        const LaunchTrace::WarpSlice &s = src.warps[0];
+        SliceWriter out(trace, first + i);
+        for (std::uint64_t b = 0; b < s.branchBits; ++b)
+            out.appendBit((src.branchWords[b >> 6] >> (b & 63)) & 1);
+        trace.execWords.insert(trace.execWords.end(),
+                               src.execWords.begin(), src.execWords.end());
+        trace.memBytes.insert(trace.memBytes.end(), src.memBytes.begin(),
+                              src.memBytes.end());
+        for (Addr line : waves_[i].storeLines)
+            out.logStore(line, mem);
+        out.slice().instCount = s.instCount;
+        out.close();
+    }
 }
 
 void
 WarpCapturer::captureAlone(const isa::Program &program,
                            const LaunchDims &dims, GlobalMemory &mem,
-                           WarpId warp, LaunchTrace &buf)
+                           WorkgroupId wg, LaunchTrace &buf)
 {
-    buf.totalInsts = 0;
-    buf.warps.resize(1);
-    buf.branchWords.clear();
-    buf.execWords.clear();
-    buf.memBytes.clear();
-    buf.storeBytes.clear();
-    capture(program, dims, mem, warp, buf, 0, false);
+    resetTrace(buf, dims.wavesPerWorkgroup);
+    captureWorkgroup(program, dims, mem, wg, buf, 0, false);
 }
 
 LaunchTracePtr
 captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
                    GlobalMemory &mem)
 {
-    PHOTON_ASSERT(traceable(program), "capturing an untraceable program");
-
     auto trace = std::make_shared<LaunchTrace>();
     trace->programName = program.name();
     trace->programHash = program.codeHash();
@@ -358,11 +451,12 @@ captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
     trace->kernargBase = dims.kernargBase;
     trace->memFingerprint = mem.contentHash();
 
-    const std::uint32_t total = dims.totalWaves();
-    trace->warps.resize(total);
+    trace->warps.resize(dims.totalWaves());
     WarpCapturer capturer;
-    for (WarpId warp = 0; warp < total; ++warp)
-        capturer.capture(program, dims, mem, warp, *trace, warp, true);
+    for (WorkgroupId wg = 0; wg < dims.numWorkgroups; ++wg)
+        capturer.captureWorkgroup(program, dims, mem, wg, *trace,
+                                  std::size_t{wg} * dims.wavesPerWorkgroup,
+                                  true);
     return trace;
 }
 
@@ -480,8 +574,8 @@ WarpReplayCursor::step(const isa::Program &program, WaveState &ws,
         break;
       case Opcode::DS_READ_B32:
       case Opcode::DS_WRITE_B32:
-        // Unreachable for captured programs (traceable() refuses LDS
-        // ops); kept total so the cursor mirrors the emulator.
+        // Registers are not replayed, so LDS values never matter:
+        // only the access count reaches the timing model.
         out.ldsAccesses = out.activeLanes;
         break;
       default:

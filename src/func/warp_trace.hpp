@@ -24,11 +24,15 @@
  * input fingerprint) and are micro-architecture independent: one
  * capture serves every backend and GPU config of a campaign sweep.
  *
- * Soundness rests on the same two invariants the online-analysis and
- * interval tracers already rely on: functional semantics never depend
- * on cross-wavefront ordering within a kernel, and control flow,
- * addresses and stored values never depend on LDS *values* (capture
- * refuses programs containing LDS ops, see traceable()).
+ * Soundness rests on one invariant: functional semantics never depend
+ * on the order in which a kernel's workgroups, or a workgroup's waves
+ * between two barriers, execute. So waves are captured one at a time,
+ * except in programs with LDS ops: there a workgroup's waves share one
+ * LDS and run phase by phase (each wave steps to its next s_barrier or
+ * s_endpgm in wave order, until all are done), and the workgroup's
+ * store log snapshots its lines once the workgroup has finished, so
+ * applying the log in warp order reproduces its final memory. Replay
+ * never needs LDS values: registers are not replayed.
  */
 
 #ifndef PHOTON_FUNC_WARP_TRACE_HPP
@@ -101,10 +105,6 @@ struct LaunchTrace
 
 using LaunchTracePtr = std::shared_ptr<const LaunchTrace>;
 
-/** True when @p program can be captured/replayed: traces record no LDS
- *  contents, so programs with LDS ops fall back to emulation. */
-bool traceable(const isa::Program &program);
-
 /** Cache key for one launch: program identity (content hash), launch
  *  geometry and the pre-launch memory fingerprint. Micro-architecture
  *  independent by construction. */
@@ -112,49 +112,61 @@ std::string traceKey(const isa::Program &program, const LaunchDims &dims,
                      const GlobalMemory &mem);
 
 /**
- * The per-warp body of a capture: runs one warp functionally to
- * completion and appends its side streams to a LaunchTrace's arenas.
- * captureLaunchTrace drives it over every warp of a launch; the
- * detailed core drives it one warp at a time as warps are placed on a
- * compute unit (dispatch-time capture, timing/cu.hpp), into a per-slot
- * buffer that the slot then replays through a WarpReplayCursor. It owns
- * the emulation scratch (register file, LDS stand-in, step result), so
- * back-to-back captures reuse one cache-warm register file.
+ * The capture engine: runs workgroups functionally to completion and
+ * appends their warps' side streams to a LaunchTrace's arenas, for
+ * captureLaunchTrace and for the detailed core's dispatch-time capture
+ * (timing/cu.hpp). It owns the emulation scratch (register files, LDS,
+ * step result), so back-to-back captures reuse cache-warm state.
  */
 class WarpCapturer
 {
   public:
     /**
-     * Emulate @p warp to completion against @p mem (its stores land)
-     * and record it as slice @p index of @p trace. Slices must be
-     * captured in index order: each one's streams are appended after
-     * slice index-1's. With @p log_stores the slice also carries the
-     * post-write store log that replay re-applies; a dispatch capture
-     * skips it, because its own emulation already wrote the stores.
-     * Requires traceable(program).
+     * Emulate workgroup @p wg to completion against @p mem (its stores
+     * land) and record wave i as slice @p first + i of @p trace, after
+     * slice @p first - 1. With @p log_stores the slices also carry the
+     * store log that replay re-applies; a dispatch capture skips it,
+     * because its own emulation already wrote the stores.
      */
-    void capture(const isa::Program &program, const LaunchDims &dims,
-                 GlobalMemory &mem, WarpId warp, LaunchTrace &trace,
-                 std::size_t index, bool log_stores);
+    void captureWorkgroup(const isa::Program &program,
+                          const LaunchDims &dims, GlobalMemory &mem,
+                          WorkgroupId wg, LaunchTrace &trace,
+                          std::size_t first, bool log_stores);
 
-    /** Capture @p warp alone into @p buf, reusing its arena capacity:
-     *  @p buf becomes a one-slice trace (slice 0) with no store log. */
+    /** Capture workgroup @p wg alone into @p buf, reusing its arena
+     *  capacity: @p buf becomes a trace of the workgroup's waves (slice
+     *  i = wave i) with no store log. */
     void captureAlone(const isa::Program &program, const LaunchDims &dims,
-                      GlobalMemory &mem, WarpId warp, LaunchTrace &buf);
+                      GlobalMemory &mem, WorkgroupId wg, LaunchTrace &buf);
 
   private:
+    /** One wave of a workgroup captured phase by phase: its own
+     *  one-slice trace, appended to the target once the workgroup is
+     *  done, and the lines its stores touched. */
+    struct PhaseWave
+    {
+        WaveState ws;
+        LaunchTrace buf;
+        std::vector<Addr> storeLines;
+    };
+
+    void capturePhases(const isa::Program &program,
+                       const LaunchDims &dims, GlobalMemory &mem,
+                       WorkgroupId wg, LaunchTrace &trace,
+                       std::size_t first, bool log_stores);
+
     Emulator emu_;
     WaveState ws_;
+    std::vector<PhaseWave> waves_;
     std::vector<std::uint8_t> lds_;
     StepResult res_;
 };
 
 /**
- * Capture a launch's trace by running every warp functionally to
- * completion (in warp order, per-warp zeroed LDS stand-in). Stores are
- * applied to @p mem exactly as a cold functional pass would — after a
- * capture the memory state equals a fully emulated launch's.
- * Requires traceable(program).
+ * Capture a launch's trace by running every workgroup functionally to
+ * completion, in workgroup order. Stores are applied to @p mem exactly
+ * as a cold functional pass would — after a capture the memory state
+ * equals a fully emulated launch's.
  */
 LaunchTracePtr captureLaunchTrace(const isa::Program &program,
                                   const LaunchDims &dims,

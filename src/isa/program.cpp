@@ -44,6 +44,7 @@ Program::decode()
     for (std::uint32_t pc = 0; pc < n; ++pc) {
         decoded_[pc].inst = code_[pc];
         decoded_[pc].unit = opcodeInfo(code_[pc].op).unit;
+        usesLds_ |= decoded_[pc].unit == FuncUnit::LDS;
     }
 }
 

@@ -66,6 +66,8 @@ class Program
     std::uint32_t numVgprs() const { return numVgprs_; }
     /** Static LDS allocation per workgroup in bytes. */
     std::uint32_t ldsBytes() const { return ldsBytes_; }
+    /** True when some instruction reads or writes LDS. */
+    bool usesLds() const { return usesLds_; }
 
     /** Content hash over the instruction list (FNV-1a, computed at
      *  construction): two programs with identical code hash equally
@@ -86,6 +88,7 @@ class Program
     std::uint32_t numVgprs_;
     std::uint32_t ldsBytes_;
     std::uint64_t codeHash_ = 0;
+    bool usesLds_ = false;
 };
 
 using ProgramPtr = std::shared_ptr<const Program>;

@@ -3,10 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "sim/file_io.hpp"
 #include "sim/json.hpp"
 
 namespace photon::sampling {
@@ -489,24 +489,19 @@ bool
 saveTelemetry(const std::vector<KernelTelemetry> &records,
               const std::string &path, std::string *error)
 {
-    std::ofstream f(path);
-    if (!f) {
-        if (error)
-            *error = "cannot open telemetry file '" + path + "'";
-        return false;
-    }
+    std::ostringstream text;
     bool csv = path.size() >= 4 &&
                path.compare(path.size() - 4, 4, ".csv") == 0;
     if (csv)
-        writeTelemetryCsv(records, f);
+        writeTelemetryCsv(records, text);
     else
-        writeTelemetryJson(records, f);
-    if (!f) {
-        if (error)
-            *error = "write to telemetry file '" + path + "' failed";
-        return false;
-    }
-    return true;
+        writeTelemetryJson(records, text);
+    std::string err;
+    if (writeFileAtomic(path, text.str(), err))
+        return true;
+    if (error)
+        *error = "telemetry: " + err;
+    return false;
 }
 
 } // namespace photon::sampling

@@ -143,8 +143,9 @@ bool readTelemetryJson(std::string_view text,
                        std::vector<KernelTelemetry> &out,
                        std::string *error = nullptr);
 
-/** Write records to @p path, JSON or CSV by extension (".csv" -> CSV).
- *  Returns false + @p error on I/O failure. */
+/** Write records to @p path, JSON or CSV by extension (".csv" -> CSV),
+ *  atomically (writeFileAtomic). Returns false + @p error on I/O
+ *  failure. */
 PHOTON_DET_SINK
 bool saveTelemetry(const std::vector<KernelTelemetry> &records,
                    const std::string &path, std::string *error = nullptr);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/file_io.hpp"
 #include "sim/hash.hpp"
 
 namespace photon::service {
@@ -617,14 +618,9 @@ deserializeArtifact(std::string_view bytes, Artifact &out)
 LoadStatus
 saveArtifact(const Artifact &artifact, const std::string &path)
 {
-    std::string bytes = serializeArtifact(artifact);
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (!f)
-        return LoadStatus::fail("cannot open '" + path + "' for writing");
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    f.flush();
-    if (!f)
-        return LoadStatus::fail("write to '" + path + "' failed");
+    std::string error;
+    if (!writeFileAtomic(path, serializeArtifact(artifact), error))
+        return LoadStatus::fail(error);
     return {};
 }
 

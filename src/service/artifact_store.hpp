@@ -120,9 +120,11 @@ std::string serializeArtifact(const Artifact &artifact);
  *  fails the whole parse, and on failure @p out is left empty. */
 LoadStatus deserializeArtifact(std::string_view bytes, Artifact &out);
 
-/** Write @p artifact to @p path as a one-batch file; returns ok=false
- *  on I/O failure. Persisted artifacts must be bit-identical across
- *  reruns, so a nondeterministic value reaching this writer is a bug. */
+/** Write @p artifact to @p path as a one-batch file, atomically
+ *  (writeFileAtomic: a failed save leaves the previous file as it
+ *  was); returns ok=false on I/O failure. Persisted artifacts must be
+ *  bit-identical across reruns, so a nondeterministic value reaching
+ *  this writer is a bug. */
 PHOTON_DET_SINK
 LoadStatus saveArtifact(const Artifact &artifact, const std::string &path);
 

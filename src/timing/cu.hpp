@@ -5,26 +5,24 @@
  * (latency hidden by switching among resident wavefronts), workgroup
  * barriers and an instruction-fetch path through the L1I.
  *
- * Two issue paths share one arbitration and one latency model: tick()
- * runs the monitored issue (basic-block tracking and KernelMonitor
- * callbacks for the sampling control plane), tickFast() the fused
- * monitor-free issue of full-detail runs and of monitored runs whose
+ * One issue body, templated on whether monitor hooks are attached:
+ * the hooked instantiation adds basic-block tracking and the
+ * KernelMonitor callbacks the sampling control plane needs, the
+ * hook-free one serves full-detail runs and monitored runs whose
  * monitor released its hooks (releaseHooks()). Both touch the memory
  * system in the same order, so they produce identical schedules.
  *
- * Neither path executes register semantics for a traceable program:
- * each wave slot steps a WarpReplayCursor, either over the launch's
- * captured trace or over a one-warp trace captured into the slot's
- * buffer when the warp is placed (dispatch-time capture). Only programs
- * with LDS ops, which traces cannot record, still run Emulator::step
- * inside the issue.
+ * No issue executes register semantics: each wave slot steps a
+ * WarpReplayCursor, either over the launch's captured trace or over
+ * its workgroup's trace captured into the workgroup slot's buffer when
+ * the workgroup is placed (dispatch-time capture, func/warp_trace.hpp).
  *
  * Data layout (DESIGN.md §13): wavefront bookkeeping is
  * structure-of-arrays. The scheduling-hot lanes — ready cycle and warp
  * age key — are stored SIMD-major (one SIMD's wave slots contiguous,
- * see readyIndex) so arbitration walks a few cache lines instead of
- * chasing ~300-byte wave objects. Cold per-wave state (architectural
- * registers, fetch/bb tracking, barrier flags) lives in parallel
+ * see slotRi_) so arbitration walks a few cache lines instead of
+ * chasing ~300-byte wave objects. Cold per-wave state (pc and EXEC,
+ * replay cursors, fetch/bb tracking, barrier flags) lives in parallel
  * slot-indexed arrays touched only on issue or rare events. photon_lint
  * flags any reintroduction of an aggregate-wave vector here
  * (aos-in-hot-path).
@@ -58,18 +56,15 @@ struct KernelContext
     func::GlobalMemory *mem = nullptr;
     KernelMonitor *monitor = nullptr; ///< may be null
     /** When non-null, wave slots step through this captured functional
-     *  trace (func/warp_trace.hpp) instead of the emulator: identical
-     *  StepResult stream and pc/exec evolution, no register semantics
-     *  and no memory reads/writes (the launch applies the trace's
-     *  store log up front). */
+     *  trace (func/warp_trace.hpp): the StepResult stream and pc/exec
+     *  evolution of emulation, no register semantics and no memory
+     *  reads/writes (the launch applies the trace's store log up
+     *  front). When null, each workgroup is captured as it is placed —
+     *  emulated to completion, its stores landing in mem — and its
+     *  waves replay that. Functional semantics do not depend on
+     *  cross-workgroup order, so the StepResult stream and the final
+     *  memory equal inline emulation's. */
     const func::LaunchTrace *replay = nullptr;
-    /** When non-null (and replay is null), each warp is captured through
-     *  this capturer as it is placed — emulated to completion, its
-     *  stores landing in mem — into its slot's trace buffer, and the
-     *  slot then replays that buffer. Per-warp functional semantics do
-     *  not depend on cross-wave order, so the StepResult stream and the
-     *  final memory equal inline emulation's. */
-    func::WarpCapturer *capture = nullptr;
     /** Virtual base address of the kernel's code (for L1I tags). */
     Addr codeBase = 1ull << 40;
 };
@@ -78,8 +73,10 @@ struct KernelContext
 class ComputeUnit
 {
   public:
+    /** @p capturer serves dispatch-time capture; the core is serial,
+     *  so one capturer can serve every CU. */
     ComputeUnit(const GpuConfig &cfg, std::uint32_t cuId,
-                MemorySystem &memsys, const func::Emulator &emu);
+                MemorySystem &memsys, func::WarpCapturer &capturer);
 
     /** Reset per-kernel state and bind the launch context. */
     void startKernel(const KernelContext &ctx);
@@ -91,9 +88,10 @@ class ComputeUnit
     void placeWorkgroup(WorkgroupId wg, Cycle now);
 
     /** The monitor let go of its hooks (KernelMonitor::wantsRelease)
-     *  for the rest of the kernel: from here on the CU is driven by
-     *  tickFast() and reports only wave retirements to the monitor. */
-    void releaseHooks() { hooksReleased_ = true; }
+     *  for the rest of the kernel: from here on the CU issues through
+     *  the hook-free body and reports only wave retirements to the
+     *  monitor. */
+    void releaseHooks() { hooked_ = false; }
 
     /** What one tick did, so the event loop can update its
      *  bookkeeping without re-reading the (cold) CU object. */
@@ -105,63 +103,52 @@ class ComputeUnit
     };
 
     /**
-     * Let every SIMD try to issue one instruction at cycle @p now
-     * through the monitored issue path.
+     * Let every SIMD try to issue one instruction at cycle @p now:
+     * through the hooked issue while a monitor holds its hooks, the
+     * hook-free one otherwise (same arbitration and timing). This is
+     * the event-driven core's hot path.
      */
     TickSummary tick(Cycle now);
 
-    /**
-     * Tick for monitor-free runs: identical arbitration and timing to
-     * tick(), with the monitor hooks and basic-block tracking compiled
-     * out. This is the event-driven core's hot path. Requires a
-     * monitor-free kernel context or released hooks; a released
-     * monitor still sees onWaveRetired.
-     */
-    TickSummary tickFast(Cycle now);
-
-    /** Earliest cycle at which any resident wavefront can issue;
-     *  kNoCycle when the CU is empty or fully barrier-blocked. Exact,
-     *  but O(wave slots) — the seed loop's rescan path. */
-    Cycle nextEventAt() const;
-
-    /** Cheap lower bound on nextEventAt(), maintained incrementally from
-     *  per-SIMD ready minima. Never later than the true next event, so
-     *  waking the CU at the hint can be spurious (a side-effect-free
-     *  zero-issue tick that refines the hint) but never misses work. */
+    /** Cheap lower bound on the earliest cycle any resident wavefront
+     *  can issue (kNoCycle when the CU is empty or fully
+     *  barrier-blocked), maintained incrementally from per-SIMD ready
+     *  minima. Never later than the true next event, so waking the CU
+     *  at the hint can be spurious (a side-effect-free zero-issue tick
+     *  that refines the hint) but never misses work. */
     Cycle nextHint() const { return nextHint_; }
-    void refreshHint() { nextHint_ = nextEventAt(); }
 
     /** No resident wavefronts. */
     bool idle() const { return residentWaves_ == 0; }
 
-    std::uint32_t residentWaves() const { return residentWaves_; }
     std::uint64_t instsIssued() const { return instsIssued_; }
     std::uint32_t wavesRetired() const { return wavesRetired_; }
 
   private:
     struct Workgroup
     {
-        WorkgroupId id = 0;
         std::uint32_t wavesLeft = 0;
         std::uint32_t barrierWaiting = 0;
-        std::vector<std::uint8_t> lds;
         /** Wave slots assigned at placement, so a barrier release walks
          *  only this workgroup's waves instead of the whole CU. */
         std::vector<std::uint32_t> slots;
+        /** Dispatch-time capture of this workgroup (slice i = wave
+         *  i); later workgroups in the slot reuse its capacity. */
+        func::LaunchTrace trace;
         bool active = false;
     };
 
-    /** Monitored issue of @p slot's wavefront at @p now: basic-block
-     *  tracking, functional step, L1V probes, onBbExecuted, L1I fetch,
-     *  L1K / L2 walks, onInstruction, then barrier and retirement
-     *  bookkeeping — in that order. */
-    void issue(std::uint32_t slot, Cycle now);
+    template <bool kHooks> TickSummary tickImpl(Cycle now);
 
-    /** issue() minus the per-instruction monitor hooks and bb
-     *  tracking, with the same shared-memory access order. @p ri is the
-     *  slot's SIMD-major lane index, already in hand from arbitration. */
-    void issueFast(std::uint32_t slot, std::uint32_t ri,
-                   std::uint32_t simd, Cycle now);
+    /** Issue @p slot's wavefront at @p now: basic-block tracking
+     *  (hooked only), replay step, L1V probes, onBbExecuted (hooked),
+     *  L1I fetch, L1K / L2 walks, onInstruction (hooked), then barrier
+     *  and retirement bookkeeping — in that order. @p ri and @p simd
+     *  are the slot's SIMD-major lane index and SIMD, already in hand
+     *  from arbitration. */
+    template <bool kHooks>
+    void issue(std::uint32_t slot, std::uint32_t ri, std::uint32_t simd,
+               Cycle now);
 
     void retireWave(std::uint32_t slot, Cycle now);
     void releaseBarrier(std::uint32_t wgSlot, Cycle now);
@@ -178,7 +165,7 @@ class ComputeUnit
     }
 
     /** setSlotReady when the caller already has the lane index and
-     *  SIMD (the fast tick derives both from the arbitration result,
+     *  SIMD (the tick derives both from the arbitration result,
      *  skipping even the table loads). */
     void
     setSlotReadyAt(std::uint32_t ri, std::uint32_t simd, Cycle t)
@@ -258,13 +245,13 @@ class ComputeUnit
     const GpuConfig &cfg_;
     std::uint32_t cuId_;
     MemorySystem &memsys_;
-    const func::Emulator &emu_;
+    func::WarpCapturer &capturer_;
     KernelContext ctx_;
     /** ctx_.codeBase / kLineBytes, so the per-issue fetch-line check is
      *  one add and shift instead of a 64-bit multiply and divide. */
     std::uint64_t codeLineBase_ = 0;
 
-    // ---- Scheduling-hot lanes, SIMD-major (see readyIndex) ----------
+    // ---- Scheduling-hot lanes, SIMD-major (see slotRi_) -------------
     /** Compact per-slot scheduling key: the cycle the slot's wavefront
      *  can next issue, or kNoCycle when empty / at a barrier. */
     std::vector<Cycle> slotReady_;
@@ -272,18 +259,12 @@ class ComputeUnit
      *  lifetime; slots excluded from the issue mask never read it). */
     std::vector<std::uint32_t> slotWarp_;
 
-    /** Index of slot's entry in the SIMD-major lanes. Table lookup:
+    /** slot -> owning SIMD (slot % simdsPerCu precomputed). */
+    std::vector<std::uint32_t> slotSimd_;
+    /** slot -> index of its entry in the SIMD-major lanes. A table:
      *  the modulo/divide pair costs two runtime integer divisions per
      *  use (the divisors are config values, invisible to the
      *  compiler), which is real money at one-per-issue rates. */
-    std::uint32_t readyIndex(std::uint32_t slot) const
-    {
-        return slotRi_[slot];
-    }
-
-    /** slot -> owning SIMD (slot % simdsPerCu precomputed). */
-    std::vector<std::uint32_t> slotSimd_;
-    /** slot -> SIMD-major lane index (see readyIndex). */
     std::vector<std::uint32_t> slotRi_;
 
     // ---- Cold per-wave state, slot-indexed --------------------------
@@ -291,21 +272,17 @@ class ComputeUnit
     // each is touched by exactly one concern (issue, barrier, retire,
     // monitor bb tracking), so the hot concerns never drag the cold
     // bytes through the cache.
-    /** Architectural registers/pc, touched only on issue. */
+    /** pc/EXEC/done as the replay cursor advances them (registers stay
+     *  unset), touched only on issue. */
     std::vector<func::WaveState> waveState_; // photon-lint: aos-ok
     std::vector<Cycle> waveReadyAt_;
     std::vector<std::uint8_t> waveActive_;
     std::vector<std::uint8_t> waveAtBarrier_;
     std::vector<std::uint64_t> waveInstCount_;
     std::vector<std::uint32_t> waveWgSlot_;
-    /** Trace-replay cursor per slot, bound at placement when the kernel
-     *  context carries a replay trace; touched only on issue, exactly
-     *  like waveState_. */
+    /** Trace-replay cursor per slot, bound at placement; touched only
+     *  on issue, exactly like waveState_. */
     std::vector<func::WarpReplayCursor> waveCursor_; // photon-lint: aos-ok
-    /** Per-slot one-warp trace buffer filled by dispatch-time capture
-     *  (allocated at the first such kernel); reused across the slot's
-     *  warps, so its arenas keep capacity. */
-    std::vector<func::LaunchTrace> slotTrace_; // photon-lint: aos-ok
     std::vector<std::uint64_t> waveLastFetchLine_;
     // Dynamic basic-block tracking (monitor-observable only).
     std::vector<std::uint8_t> waveBbValid_;
@@ -327,11 +304,9 @@ class ComputeUnit
     std::array<Cycle, 8> unitCompleteLat_{};
     std::array<Cycle, 8> unitIssueLat_{};
     Cycle nextHint_ = kNoCycle;
-    /** Wave slots step their replay cursors (ctx_.replay or
-     *  ctx_.capture set) instead of the emulator. */
-    bool replayed_ = false;
-    /** See releaseHooks(); reset at every kernel start. */
-    bool hooksReleased_ = false;
+    /** A monitor is bound and holds its hooks: tick() takes the hooked
+     *  issue. Set at kernel start, cleared by releaseHooks(). */
+    bool hooked_ = false;
     std::uint32_t residentWaves_ = 0;
     std::uint32_t residentWgs_ = 0;
     std::uint64_t instsIssued_ = 0;

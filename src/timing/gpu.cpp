@@ -27,7 +27,7 @@ Gpu::Gpu(const GpuConfig &cfg)
 {
     cus_.reserve(cfg.numCus);
     for (std::uint32_t i = 0; i < cfg.numCus; ++i)
-        cus_.emplace_back(cfg_, i, memsys_, emu_);
+        cus_.emplace_back(cfg_, i, memsys_, capturer_);
     filedAt_.assign(cfg.numCus, kNoCycle);
     cuBusy_.assign(cfg.numCus, 0);
     prevRetired_.assign(cfg.numCus, 0);
@@ -58,19 +58,14 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
     ctx.replay = opts.replay;
     ctx.codeBase = (1ull << 40) + (kernelSeq_++ << 24);
 
-    // The frozen reference engine has no replay plumbing; callers
-    // selecting the seed loop must not request replay (the platform
-    // disables trace reuse for seed-loop runs).
-    if (opts.useSeedLoop)
-        ctx.replay = nullptr;
     if (opts.useSeedLoop) {
         // Frozen AoS per-cycle reference engine: its own CUs and
         // dispatch state, the Gpu's memory system and clock, so the
         // seed and event variants of one platform see identical cache
-        // history and stay bit-comparable.
+        // history and stay bit-comparable. It emulates inline and
+        // ignores ctx.replay.
         if (!reference_)
-            reference_ = std::make_unique<ReferenceEngine>(cfg_, memsys_,
-                                                           emu_);
+            reference_ = std::make_unique<ReferenceEngine>(cfg_, memsys_);
         if (monitor) {
             monitor->onKernelPhase(KernelPhase::Launch, now_);
             monitor->onKernelPhase(KernelPhase::Detailed, now_);
@@ -90,13 +85,6 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
         return out;
     }
 
-    // A traceable launch without a trace is captured warp by warp as
-    // its warps are placed, then replayed: emulating each warp to
-    // completion in one go keeps one register file cache-warm, where
-    // stepping it inside the issue loop touches a different resident
-    // wave's registers on almost every issue.
-    if (!ctx.replay && func::traceable(program))
-        ctx.capture = &capturer_;
     for (ComputeUnit &cu : cus_)
         cu.startKernel(ctx);
     dispatcher_.resume();
@@ -150,17 +138,14 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
     placed.reserve(cfg_.numCus);
     due.reserve(cfg_.numCus);
 
-    // Monitor-free runs take the fused tick: no monitor callbacks or
-    // basic-block tracking can be observed, so the CU's tickFast, which
-    // skips both, produces the identical simulation schedule. A
-    // monitored run switches to it for good once the monitor releases
-    // its hooks. Both ticks return the issue/retire/hint summary the
-    // bookkeeping below needs, so the cold CU object is touched only
-    // when a retirement actually happened.
-    bool fast = monitor == nullptr;
+    // The monitor's hooks stay attached until it releases them; each
+    // CU's tick follows (ComputeUnit::releaseHooks). The tick returns
+    // the issue/retire/hint summary the bookkeeping below needs, so the
+    // cold CU object is touched only when a retirement happened.
+    bool hooked = monitor != nullptr;
 
     while (true) {
-        if (!fast && !stopping && monitor->wantsStop(now_)) {
+        if (hooked && !stopping && monitor->wantsStop(now_)) {
             stopping = true;
             dispatcher_.halt();
             monitor->onKernelPhase(KernelPhase::Draining, now_);
@@ -171,12 +156,12 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
             for (std::uint32_t cu : placed) {
                 residentWaveCount_ += wavesPerWg_;
                 updateBusy(cu);
-                fileCu(cu, now_);
+                fileCu(cu, cus_[cu].nextHint(), now_);
             }
         }
-        if (!fast &&
+        if (hooked &&
             monitor->wantsRelease(now_, dispatcher_.allDispatched())) {
-            fast = true;
+            hooked = false;
             for (ComputeUnit &cu : cus_)
                 cu.releaseHooks();
         }
@@ -217,8 +202,7 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
 
         std::uint32_t issued = 0;
         for (std::uint32_t cu : due) {
-            ComputeUnit::TickSummary t =
-                fast ? cus_[cu].tickFast(now_) : cus_[cu].tick(now_);
+            ComputeUnit::TickSummary t = cus_[cu].tick(now_);
             issued += t.issued;
             // Residency changes only on placement (filed above) or a
             // retirement, so the bookkeeping can skip retire-free ticks.
@@ -226,7 +210,7 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
                 noteRetirements(cu);
                 updateBusy(cu);
             }
-            fileCuAt(cu, t.hint, now_ + 1);
+            fileCu(cu, t.hint, now_ + 1);
         }
 
         if (issued > 0)
@@ -272,13 +256,7 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
 }
 
 void
-Gpu::fileCu(std::uint32_t cu, Cycle floor)
-{
-    fileCuAt(cu, cus_[cu].nextHint(), floor);
-}
-
-void
-Gpu::fileCuAt(std::uint32_t cu, Cycle h, Cycle floor)
+Gpu::fileCu(std::uint32_t cu, Cycle h, Cycle floor)
 {
     if (h == kNoCycle) {
         filedAt_[cu] = kNoCycle;

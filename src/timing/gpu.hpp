@@ -6,12 +6,13 @@
  *
  * The run loop is event-driven and serial: CUs are filed in a min-heap
  * keyed by their next-event cycle and only ticked when due, instead of
- * being scanned every cycle. Monitor-free runs take each CU's fused
- * tickFast; monitored runs (the sampling control plane) take the
- * monitored tick until the monitor releases its hooks
- * (KernelMonitor::wantsRelease), then tickFast too. Traceable launches
- * replay per-warp traces — the caller's launch trace, or one captured
- * per warp at dispatch — so only LDS programs emulate inside the issue.
+ * being scanned every cycle. Each CU's one tick issues through its
+ * hooked body while a monitor holds its hooks (the sampling control
+ * plane) and through the hook-free body otherwise, including after the
+ * monitor releases them (KernelMonitor::wantsRelease). Every launch
+ * replays per-warp traces — the caller's launch trace, or one captured
+ * per workgroup at dispatch — so no instruction is emulated inside the
+ * issue.
  * A self-contained AoS per-cycle scanning engine
  * (timing/reference.hpp) is kept behind useSeedLoop as the frozen
  * reference implementation for cross-checks and as the bench baseline.
@@ -26,10 +27,8 @@
 #include <utility>
 #include <vector>
 
-#include "func/emulator.hpp"
 #include "func/memory.hpp"
 #include "func/warp_trace.hpp"
-#include "func/wave_state.hpp"
 #include "isa/program.hpp"
 #include "sim/config.hpp"
 #include "sim/phase_annotations.hpp"
@@ -113,7 +112,6 @@ class Gpu
     Cycle now() const { return now_; }
     const GpuConfig &config() const { return cfg_; }
     MemorySystem &memsys() { return memsys_; }
-    const func::Emulator &emulator() const { return emu_; }
 
     /** Export memory-system and run statistics. Exported counters are
      *  user-visible results (determinism sink). */
@@ -141,13 +139,11 @@ class Gpu
     RunOutcome runEventLoop(KernelMonitor *monitor,
                             const RunOptions &opts);
 
-    /** (Re)file @p cu in the event heap at its current hint; maintains
-     *  the one-valid-entry-per-CU invariant via filedAt_. */
-    void fileCu(std::uint32_t cu, Cycle floor);
-
-    /** Like fileCu but with the hint supplied by the caller (the fast
-     *  tick returns it, saving a read of the cold CU object). */
-    void fileCuAt(std::uint32_t cu, Cycle hint, Cycle floor);
+    /** (Re)file @p cu in the event heap at @p hint (its nextHint(), or
+     *  the hint its tick returned, which saves a read of the cold CU
+     *  object); maintains the one-valid-entry-per-CU invariant via
+     *  filedAt_. */
+    void fileCu(std::uint32_t cu, Cycle hint, Cycle floor);
 
     /** Sync the CU's residency flag into activeCuCount_. */
     void updateBusy(std::uint32_t cu);
@@ -166,14 +162,15 @@ class Gpu
 
     GpuConfig cfg_;
     MemorySystem memsys_;
-    func::Emulator emu_;
-    /** Dispatch-time capture engine shared by every CU (the core is
-     *  serial), so all captures reuse one warm register file. */
+    /** Dispatch-time capture engine shared by every CU: emulating each
+     *  warp to completion in one go keeps one register file cache-warm,
+     *  where stepping inside the issue loop would touch a different
+     *  resident wave's registers on almost every issue. */
     func::WarpCapturer capturer_;
     std::vector<ComputeUnit> cus_;
     Dispatcher dispatcher_;
     /** Frozen AoS baseline serving useSeedLoop runs; built on first
-     *  use, shares memsys_/emu_/clock with the event core. */
+     *  use, shares memsys_ and the clock with the event core. */
     std::unique_ptr<ReferenceEngine> reference_;
     Cycle now_ = 0;
     std::uint64_t kernelSeq_ = 0;

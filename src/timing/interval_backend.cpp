@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 
-#include "func/emulator.hpp"
 #include "func/warp_trace.hpp"
 #include "func/wave_state.hpp"
 #include "sampling/interval_model.hpp"
@@ -205,13 +204,16 @@ struct IntervalBackend::Impl
      * so the tracer steps each resident warp one instruction per round
      * instead.
      *
+     * Warps step through @p trace's replay cursors; its stores are
+     * already in memory.
+     *
      * @return per-warp predicted durations, indexed by warp id;
      *         @p insts accumulates instructions executed.
      */
     std::vector<Cycle>
     traceLaunch(KernelModel &km, const isa::Program &program,
-                const func::LaunchDims &dims, func::GlobalMemory &mem,
-                std::uint64_t &insts, const func::LaunchTrace *trace)
+                const func::LaunchDims &dims, std::uint64_t &insts,
+                const func::LaunchTrace &trace)
     {
         std::uint32_t wpw = std::max<std::uint32_t>(
             1, dims.wavesPerWorkgroup);
@@ -231,8 +233,7 @@ struct IntervalBackend::Impl
         struct Active
         {
             func::WaveState ws;
-            std::vector<std::uint8_t> lds;
-            func::WarpReplayCursor cursor; ///< bound when replaying
+            func::WarpReplayCursor cursor;
             WarpId warp = 0;
             double d = 0.0;
             std::uint64_t n = 0;
@@ -251,13 +252,11 @@ struct IntervalBackend::Impl
         // Pricing sample: one CU in four carries the cache proxies.
         constexpr std::uint32_t kCuSampleStride = 4;
 
-        func::Emulator emu;
         func::StepResult res;
 
         // CU-level pricing sample. Warps repeat across CUs (the
         // paper's sampling premise), so only every strideth CU is
-        // priced through the cache proxies; the others are emulated
-        // functionally (their stores must land) and their durations
+        // priced through the cache proxies; the others' durations
         // extrapolated from the matching warp slot of their sample
         // CU, scaled by instruction count. The aggregate counters
         // feeding the launch-level bounds are rescaled below so they
@@ -280,30 +279,15 @@ struct IntervalBackend::Impl
         CuSet cs;
         for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu) {
             if (cu % stride != 0) {
-                // Functional-only CU: run each warp straight through,
-                // then extrapolate its duration from the same queue
-                // position on its sample CU (processed earlier). With
-                // a trace the straight-through run collapses to a
-                // lookup — the only thing it produced was the
-                // instruction count and the stores, and the trace
-                // carries both (the launch applied the store log).
+                // Unpriced CU: extrapolate each warp's duration from
+                // the same queue position on its sample CU (processed
+                // earlier), scaled by the instruction counts the trace
+                // records.
                 std::uint32_t ref_cu = cu - cu % stride;
                 const auto &ref_q = queue[ref_cu];
-                func::WaveState ws;
-                std::vector<std::uint8_t> lds;
                 for (std::size_t p = 0; p < queue[cu].size(); ++p) {
                     WarpId w = queue[cu][p];
-                    std::uint64_t n = 0;
-                    if (trace) {
-                        n = trace->warps[w].instCount;
-                    } else {
-                        ws.init(program, dims, w);
-                        lds.assign(program.ldsBytes(), 0);
-                        while (!ws.done) {
-                            emu.step(program, ws, mem, lds, res);
-                            ++n;
-                        }
-                    }
+                    std::uint64_t n = trace.warps[w].instCount;
                     nInsts[w] = n;
                     insts += n;
                     WarpId ref = ref_q.empty()
@@ -327,16 +311,8 @@ struct IntervalBackend::Impl
                        cs.next < queue[cu].size()) {
                     auto a = std::make_unique<Active>();
                     a->warp = queue[cu][cs.next++];
-                    a->ws.init(program, dims, a->warp);
-                    if (trace) {
-                        a->cursor.bind(trace, a->warp);
-                    } else {
-                        // Per-warp LDS stand-in: control flow in the
-                        // supported workloads never depends on LDS
-                        // values (same soundness argument as the
-                        // online-analysis trace).
-                        a->lds.assign(program.ldsBytes(), 0);
-                    }
+                    a->ws.initControl(dims, a->warp);
+                    a->cursor.bind(&trace, a->warp);
                     cs.run.push_back(std::move(a));
                 }
             };
@@ -348,14 +324,7 @@ struct IntervalBackend::Impl
                     Active &a = *cs.run[(i + round) % width];
                     for (std::uint32_t k = 0;
                          k < kChunk && !a.ws.done; ++k) {
-                        // Identical rotating interleave either way;
-                        // the cursor's StepResult stream matches the
-                        // emulator's, so the proxies and durations are
-                        // bit-identical to a cold (emulated) launch.
-                        if (trace)
-                            a.cursor.step(program, a.ws, res);
-                        else
-                            emu.step(program, a.ws, mem, a.lds, res);
+                        a.cursor.step(program, a.ws, res);
                         ++a.n;
                         a.d += priceStep(km, res, cu);
                     }
@@ -445,7 +414,14 @@ IntervalBackend::runKernel(const isa::Program &program,
 {
     (void)monitor; // no monitorHooks capability
     // Of opts, only replay matters here; the cycle-level knobs have
-    // nothing to steer.
+    // nothing to steer. Handed no trace, the backend captures the
+    // launch itself, which lands its stores as emulation would.
+    func::LaunchTracePtr captured;
+    const func::LaunchTrace *trace = opts.replay;
+    if (!trace) {
+        captured = func::captureLaunchTrace(program, dims, mem);
+        trace = captured.get();
+    }
 
     Impl::KernelModel &km = impl_->model(program.name());
     const GpuConfig &cfg = impl_->cfg;
@@ -460,8 +436,8 @@ IntervalBackend::runKernel(const isa::Program &program,
     std::uint64_t dram0 = impl_->dramLines;
     std::uint64_t issue0 = impl_->issueCycles;
     std::uint64_t l2h0 = impl_->l2Hits;
-    std::vector<Cycle> durations = impl_->traceLaunch(
-        km, program, dims, mem, out.instsIssued, opts.replay);
+    std::vector<Cycle> durations =
+        impl_->traceLaunch(km, program, dims, out.instsIssued, *trace);
     for (Cycle d : durations)
         sched.scheduleWarp(d);
 

@@ -2,9 +2,10 @@
  * @file
  * The interval timing backend: a fast analytical model that predicts a
  * kernel's execution time without running the cycle-level core. Every
- * warp is functionally executed once (the pre-decoded instruction
- * stream; stores apply to real simulated memory), but only the warps
- * of a static sample of CUs (one in four) are priced as they retire:
+ * warp's instruction stream comes from the launch's functional trace
+ * (func/warp_trace.hpp: the caller's, or one the backend captures,
+ * landing the launch's stores), but only the warps of a static sample
+ * of CUs (one in four) are priced as they replay:
  * per-opcode latencies come from the sampling layer's interval-model
  * fits (paper Figure 9), memory instructions are classified hit/miss
  * by tag-only set-associative LRU proxies mirroring the detailed

@@ -316,13 +316,12 @@ ReferenceCu::releaseBarrier(std::uint32_t wgSlot, Cycle now)
 }
 
 ReferenceEngine::ReferenceEngine(const GpuConfig &cfg,
-                                 MemorySystem &memsys,
-                                 const func::Emulator &emu)
+                                 MemorySystem &memsys)
     : cfg_(cfg)
 {
     cus_.reserve(cfg.numCus);
     for (std::uint32_t i = 0; i < cfg.numCus; ++i)
-        cus_.emplace_back(cfg, i, memsys, emu);
+        cus_.emplace_back(cfg, i, memsys, emu_);
 }
 
 void

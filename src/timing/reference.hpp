@@ -120,16 +120,16 @@ class ReferenceCu
 
 /**
  * Per-cycle scanning run loop over an own set of ReferenceCus, sharing
- * the Gpu's memory system, emulator and clock so seed and event runs of
- * the same platform see identical cache state. Replicates the
+ * the Gpu's memory system and clock so seed and event runs of the same
+ * platform see identical cache state. It owns the emulator its CUs
+ * step: the reference executes instructions inline at issue. Replicates the
  * round-robin, workgroup-id-order dispatch policy and the event loop's
  * outcome accounting (occupancy integrals, IPC trace, early stop).
  */
 class ReferenceEngine
 {
   public:
-    ReferenceEngine(const GpuConfig &cfg, MemorySystem &memsys,
-                    const func::Emulator &emu);
+    ReferenceEngine(const GpuConfig &cfg, MemorySystem &memsys);
 
     /** Run one kernel to completion (or drain after a monitor stop),
      *  advancing the shared clock @p now. Fills every RunOutcome field
@@ -143,6 +143,8 @@ class ReferenceEngine
     void tryDispatch(Cycle now);
 
     const GpuConfig &cfg_;
+    /** The emulator every ReferenceCu steps inline at issue. */
+    func::Emulator emu_;
     std::vector<ReferenceCu> cus_;
     std::uint32_t numWgs_ = 0;
     std::uint32_t nextWg_ = 0;

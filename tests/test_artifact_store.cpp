@@ -525,6 +525,49 @@ TEST(ArtifactStore, FailedAppendRestoresTheFile)
     std::remove(path.c_str());
 }
 
+TEST(ArtifactStore, FailedSaveKeepsThePreviousFile)
+{
+    // saveArtifact rewrites through a temporary file that is renamed
+    // over the target only once fully written and synced. With a
+    // file-size limit too small for the new store, the save must fail
+    // and leave the previous file byte-identical, loadable and alone
+    // in its directory.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "photon_save_fail";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "store.bin").string();
+    std::vector<Artifact> batches = sampleBatches();
+    ASSERT_TRUE(saveArtifact(batches[2], path).ok);
+    const std::string before = readAll(path);
+
+    rlimit old{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old), 0);
+    rlimit lim = old;
+    lim.rlim_cur = before.size() + 10;
+    void (*prev)(int) = signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lim), 0);
+    LoadStatus st = saveArtifact(mergedSample(), path);
+    setrlimit(RLIMIT_FSIZE, &old);
+    signal(SIGXFSZ, prev);
+
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.error.find("unchanged"), std::string::npos) << st.error;
+    EXPECT_EQ(readAll(path), before);
+    Artifact back;
+    ASSERT_TRUE(loadArtifact(path, back).ok);
+    EXPECT_EQ(serializeArtifact(back), serializeArtifact(batches[2]));
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              1);
+
+    // With room on disk the same save replaces the file.
+    ASSERT_TRUE(saveArtifact(mergedSample(), path).ok);
+    ASSERT_TRUE(loadArtifact(path, back).ok);
+    EXPECT_EQ(serializeArtifact(back), serializeArtifact(mergedSample()));
+    fs::remove_all(dir);
+}
+
 TEST(ArtifactStore, LoadsAV6File)
 {
     // artifact_v6.bin was written by the v6 saveArtifact from

@@ -7,8 +7,9 @@
  *  and the backends themselves: the detailed adapter reproduces the
  *  golden seed numbers with full capabilities, the interval model is
  *  deterministic with no capabilities, its cycle error against the
- *  detailed core stays inside each workload's stated bound, and
- *  seeding latency fits changes its predictions. The retired "auto" backend name is
+ *  detailed core stays inside each workload's stated bound, every core
+ *  workload passes its reference check under it, and seeding latency
+ *  fits changes its predictions. The retired "auto" backend name is
  *  rejected at every entry point with the accepted names. */
 
 #include <gtest/gtest.h>
@@ -271,6 +272,35 @@ TEST(IntervalBackend, DeterministicWithNoCaps)
             first = r.cycles;
         else
             EXPECT_EQ(r.cycles, first) << "interval model not deterministic";
+    }
+}
+
+TEST(IntervalBackend, EveryCoreWorkloadPassesItsReferenceCheck)
+{
+    // The interval backend prices warps from the launch's trace, so its
+    // functional results are the trace's: every core workload's output
+    // must match its CPU reference, including mmtiled, whose waves
+    // exchange tiles through LDS. Both trace sources are covered: the
+    // platform's trace store, and the backend's own capture when trace
+    // reuse is off.
+    for (bool reuse : {true, false}) {
+        for (const char *workload : {"relu", "fir", "sc", "mm", "mmtiled",
+                                     "aes", "spmv", "pagerank"}) {
+            driver::Platform p(gpuByName("tiny"),
+                               driver::SimMode::FullDetailed, {},
+                               timing::BackendKind::Interval);
+            p.setTraceReuse(reuse);
+            std::string err;
+            auto w = service::makeWorkload(workload, 64, &err);
+            ASSERT_NE(w, nullptr) << err;
+            w->setup(p);
+            workloads::runWorkload(*w, p);
+            EXPECT_TRUE(w->check(p)) << workload << " reuse " << reuse;
+            if (std::string(workload) == "mmtiled") {
+                EXPECT_EQ(p.totalKernelCycles(), 7464ull)
+                    << "reuse " << reuse;
+            }
+        }
     }
 }
 

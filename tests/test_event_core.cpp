@@ -156,8 +156,7 @@ runOnGpu(const ProgramPtr &prog, func::LaunchDims dims,
     return r;
 }
 
-/** Like runOnGpu but with no monitor attached: the fused tickFast
- *  issue path. */
+/** Like runOnGpu but with no monitor attached: the hook-free issue. */
 GpuRun
 runOnGpuNoMonitor(const ProgramPtr &prog, func::LaunchDims dims,
                   std::uint64_t mem_bytes, const RunOptions &opts)
@@ -200,11 +199,11 @@ struct WorkloadRun
 
 /** Every launch of a fresh @p w instance on a full-detailed r9nano
  *  platform, driven straight through Gpu::runKernel with no launch
- *  trace: the event core captures each warp at dispatch and replays
- *  it, the seed loop (@p seed_loop) emulates inline at issue. With
- *  @p monitored, a HashingMonitor that never releases its hooks rides
- *  along (the monitored issue path); otherwise the run is
- *  monitor-free (the fused tickFast path). */
+ *  trace: the event core captures each workgroup at dispatch and
+ *  replays it, the seed loop (@p seed_loop) emulates inline at issue.
+ *  With @p monitored, a HashingMonitor that never releases its hooks
+ *  rides along (the hooked issue); otherwise the run is monitor-free
+ *  (the hook-free issue). */
 WorkloadRun
 runWorkloadLaunches(workloads::WorkloadPtr w, bool seed_loop,
                     bool monitored = false)
@@ -249,7 +248,7 @@ TEST(EventCore, EventLoopMatchesSeedLoop)
         EXPECT_EQ(ev.monitorHash, seed.monitorHash) << kc.name;
         EXPECT_EQ(ev.stats, seed.stats) << kc.name;
 
-        // Monitor-free: the fused tickFast path against the same seed.
+        // Monitor-free: the hook-free issue against the same seed.
         std::string what = std::string(kc.name) + " no-monitor";
         GpuRun seed_free =
             runOnGpuNoMonitor(prog, kc.dims, kc.memBytes, opts);
@@ -262,8 +261,10 @@ TEST(EventCore, EventLoopMatchesSeedLoop)
 
 TEST(EventCore, RealWorkloadsMatchSeedLoop)
 {
-    // A compute-bound and a memory-bound workload at full r9nano scale:
-    // dispatch across 64 CUs, real cache and DRAM contention.
+    // A compute-bound, a memory-bound and an LDS/barrier workload at
+    // full r9nano scale: dispatch across 64 CUs, real cache and DRAM
+    // contention. mmtiled's waves exchange tiles through LDS, so its
+    // dispatch capture runs each workgroup phase by phase.
     const struct
     {
         const char *name;
@@ -271,6 +272,7 @@ TEST(EventCore, RealWorkloadsMatchSeedLoop)
     } cases[] = {
         {"mm 128", [] { return workloads::makeMm(128); }},
         {"spmv 1024", [] { return workloads::makeSpmv(1024); }},
+        {"mmtiled 128", [] { return workloads::makeMmTiled(128); }},
     };
     for (const auto &c : cases) {
         WorkloadRun ev = runWorkloadLaunches(c.make(), false);
@@ -454,11 +456,11 @@ TEST(EventCore, DispatcherRetryFlagGatesRescans)
 {
     GpuConfig cfg = GpuConfig::testTiny();
     timing::MemorySystem memsys(cfg);
-    func::Emulator emu;
+    func::WarpCapturer capturer;
     std::vector<timing::ComputeUnit> cus;
     cus.reserve(cfg.numCus);
     for (std::uint32_t i = 0; i < cfg.numCus; ++i)
-        cus.emplace_back(cfg, i, memsys, emu);
+        cus.emplace_back(cfg, i, memsys, capturer);
 
     ProgramPtr prog = aluKernel(4);
     isa::BasicBlockTable bb_table(*prog, false);

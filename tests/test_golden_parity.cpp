@@ -6,11 +6,11 @@
  *  and R9-Nano GPU models. The refactor moved the switch logic into
  *  SamplingController/SwitchGovernor and added telemetry capture, but
  *  none of that may perturb a single simulated cycle — every case must
- *  reproduce bit-identically. Full-mode runs take the monitor-free
- *  tickFast path and replay their launch trace; photon-mode runs
- *  capture each warp at dispatch and take the monitored issue path
- *  until the controller releases its hooks (at the switch, or once the
- *  last workgroup is placed), then tickFast. */
+ *  reproduce bit-identically. Full-mode runs take the hook-free issue
+ *  and replay their launch trace; photon-mode runs capture each
+ *  workgroup at dispatch and take the hooked issue until the
+ *  controller releases its hooks (at the switch, or once the last
+ *  workgroup is placed), then the hook-free one. */
 
 #include <gtest/gtest.h>
 

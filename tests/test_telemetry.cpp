@@ -2,13 +2,17 @@
  *  CSV serialization, the schema-versioned round trip (current schema
  *  plus v1/v3/v4-document compatibility), and telemetry persistence
  *  through the binary artifact store (v7, with v1/v2/v3/v5/v6 load
- *  compatibility). */
+ *  compatibility), and atomic file saves. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <vector>
+
+#include <signal.h>
+#include <sys/resource.h>
 
 #include "sampling/telemetry.hpp"
 #include "service/artifact_store.hpp"
@@ -321,6 +325,43 @@ TEST(Telemetry, CsvCarriesSchemaVersionHeader)
     EXPECT_NE(csv.find("kernel,job,workgroups"), std::string::npos);
     EXPECT_NE(csv.find("mm_tiled,"), std::string::npos);
     EXPECT_NE(csv.find(",warp,"), std::string::npos);
+}
+
+TEST(Telemetry, FailedSaveKeepsThePreviousFile)
+{
+    // saveTelemetry shares saveArtifact's atomic rewrite: a save that
+    // runs into a file-size limit fails and leaves the previous
+    // document byte-identical and readable.
+    const std::string path =
+        testing::TempDir() + "photon_telemetry_save.json";
+    ASSERT_TRUE(saveTelemetry({sampleRecord()}, path));
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream before;
+    before << in.rdbuf();
+    in.close();
+
+    rlimit old{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old), 0);
+    rlimit lim = old;
+    lim.rlim_cur = before.str().size() + 10;
+    void (*prev)(int) = signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lim), 0);
+    std::string err;
+    bool saved = saveTelemetry(
+        std::vector<KernelTelemetry>(8, sampleRecord()), path, &err);
+    setrlimit(RLIMIT_FSIZE, &old);
+    signal(SIGXFSZ, prev);
+
+    EXPECT_FALSE(saved);
+    EXPECT_NE(err.find("unchanged"), std::string::npos) << err;
+    in.open(path, std::ios::binary);
+    std::stringstream after;
+    after << in.rdbuf();
+    EXPECT_EQ(after.str(), before.str());
+    std::vector<KernelTelemetry> parsed;
+    ASSERT_TRUE(readTelemetryJson(after.str(), parsed, &err)) << err;
+    EXPECT_EQ(parsed.size(), 1u);
+    std::remove(path.c_str());
 }
 
 TEST(Telemetry, DetailedFractionDefinition)

@@ -161,10 +161,11 @@ TEST(WarpTrace, ApplyAllStoresReproducesEmulatedMemory)
 
 TEST(WarpTrace, CaptureAloneMatchesLaunchSlices)
 {
-    // Dispatch-time capture records one warp at a time into a reused
-    // one-slice buffer. Each buffer must carry exactly the side streams
-    // of that warp's slice in a whole-launch capture, minus the store
-    // log, while its emulation lands the same stores in memory.
+    // Dispatch-time capture records one workgroup at a time into a
+    // reused buffer, one slice per wave. Each slice must carry exactly
+    // the side streams of that warp's slice in a whole-launch capture,
+    // minus the store log, while its emulation lands the same stores in
+    // memory.
     ProgramPtr prog;
     LaunchDims dims;
     GlobalMemory launch_mem(1 << 20);
@@ -178,12 +179,19 @@ TEST(WarpTrace, CaptureAloneMatchesLaunchSlices)
         return (t.branchWords[i >> 6] >> (i & 63)) & 1;
     };
     for (WarpId w = 0; w < dims.totalWaves(); ++w) {
-        capturer.captureAlone(*prog, dims, mem, w, buf);
-        ASSERT_EQ(buf.warps.size(), 1u);
+        const std::uint32_t wave = w % dims.wavesPerWorkgroup;
+        if (wave == 0) {
+            capturer.captureAlone(*prog, dims, mem,
+                                  w / dims.wavesPerWorkgroup, buf);
+            ASSERT_EQ(buf.warps.size(), dims.wavesPerWorkgroup);
+            std::uint64_t insts = 0;
+            for (std::uint32_t i = 0; i < dims.wavesPerWorkgroup; ++i)
+                insts += trace->warps[w + i].instCount;
+            EXPECT_EQ(buf.totalInsts, insts) << "warp " << w;
+        }
         const LaunchTrace::WarpSlice &a = trace->warps[w];
-        const LaunchTrace::WarpSlice &b = buf.warps[0];
+        const LaunchTrace::WarpSlice &b = buf.warps[wave];
         EXPECT_EQ(b.instCount, a.instCount) << "warp " << w;
-        EXPECT_EQ(buf.totalInsts, a.instCount) << "warp " << w;
         ASSERT_EQ(b.branchBits, a.branchBits) << "warp " << w;
         for (std::uint32_t i = 0; i < a.branchBits; ++i)
             EXPECT_EQ(bit(buf, b.branchBase + i),
@@ -204,14 +212,87 @@ TEST(WarpTrace, CaptureAloneMatchesLaunchSlices)
     EXPECT_EQ(mem.contentHash(), launch_mem.contentHash());
 }
 
-TEST(WarpTrace, TraceableRejectsLdsPrograms)
+TEST(WarpTrace, LdsWorkgroupStoreLogReplaysInWarpOrder)
 {
-    KernelBuilder b("lds_user");
-    b.setLdsBytes(256);
-    b.dsWrite(kVgprLocalId, vreg(kVgprLocalId));
+    // Two waves per workgroup exchange values through LDS across one
+    // barrier and write disjoint bytes of their workgroup's output
+    // line in opposite phases: wave 1 before the barrier, wave 0 after
+    // it (storing the value wave 1 left in LDS). Post-write snapshots
+    // taken at each store would let wave 1's stale copy of the line
+    // undo wave 0's bytes when the log is applied in warp order; the
+    // snapshots a workgroup capture takes once the workgroup is done
+    // must not.
+    KernelBuilder b("lds_phases");
+    b.setLdsBytes(8);
+    b.sLoad(3, kSgprKernargBase, 0); // out buffer base
+    // LDS[4 * wave] = wave + 7.
+    b.emit(Opcode::V_LSHL_B32, vreg(1), sreg(kSgprWaveInGroup), imm(2));
+    b.emit(Opcode::S_ADD_U32, sreg(4), sreg(kSgprWaveInGroup), imm(7));
+    b.dsWrite(1, sreg(4));
+    // v2 = out + 64 * workgroup + 4 * wave: one line per workgroup.
+    b.emit(Opcode::S_LSHL_B32, sreg(5), sreg(kSgprWorkgroupId), imm(6));
+    b.emit(Opcode::S_ADD_U32, sreg(5), sreg(5), sreg(3));
+    b.vMad(2, sreg(kSgprWaveInGroup), imm(4), sreg(5));
+    b.emit(Opcode::S_CMP_EQ_U32, {}, sreg(kSgprWaveInGroup), imm(0));
+    Label sync = b.label();
+    b.branch(Opcode::S_CBRANCH_SCC1, sync);
+    b.vMov(3, imm(0xB1));
+    b.flatStore(2, vreg(3)); // wave 1, before the barrier
+    b.bind(sync);
+    b.barrier();
+    b.emit(Opcode::S_CMP_EQ_U32, {}, sreg(kSgprWaveInGroup), imm(0));
+    Label end = b.label();
+    b.branch(Opcode::S_CBRANCH_SCC0, end);
+    b.vMov(4, imm(4));
+    b.dsRead(5, 4);          // wave 1's LDS value
+    b.flatStore(2, vreg(5)); // wave 0, after the barrier
+    b.bind(end);
     b.endProgram();
-    EXPECT_FALSE(traceable(*b.finish()));
-    EXPECT_TRUE(traceable(*buildLoopStoreKernel()));
+    ProgramPtr prog = b.finish();
+
+    auto setup = [](GlobalMemory &mem) {
+        Addr kernarg = mem.allocate(16);
+        Addr out = mem.allocate(2 * kLineBytes);
+        mem.write32(kernarg, static_cast<std::uint32_t>(out));
+        for (std::uint32_t i = 0; i < 2 * kLineBytes / 4; ++i)
+            mem.write32(out + i * 4ull, 0xEEEEEEEEu);
+        return LaunchDims{2, 2, kernarg};
+    };
+
+    GlobalMemory seed_mem(1 << 20);
+    LaunchDims dims = setup(seed_mem);
+    timing::Gpu gpu(GpuConfig::testTiny());
+    timing::RunOptions opts;
+    opts.useSeedLoop = true;
+    gpu.runKernel(*prog, dims, seed_mem, nullptr, opts);
+    const Addr out = seed_mem.read32(dims.kernargBase);
+    for (Addr line = out; line < out + 2 * kLineBytes; line += kLineBytes) {
+        EXPECT_EQ(seed_mem.read32(line), 8u);        // wave 1's LDS value
+        EXPECT_EQ(seed_mem.read32(line + 4), 0xB1u); // wave 1's constant
+    }
+
+    GlobalMemory cap_mem(1 << 20);
+    setup(cap_mem);
+    LaunchTracePtr trace = captureLaunchTrace(*prog, dims, cap_mem);
+    EXPECT_EQ(cap_mem.contentHash(), seed_mem.contentHash());
+
+    GlobalMemory all_mem(1 << 20);
+    setup(all_mem);
+    applyAllStores(*trace, all_mem);
+    EXPECT_EQ(all_mem.contentHash(), seed_mem.contentHash());
+
+    GlobalMemory wg_mem(1 << 20);
+    setup(wg_mem);
+    for (WorkgroupId wg = 0; wg < dims.numWorkgroups; ++wg) {
+        for (std::uint32_t i = 0; i < dims.wavesPerWorkgroup; ++i)
+            applyWarpStores(*trace, wg * dims.wavesPerWorkgroup + i,
+                            wg_mem);
+        // Each workgroup's log alone completes its own line.
+        const Addr line = out + wg * kLineBytes;
+        EXPECT_EQ(wg_mem.read32(line), 8u) << "workgroup " << wg;
+        EXPECT_EQ(wg_mem.read32(line + 4), 0xB1u) << "workgroup " << wg;
+    }
+    EXPECT_EQ(wg_mem.contentHash(), seed_mem.contentHash());
 }
 
 TEST(WarpTrace, KeyCoversProgramGeometryAndInput)
@@ -442,21 +523,20 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
     {
         const char *workload;
         std::uint32_t size;
-        bool traceable; ///< mmtiled stages through LDS; capture refuses
     };
     // All eight core workloads: sc diverges per lane, aes is
     // branch-heavy, relu/fir stream memory, mm/spmv/pagerank cover
-    // indirect addressing and multi-launch chains; mmtiled pins the
-    // LDS refusal path (the trace layer must be inert, not wrong).
+    // indirect addressing and multi-launch chains, and mmtiled stages
+    // through LDS across barriers (captured phase by phase).
     for (const Case &c : std::initializer_list<Case>{
-             {"relu", 256, true},
-             {"fir", 256, true},
-             {"sc", 256, true},
-             {"mm", 64, true},
-             {"mmtiled", 64, false},
-             {"aes", 64, true},
-             {"spmv", 128, true},
-             {"pagerank", 64, true}}) {
+             {"relu", 256},
+             {"fir", 256},
+             {"sc", 256},
+             {"mm", 64},
+             {"mmtiled", 64},
+             {"aes", 64},
+             {"spmv", 128},
+             {"pagerank", 64}}) {
         PlatformRun emulated =
             runFullDetailed(c.workload, c.size, nullptr, false);
         EXPECT_EQ(emulated.captures, 0u) << c.workload;
@@ -464,21 +544,14 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
         TraceStore shared;
         PlatformRun captured =
             runFullDetailed(c.workload, c.size, &shared, true);
-        if (c.traceable)
-            EXPECT_GT(captured.captures, 0u) << c.workload;
-        else
-            EXPECT_EQ(captured.captures, 0u) << c.workload;
+        EXPECT_GT(captured.captures, 0u) << c.workload;
         EXPECT_EQ(captured.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(captured.insts, emulated.insts) << c.workload;
 
         PlatformRun replayed =
             runFullDetailed(c.workload, c.size, &shared, true);
-        if (c.traceable) {
-            EXPECT_GT(replayed.hits, 0u) << c.workload;
-            EXPECT_EQ(replayed.misses, 0u) << c.workload;
-        } else {
-            EXPECT_EQ(replayed.hits, 0u) << c.workload;
-        }
+        EXPECT_GT(replayed.hits, 0u) << c.workload;
+        EXPECT_EQ(replayed.misses, 0u) << c.workload;
         EXPECT_EQ(replayed.captures, 0u) << c.workload;
         EXPECT_EQ(replayed.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(replayed.insts, emulated.insts) << c.workload;
