@@ -61,17 +61,25 @@ BM_EmulatorAluLoop(benchmark::State &state)
 }
 BENCHMARK(BM_EmulatorAluLoop);
 
+/** Uniform probes over 16x a cache's line capacity. Args: size in
+ *  bytes, ways. */
 void
 BM_CacheProbe(benchmark::State &state)
 {
-    CacheConfig cfg{16 * 1024, 4, 64, 16};
+    CacheConfig cfg{static_cast<std::uint32_t>(state.range(0)),
+                    static_cast<std::uint32_t>(state.range(1)), 64, 16};
     timing::SetAssocCache cache(cfg);
+    std::uint64_t lines = 16 * std::uint64_t{cfg.sizeBytes / cfg.lineBytes};
     Rng rng(1);
     for (auto _ : state)
-        benchmark::DoNotOptimize(cache.probe(rng.nextBelow(4096)));
+        benchmark::DoNotOptimize(cache.probe(rng.nextBelow(lines)));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheProbe);
+// An r9nano L1V (64 sets x 4 ways) and one r9nano L2 bank (256 sets x
+// 16 ways).
+BENCHMARK(BM_CacheProbe)
+    ->Args({16 * 1024, 4})
+    ->Args({256 * 1024, 16});
 
 void
 BM_DramAccess(benchmark::State &state)

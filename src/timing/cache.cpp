@@ -1,66 +1,31 @@
 #include "timing/cache.hpp"
 
+#include <algorithm>
+
 #include "sim/log.hpp"
 
 namespace photon::timing {
 
 SetAssocCache::SetAssocCache(const CacheConfig &cfg)
-    : cfg_(cfg), numSets_(cfg.numSets())
+    : cfg_(cfg), setMask_(cfg.numSets() - 1),
+      tags_(std::size_t{cfg.numSets()} * cfg.ways)
 {
-    PHOTON_ASSERT(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
+    PHOTON_ASSERT(cfg.numSets() > 0 && (cfg.numSets() & setMask_) == 0,
                   "cache set count must be a power of two");
-    ways_.resize(std::size_t{numSets_} * cfg_.ways);
-}
-
-bool
-SetAssocCache::probe(std::uint64_t lineAddr)
-{
-    // The full line id is stored as the tag, so there is no aliasing.
-    std::uint32_t set = lineAddr & (numSets_ - 1);
-    Way *base = &ways_[std::size_t{set} * cfg_.ways];
-    ++useClock_;
-
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == lineAddr) {
-            way.lastUse = useClock_;
-            ++hits_;
-            return true;
-        }
-        // Victim preference: any invalid way, otherwise least recently
-        // used among the valid ways.
-        bool better = !victim ||
-                      (victim->valid &&
-                       (!way.valid || way.lastUse < victim->lastUse));
-        if (better)
-            victim = &way;
-    }
-
-    ++misses_;
-    victim->valid = true;
-    victim->tag = lineAddr;
-    victim->lastUse = useClock_;
-    return false;
 }
 
 bool
 SetAssocCache::contains(std::uint64_t lineAddr) const
 {
-    std::uint32_t set = lineAddr & (numSets_ - 1);
-    const Way *base = &ways_[std::size_t{set} * cfg_.ways];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].tag == lineAddr)
-            return true;
-    }
-    return false;
+    const std::uint64_t *set =
+        &tags_[std::size_t{lineAddr & setMask_} * cfg_.ways];
+    return std::find(set, set + cfg_.ways, lineAddr + 1) != set + cfg_.ways;
 }
 
 void
 SetAssocCache::flush()
 {
-    for (Way &w : ways_)
-        w.valid = false;
+    std::fill(tags_.begin(), tags_.end(), 0);
 }
 
 } // namespace photon::timing

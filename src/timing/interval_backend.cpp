@@ -9,6 +9,7 @@
 #include "func/warp_trace.hpp"
 #include "func/wave_state.hpp"
 #include "sampling/interval_model.hpp"
+#include "timing/cache.hpp"
 #include "timing/scheduler_model.hpp"
 
 // The sanctioned seam crossing: timing headers stay sampling-free (the
@@ -19,54 +20,6 @@ namespace photon::timing {
 
 struct IntervalBackend::Impl
 {
-    /**
-     * Tag-only set-associative LRU cache proxy mirroring the detailed
-     * model's geometry (sets, ways, LRU fill-on-miss) but keeping no
-     * timing state: it classifies a line access as hit/miss, which is
-     * what the analytical latency pricing needs. Deterministic: state
-     * evolves in trace order.
-     */
-    struct TagCache
-    {
-        TagCache(std::uint32_t num_sets, std::uint32_t num_ways)
-            : sets(num_sets ? num_sets : 1), ways(num_ways ? num_ways : 1),
-              tags(std::size_t{sets} * ways, 0)
-        {}
-
-        /** Probe-and-fill: returns whether @p line was resident.
-         *
-         *  Each set is a contiguous recency-ordered run of way tags
-         *  (front = most recent, back = LRU victim), so a probe reads
-         *  one cache line of the host and the LRU update is a short
-         *  move-to-front shift — the tracer probes once per line
-         *  touched, which makes this the hottest loop in the backend.
-         *  Tag 0 means empty; stored tags are line + 1, truncated to
-         *  32 bits (simulated line ids are far below 2^32). */
-        bool
-        access(Addr line)
-        {
-            std::uint32_t *set = tags.data() + std::size_t{line % sets} * ways;
-            std::uint32_t tag = static_cast<std::uint32_t>(line + 1);
-            if (set[0] == tag) // hot-line fast path: already MRU
-                return true;
-            for (std::uint32_t i = 1; i < ways; ++i) {
-                if (set[i] == tag) {
-                    for (std::uint32_t j = i; j > 0; --j)
-                        set[j] = set[j - 1];
-                    set[0] = tag;
-                    return true;
-                }
-            }
-            for (std::uint32_t j = ways - 1; j > 0; --j)
-                set[j] = set[j - 1];
-            set[0] = tag;
-            return false;
-        }
-
-        std::uint32_t sets, ways;
-        std::vector<std::uint32_t> tags;
-    };
-
     /** Per-kernel latency fits (the interval-model table, paper
      *  Figure 9), seedable from a detailed phase. The table's lookup
      *  path (observed mean with a config-derived default) runs once
@@ -84,15 +37,16 @@ struct IntervalBackend::Impl
 
     explicit Impl(const GpuConfig &cfg)
         : cfg(cfg),
-          l1(cfg.numCus, TagCache(cfg.l1v.numSets(), cfg.l1v.ways)),
-          l2(cfg.l2Banks, TagCache(cfg.l2.numSets(), cfg.l2.ways))
+          l1(cfg.numCus, SetAssocCache(cfg.l1v)),
+          l2(cfg.l2Banks, SetAssocCache(cfg.l2))
     {}
 
-    /** L2 probe through the detailed model's bank interleave. */
+    /** L2 probe through the detailed model's bank interleave (the
+     *  bank count is a power of two). */
     bool
     l2Access(Addr line)
     {
-        return l2[line % l2.size()].access(line);
+        return l2[line & (l2.size() - 1)].probe(line);
     }
 
     KernelModel &
@@ -157,7 +111,7 @@ struct IntervalBackend::Impl
             for (std::uint32_t i = 0; i < step.numLines; ++i) {
                 Addr line = step.lines[i];
                 double line_lat;
-                if (l1[cu].access(line)) {
+                if (l1[cu].probe(line)) {
                     ++l1Hits;
                     line_lat = static_cast<double>(cfg.l1v.hitLatency);
                 } else if (++l1Misses, l2Access(line)) {
@@ -376,8 +330,11 @@ struct IntervalBackend::Impl
     }
 
     GpuConfig cfg;
-    std::vector<TagCache> l1; ///< one capacity proxy per CU L1V
-    std::vector<TagCache> l2; ///< one capacity proxy per L2 bank
+    /** Hit/miss classifiers in the detailed model's geometry; only
+     *  their tag state is used (no ports, no timing). Deterministic:
+     *  state evolves in trace order. */
+    std::vector<SetAssocCache> l1; ///< one per CU L1V
+    std::vector<SetAssocCache> l2; ///< one per L2 bank
     /** Ordered by kernel name so statistic export iterates
      *  deterministically. */
     std::map<std::string, KernelModel> models;

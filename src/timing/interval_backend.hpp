@@ -8,8 +8,8 @@
  * of CUs (one in four) are priced as they replay:
  * per-opcode latencies come from the sampling layer's interval-model
  * fits (paper Figure 9), memory instructions are classified hit/miss
- * by tag-only set-associative LRU proxies mirroring the detailed
- * L1/L2 geometry, and the remaining warps' durations are extrapolated
+ * by the detailed model's SetAssocCache in its L1V/L2 geometry (tag
+ * state only), and the remaining warps' durations are extrapolated
  * from the matching warp slot of their sample CU by instruction
  * count. Warps are packed onto the machine's wavefront slots through
  * the slot-occupancy scheduler model, and the resulting makespan is
@@ -87,7 +87,7 @@ class IntervalBackend final : public TimingBackend
     const GpuConfig &config() const override;
 
     /** Export prediction statistics (kernels/warps/insts predicted,
-     *  proxy hit/miss totals). Exported counters are user-visible
+     *  tag-cache hit/miss totals). Exported counters are user-visible
      *  results (determinism sink). */
     PHOTON_DET_SINK
     void exportStats(StatRegistry &stats) const override;
@@ -105,7 +105,7 @@ class IntervalBackend final : public TimingBackend
     struct Impl;
 
     Gpu &gpu_;
-    /** Per-kernel fits plus the L1/L2 tag proxies (deliberately warm
+    /** Per-kernel fits plus the L1/L2 tag caches (deliberately warm
      *  across kernels, like the machine's caches). The store has a
      *  single owner (one backend per job); tagged anyway so any
      *  future cross-job sharing trips the lock-set pass instead of

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 
+#include "sim/log.hpp"
+
 namespace photon::timing {
 
 MemorySystem::MemorySystem(const GpuConfig &cfg)
-    : cfg_(cfg), dram_(cfg.dram)
+    : cfg_(cfg), l2BankMask_(cfg.l2Banks - 1), dram_(cfg.dram)
 {
+    PHOTON_ASSERT(cfg.l2Banks > 0 && (cfg.l2Banks & l2BankMask_) == 0,
+                  "l2Banks must be a nonzero power of two");
+    PHOTON_ASSERT(cfg.mshrsPerCu > 0, "mshrsPerCu must be nonzero");
     std::uint32_t groups = (cfg.numCus + kCusPerL1Group - 1) /
                            kCusPerL1Group;
     l1v_.reserve(cfg.numCus);
@@ -29,7 +34,7 @@ MemorySystem::MemorySystem(const GpuConfig &cfg)
 Cycle
 MemorySystem::l2Access(std::uint64_t lineAddr, Cycle now)
 {
-    SetAssocCache &bank = l2_[lineAddr % cfg_.l2Banks];
+    SetAssocCache &bank = l2_[lineAddr & l2BankMask_];
     Cycle start = bank.reservePort(now);
     if (bank.probe(lineAddr))
         return start + bank.hitLatency();
@@ -66,7 +71,10 @@ MemorySystem::vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr,
     // request order). A full MSHR file delays the miss, which is the
     // backpressure that bounds the DRAM backlog.
     p.missBase = start + l1.hitLatency();
-    p.mshrIdx = mshrPtr_[cuId]++ % cfg_.mshrsPerCu;
+    std::uint32_t &ptr = mshrPtr_[cuId];
+    p.mshrIdx = ptr;
+    if (++ptr == cfg_.mshrsPerCu)
+        ptr = 0;
     return p;
 }
 

@@ -92,6 +92,7 @@ class MemorySystem
     Cycle l2Access(std::uint64_t lineAddr, Cycle now);
 
     GpuConfig cfg_;
+    std::uint32_t l2BankMask_; ///< l2Banks - 1 (a power of two)
     /** Per-CU MSHR next-free times (ring-allocated). */
     std::vector<std::vector<Cycle>> mshrFree_;
     std::vector<std::uint32_t> mshrPtr_;

@@ -12,6 +12,10 @@
  *  controller releases its hooks (at the switch, or once the last
  *  workgroup is placed), then the hook-free one. */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "driver/platform.hpp"
@@ -157,4 +161,74 @@ TEST(GoldenParity, NanoSwitchPathsSerial)
 {
     for (const auto &c : nanoMatrix())
         runCase(c);
+}
+
+namespace {
+
+/** A full-detail mi100 run pinned down to every exported memory
+ *  counter, captured from the timestamp-LRU cache model the
+ *  move-to-front tag lists replaced. mi100 has 32 L2 banks and 32
+ *  DRAM banks (r9nano 8 and 16, tiny 2 and 4), so these cases cover
+ *  the widest bank interleave and the largest cache state. */
+struct Mi100Case {
+    const char *workload;
+    std::uint32_t size;
+    Cycle cycles;
+    std::uint64_t insts;
+    std::vector<std::pair<const char *, double>> mem;
+};
+
+void
+runMi100Case(const Mi100Case &c)
+{
+    GpuConfig gpu;
+    std::string err;
+    ASSERT_TRUE(service::parseGpuName("mi100", gpu, &err)) << err;
+    driver::Platform p(gpu, driver::SimMode::FullDetailed, SamplingConfig{});
+    auto w = service::makeWorkload(c.workload, c.size, &err);
+    ASSERT_NE(w, nullptr) << err;
+    w->setup(p);
+    workloads::runWorkload(*w, p);
+
+    EXPECT_EQ(p.totalKernelCycles(), c.cycles) << c.workload;
+    EXPECT_EQ(p.totalInsts(), c.insts) << c.workload;
+    StatRegistry stats = p.stats();
+    std::size_t exported = 0;
+    for (const auto &[name, value] : stats.values())
+        exported += name.rfind("mem.", 0) == 0;
+    EXPECT_EQ(exported, c.mem.size()) << c.workload;
+    for (const auto &[name, value] : c.mem)
+        EXPECT_EQ(stats.get(name), value) << c.workload << " " << name;
+}
+
+} // namespace
+
+TEST(GoldenParity, Mi100FullDetailMemoryStats)
+{
+    const Mi100Case kCases[] = {
+        {"spmv", 512, 540075ull, 453316ull,
+         {{"mem.dram.accesses", 1036348},
+          {"mem.dram.queueing_cycles", 15105164},
+          {"mem.l1i.hits", 65414},
+          {"mem.l1i.misses", 150},
+          {"mem.l1k.hits", 3042},
+          {"mem.l1k.misses", 30},
+          {"mem.l1v.hits", 566580},
+          {"mem.l1v.misses", 1388805},
+          {"mem.l2.hits", 352637},
+          {"mem.l2.misses", 1036348}}},
+        {"mm", 128, 18085ull, 298240ull,
+         {{"mem.dram.accesses", 3076},
+          {"mem.dram.queueing_cycles", 3028},
+          {"mem.l1i.hits", 65744},
+          {"mem.l1i.misses", 48},
+          {"mem.l1k.hits", 752},
+          {"mem.l1k.misses", 16},
+          {"mem.l1v.hits", 97280},
+          {"mem.l1v.misses", 67584},
+          {"mem.l2.hits", 64572},
+          {"mem.l2.misses", 3076}}},
+    };
+    for (const Mi100Case &c : kCases)
+        runMi100Case(c);
 }

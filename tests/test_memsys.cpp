@@ -109,3 +109,42 @@ TEST(Memsys, StatsExportCoversHierarchy)
     EXPECT_EQ(stats.get("mem.l1v.misses"), 1.0);
     EXPECT_GE(stats.get("mem.dram.accesses"), 1.0);
 }
+
+TEST(Memsys, MshrRingWrapsAtAnyCount)
+{
+    // The ring need not be a power of two: three MSHRs serve misses in
+    // the order 0, 1, 2, 0, ...
+    GpuConfig cfg = tiny();
+    cfg.mshrsPerCu = 3;
+    MemorySystem m(cfg);
+    for (std::uint32_t i = 0; i < 7; ++i) {
+        MemorySystem::VmemProbe p = m.vectorProbe(0, 1000 + 64 * i, 0);
+        ASSERT_FALSE(p.hit);
+        EXPECT_EQ(p.mshrIdx, i % 3);
+    }
+}
+
+TEST(MemsysDeathTest, RejectsUnusableBankAndMshrCounts)
+{
+    // Bank selection masks the line id and the MSHR ring wraps at its
+    // size, so a zero or non-power-of-two bank count, or an empty MSHR
+    // file, must stop construction with a message naming the field.
+    auto build = [](GpuConfig cfg) { MemorySystem m(cfg); };
+    GpuConfig cfg = tiny();
+    cfg.l2Banks = 0;
+    EXPECT_DEATH(build(cfg), "l2Banks must be a nonzero power of two");
+    cfg.l2Banks = 6;
+    EXPECT_DEATH(build(cfg), "l2Banks must be a nonzero power of two");
+
+    cfg = tiny();
+    cfg.dram.numBanks = 0;
+    EXPECT_DEATH(build(cfg),
+                 "dram.numBanks must be a nonzero power of two");
+    cfg.dram.numBanks = 12;
+    EXPECT_DEATH(build(cfg),
+                 "dram.numBanks must be a nonzero power of two");
+
+    cfg = tiny();
+    cfg.mshrsPerCu = 0;
+    EXPECT_DEATH(build(cfg), "mshrsPerCu must be nonzero");
+}
