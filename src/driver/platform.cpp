@@ -133,8 +133,8 @@ Platform::launch(const isa::ProgramPtr &program,
         // bit-identically.
         func::LaunchTracePtr trace;
         if (traceReuse_) {
-            trace =
-                traceStore_->lookup(func::traceKey(*program, dims, mem_));
+            trace = traceStore_->lookup(
+                func::traceKey(*program, dims, mem_.contentHash()));
             if (trace)
                 ++traceHits_;
             else
@@ -173,7 +173,8 @@ Platform::acquireTrace(const isa::Program &program,
 {
     if (!traceReuse_)
         return nullptr;
-    const std::string key = func::traceKey(program, dims, mem_);
+    const std::uint64_t fingerprint = mem_.contentHash();
+    const std::string key = func::traceKey(program, dims, fingerprint);
     func::LaunchTracePtr trace = traceStore_->lookup(key);
     if (trace) {
         ++traceHits_;
@@ -184,7 +185,7 @@ Platform::acquireTrace(const isa::Program &program,
         return trace;
     }
     ++traceMisses_;
-    trace = func::captureLaunchTrace(program, dims, mem_);
+    trace = func::captureLaunchTrace(program, dims, mem_, fingerprint);
     ++traceCaptures_;
     traceStore_->insert(key, trace);
     return trace;
@@ -217,6 +218,8 @@ Platform::stats() const
     reg.set("platform.trace_misses", static_cast<double>(traceMisses_));
     reg.set("platform.trace_captures",
             static_cast<double>(traceCaptures_));
+    reg.set("platform.fingerprint_bytes",
+            static_cast<double>(mem_.fingerprintBytes()));
     reg.set("platform.total_cycles", static_cast<double>(totalCycles_));
     reg.set("platform.total_insts", static_cast<double>(totalInsts_));
     reg.set("platform.total_wall_seconds", totalWall_);

@@ -320,7 +320,7 @@ LaunchTrace::byteSize() const
 
 std::string
 traceKey(const isa::Program &program, const LaunchDims &dims,
-         const GlobalMemory &mem)
+         std::uint64_t mem_fingerprint)
 {
     std::string key = program.name();
     key += '@';
@@ -331,8 +331,10 @@ traceKey(const isa::Program &program, const LaunchDims &dims,
     key += std::to_string(dims.wavesPerWorkgroup);
     key += '@';
     key += hex64(dims.kernargBase);
-    key += '@';
-    key += hex64(mem.contentHash());
+    // "fp2": the chunked fingerprint. The whole-arena hash before it
+    // wrote a bare hex field, so no key of that scheme can match.
+    key += "@fp2:";
+    key += hex64(mem_fingerprint);
     return key;
 }
 
@@ -441,7 +443,7 @@ WarpCapturer::captureAlone(const isa::Program &program,
 
 LaunchTracePtr
 captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
-                   GlobalMemory &mem)
+                   GlobalMemory &mem, std::uint64_t mem_fingerprint)
 {
     auto trace = std::make_shared<LaunchTrace>();
     trace->programName = program.name();
@@ -449,7 +451,7 @@ captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
     trace->numWorkgroups = dims.numWorkgroups;
     trace->wavesPerWorkgroup = dims.wavesPerWorkgroup;
     trace->kernargBase = dims.kernargBase;
-    trace->memFingerprint = mem.contentHash();
+    trace->memFingerprint = mem_fingerprint;
 
     trace->warps.resize(dims.totalWaves());
     WarpCapturer capturer;

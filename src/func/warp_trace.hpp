@@ -106,10 +106,12 @@ struct LaunchTrace
 using LaunchTracePtr = std::shared_ptr<const LaunchTrace>;
 
 /** Cache key for one launch: program identity (content hash), launch
- *  geometry and the pre-launch memory fingerprint. Micro-architecture
+ *  geometry and the pre-launch memory fingerprint
+ *  (GlobalMemory::contentHash()), tagged with its scheme version so
+ *  keys made under an older fingerprint never match. Micro-architecture
  *  independent by construction. */
 std::string traceKey(const isa::Program &program, const LaunchDims &dims,
-                     const GlobalMemory &mem);
+                     std::uint64_t mem_fingerprint);
 
 /**
  * The capture engine: runs workgroups functionally to completion and
@@ -166,11 +168,22 @@ class WarpCapturer
  * Capture a launch's trace by running every workgroup functionally to
  * completion, in workgroup order. Stores are applied to @p mem exactly
  * as a cold functional pass would — after a capture the memory state
- * equals a fully emulated launch's.
+ * equals a fully emulated launch's. @p mem_fingerprint is
+ * @p mem.contentHash() before the launch, which the caller has already
+ * computed for the key.
  */
 LaunchTracePtr captureLaunchTrace(const isa::Program &program,
                                   const LaunchDims &dims,
-                                  GlobalMemory &mem);
+                                  GlobalMemory &mem,
+                                  std::uint64_t mem_fingerprint);
+
+/** As above, for a caller that has no key: fingerprints @p mem itself. */
+inline LaunchTracePtr
+captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
+                   GlobalMemory &mem)
+{
+    return captureLaunchTrace(program, dims, mem, mem.contentHash());
+}
 
 /** Re-apply one warp's store log to @p mem (replay of its writes). */
 void applyWarpStores(const LaunchTrace &trace, WarpId warp,

@@ -301,14 +301,14 @@ TEST(WarpTrace, KeyCoversProgramGeometryAndInput)
     GlobalMemory mem(1 << 20);
     Addr kernarg = setupMem(mem, 4);
     LaunchDims dims{2, 2, kernarg};
-    std::string base = traceKey(*prog, dims, mem);
-    EXPECT_EQ(base, traceKey(*prog, dims, mem)); // stable
+    std::string base = traceKey(*prog, dims, mem.contentHash());
+    EXPECT_EQ(base, traceKey(*prog, dims, mem.contentHash())); // stable
 
     LaunchDims other_dims{4, 2, kernarg};
-    EXPECT_NE(base, traceKey(*prog, other_dims, mem));
+    EXPECT_NE(base, traceKey(*prog, other_dims, mem.contentHash()));
 
     mem.write32(kernarg + 8, 0xdeadbeef); // different input contents
-    EXPECT_NE(base, traceKey(*prog, dims, mem));
+    EXPECT_NE(base, traceKey(*prog, dims, mem.contentHash()));
 }
 
 // ----- Blob serialization -----
@@ -388,7 +388,7 @@ TEST(WarpTrace, ArtifactV5RoundTripsTraces)
     LaunchDims dims;
     GlobalMemory mem(1 << 20);
     LaunchTracePtr trace = captureUnitTrace(prog, dims, mem);
-    std::string key = traceKey(*prog, dims, mem);
+    std::string key = traceKey(*prog, dims, mem.contentHash());
 
     service::Artifact art;
     art.traces[key] = trace;
@@ -431,7 +431,7 @@ TEST(WarpTrace, ArtifactRejectsCorruptEmbeddedTrace)
     GlobalMemory mem(1 << 20);
     LaunchTracePtr trace = captureUnitTrace(prog, dims, mem);
     service::Artifact art;
-    art.traces[traceKey(*prog, dims, mem)] = trace;
+    art.traces[traceKey(*prog, dims, mem.contentHash())] = trace;
     std::string bytes = service::serializeArtifact(art);
 
     // Corrupt the embedded blob's "PHTR" magic.
