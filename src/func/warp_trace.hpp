@@ -49,7 +49,6 @@
 #include "func/memory.hpp"
 #include "func/wave_state.hpp"
 #include "isa/program.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/types.hpp"
 
 namespace photon::func {
@@ -240,7 +239,6 @@ class WarpReplayCursor
 
 /** Serialize @p trace into the versioned binary blob embedded in
  *  artifact store v5 (little-endian, magic "PHTR"). */
-PHOTON_DET_SINK
 void serializeLaunchTrace(const LaunchTrace &trace,
                           std::vector<std::uint8_t> &out);
 
@@ -269,7 +267,6 @@ class TraceStore
 {
   public:
     /** Find @p key; counts a hit or miss. */
-    PHOTON_PHASE_EXEMPT
     LaunchTracePtr
     lookup(const std::string &key)
     {
@@ -284,7 +281,6 @@ class TraceStore
     }
 
     /** First-wins insert; returns whether @p trace was stored. */
-    PHOTON_PHASE_EXEMPT
     bool
     insert(const std::string &key, LaunchTracePtr trace)
     {
@@ -297,8 +293,6 @@ class TraceStore
 
     /** Snapshot of every entry (cheap: shared_ptr copies). Feeds the
      *  artifact-store serialization, so it is a determinism sink. */
-    PHOTON_PHASE_EXEMPT
-    PHOTON_DET_SINK
     std::map<std::string, LaunchTracePtr>
     exportAll() const
     {
@@ -307,7 +301,6 @@ class TraceStore
     }
 
     /** First-wins merge of a prior snapshot (warm seeding). */
-    PHOTON_PHASE_EXEMPT
     void
     import(const std::map<std::string, LaunchTracePtr> &traces)
     {
@@ -316,7 +309,6 @@ class TraceStore
             traces_.emplace(kv.first, kv.second);
     }
 
-    PHOTON_PHASE_EXEMPT
     std::size_t
     size() const
     {
@@ -324,7 +316,6 @@ class TraceStore
         return traces_.size();
     }
 
-    PHOTON_PHASE_EXEMPT
     TraceStoreCounters
     counters() const
     {
@@ -335,8 +326,8 @@ class TraceStore
   private:
     mutable std::mutex mu_;
     /** Ordered so exports iterate deterministically. */
-    std::map<std::string, LaunchTracePtr> traces_ PHOTON_GUARDED_BY(mu_);
-    TraceStoreCounters counters_ PHOTON_GUARDED_BY(mu_);
+    std::map<std::string, LaunchTracePtr> traces_;
+    TraceStoreCounters counters_;
 };
 
 } // namespace photon::func

@@ -150,10 +150,10 @@ class IntervalMemo
 
     /** Look up @p key; on a hit promotes the entry to most-recent and
      *  stores the cycles through @p cycles. Counts hits/misses.
-     *  NOTE: a mutating read (LRU touch + counters) — deliberately NOT
-     *  PHOTON_SHARED_STATE: every live memo has a single owner (one
-     *  sampler per job); cross-job copies in GlobalStore are rebuilt
-     *  via exportEntries()/seed() under the store mutex. */
+     *  NOTE: a mutating read (LRU touch + counters), safe because
+     *  every live memo has a single owner (one sampler per job);
+     *  cross-job copies in GlobalStore are rebuilt via
+     *  exportEntries()/seed() under the store mutex. */
     bool lookup(std::uint64_t key, Cycle *cycles);
 
     /** Insert (or refresh) @p key as the most-recent entry, evicting

@@ -23,7 +23,7 @@ PhotonSampler::intervalMemoHits() const
 {
     std::uint64_t n = 0;
     // Commutative sum: iteration order cannot affect the total.
-    for (const auto &kv : intervalMemos_) // photon-lint: order-insensitive
+    for (const auto &kv : intervalMemos_)
         n += kv.second.hits();
     return n;
 }
@@ -33,7 +33,7 @@ PhotonSampler::intervalMemoMisses() const
 {
     std::uint64_t n = 0;
     // Commutative sum: iteration order cannot affect the total.
-    for (const auto &kv : intervalMemos_) // photon-lint: order-insensitive
+    for (const auto &kv : intervalMemos_)
         n += kv.second.misses();
     return n;
 }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "sampling/stability.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/types.hpp"
 
 namespace photon::sampling {
@@ -125,12 +124,10 @@ struct KernelTelemetry
 /** Write records as the schema-versioned JSON document. Telemetry
  *  must diff cleanly across reruns, so anything nondeterministic
  *  reaching a writer is a bug (determinism sink). */
-PHOTON_DET_SINK
 void writeTelemetryJson(const std::vector<KernelTelemetry> &records,
                         std::ostream &os);
 
 /** Write records as CSV (header row carries the schema version). */
-PHOTON_DET_SINK
 void writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
                        std::ostream &os);
 
@@ -146,7 +143,6 @@ bool readTelemetryJson(std::string_view text,
 /** Write records to @p path, JSON or CSV by extension (".csv" -> CSV),
  *  atomically (writeFileAtomic). Returns false + @p error on I/O
  *  failure. */
-PHOTON_DET_SINK
 bool saveTelemetry(const std::vector<KernelTelemetry> &records,
                    const std::string &path, std::string *error = nullptr);
 

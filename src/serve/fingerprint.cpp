@@ -42,7 +42,7 @@ fingerprintAnalyses(const sampling::PhotonSampler::AnalysisStore &analyses,
         return 0;
     std::vector<const std::string *> keys;
     keys.reserve(analyses.size());
-    for (const auto &entry : analyses) // photon-lint: order-insensitive
+    for (const auto &entry : analyses)
         keys.push_back(&entry.first);
     std::sort(keys.begin(), keys.end(),
               [](const std::string *a, const std::string *b) {

@@ -75,7 +75,7 @@ GlobalStore::publish(
     // First entry wins: an analysis is a pure function of the launch,
     // so re-published duplicates are identical and can be dropped.
     bool fresh_analysis = false;
-    for (const auto &[key, analysis] : analyses) { // photon-lint: order-insensitive
+    for (const auto &[key, analysis] : analyses) {
         if (g.analyses.emplace(key, analysis).second) {
             fresh.analyses.emplace(key, analysis);
             fresh_analysis = true;
@@ -139,7 +139,7 @@ GlobalStore::snapshotIntervalMemos(const std::string &gpu) const
     // Rebuild counter-free copies: the seeded sampler's hit/miss totals
     // must report the job's own accesses, not the store's history.
     sampling::PhotonSampler::IntervalMemoStore out;
-    for (const auto &[key, memo] : it->second) // photon-lint: order-insensitive
+    for (const auto &[key, memo] : it->second)
         out[key].seed(memo.exportEntries());
     return out;
 }
@@ -151,7 +151,7 @@ GlobalStore::publishIntervalMemos(
 {
     std::lock_guard<std::mutex> lock(mu_);
     sampling::PhotonSampler::IntervalMemoStore &g = intervalMemos_[gpu];
-    for (const auto &[key, memo] : memos) // photon-lint: order-insensitive
+    for (const auto &[key, memo] : memos)
         g[key].seed(memo.exportEntries());
 }
 
@@ -161,9 +161,8 @@ GlobalStore::numIntervalMemoEntries() const
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t n = 0;
     // Commutative sum: iteration order cannot affect the total.
-    for (const auto &[gpu, memos] : // photon-lint: order-insensitive
-         intervalMemos_) {
-        for (const auto &[key, memo] : memos) // photon-lint: order-insensitive
+    for (const auto &[gpu, memos] : intervalMemos_) {
+        for (const auto &[key, memo] : memos)
             n += memo.size();
     }
     return n;

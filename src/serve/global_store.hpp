@@ -20,8 +20,8 @@
  *    records, not the store's history; a restart over a torn or
  *    corrupt tail keeps every batch before it.
  *
- * Every public method locks internally (PHOTON_PHASE_EXEMPT): callers
- * are the resident workers and the transport threads.
+ * Every public method locks internally: callers are the resident
+ * workers and the transport threads.
  */
 
 #ifndef PHOTON_SERVE_GLOBAL_STORE_HPP
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/phase_annotations.hpp"
 #include "service/artifact_store.hpp"
 #include "service/campaign.hpp"
 
@@ -84,19 +83,16 @@ class GlobalStore
     /** Seed for a fresh job: copies of one GPU's kernel records and
      *  analyses (empty when absent). Telemetry, which only grows and
      *  seeds nothing, is left out. */
-    PHOTON_PHASE_EXEMPT
     service::StoreGroup snapshot(const std::string &gpu) const;
 
     /** Append fresh kernel records / analyses / telemetry from one
      *  finished job and fold its counter deltas into the stats. */
-    PHOTON_PHASE_EXEMPT
     void publish(const std::string &gpu,
                  const std::vector<sampling::KernelRecord> &kernels,
                  const sampling::PhotonSampler::AnalysisStore &analyses,
                  const std::vector<sampling::KernelTelemetry> &telemetry);
 
     /** Fold one executed job's cache-counter deltas into the stats. */
-    PHOTON_PHASE_EXEMPT
     void recordJobStats(std::uint64_t hits, std::uint64_t misses,
                         std::uint64_t inserts,
                         std::uint64_t analyses_reused,
@@ -104,7 +100,6 @@ class GlobalStore
                         std::uint64_t interval_misses = 0);
 
     /** Fold one executed job's functional-trace counter deltas. */
-    PHOTON_PHASE_EXEMPT
     void recordTraceStats(std::uint64_t hits, std::uint64_t misses,
                           std::uint64_t captures);
 
@@ -115,32 +110,29 @@ class GlobalStore
      * its contents ride the artifact v5 checkpoint, making warm
      * restarts skip emulation entirely for known launches.
      */
-    PHOTON_PHASE_EXEMPT func::TraceStore &traceStore();
+    func::TraceStore &traceStore();
 
     /** Traces currently resident (checkpoint + published). */
-    PHOTON_PHASE_EXEMPT std::size_t numTraces() const;
+    std::size_t numTraces() const;
 
     /**
      * Copy of one GPU's interval memos for seeding a fresh job's
      * sampler, counters reset (the sampler's totals then read as the
      * job's own deltas). Empty when the GPU has none.
      */
-    PHOTON_PHASE_EXEMPT
     sampling::PhotonSampler::IntervalMemoStore
     snapshotIntervalMemos(const std::string &gpu) const;
 
     /** Merge one finished job's interval memos into the GPU's store
      *  (entries transfer in recency order; LRU bounds still apply). */
-    PHOTON_PHASE_EXEMPT
     void publishIntervalMemos(
         const std::string &gpu,
         const sampling::PhotonSampler::IntervalMemoStore &memos);
 
     /** Total memo entries held across every GPU and kernel. */
-    PHOTON_PHASE_EXEMPT std::size_t numIntervalMemoEntries() const;
+    std::size_t numIntervalMemoEntries() const;
 
     /** Count one admission-dedup collapse. */
-    PHOTON_PHASE_EXEMPT
     void recordDedupCollapse();
 
     /**
@@ -148,21 +140,19 @@ class GlobalStore
      * this spec has executed before (here or before a restart via the
      * registry rebuilt from re-execution), else the spec fingerprint.
      */
-    PHOTON_PHASE_EXEMPT
     std::uint64_t admissionKey(const service::JobSpec &spec) const;
 
     /** Register the GPU-BBV fingerprint @p spec's kernels produced
      *  (0 is ignored: nothing was learned). */
-    PHOTON_PHASE_EXEMPT
     void learnFingerprint(const service::JobSpec &spec,
                           std::uint64_t fingerprint);
 
-    PHOTON_PHASE_EXEMPT StoreStats stats() const;
-    PHOTON_PHASE_EXEMPT std::size_t numKernelRecords() const;
-    PHOTON_PHASE_EXEMPT std::size_t numAnalyses() const;
+    StoreStats stats() const;
+    std::size_t numKernelRecords() const;
+    std::size_t numAnalyses() const;
 
     /** Copy of the whole artifact (drain export, tests). */
-    PHOTON_PHASE_EXEMPT service::Artifact exportAll() const;
+    service::Artifact exportAll() const;
 
     /**
      * Called after every executed job: writes a checkpoint when the
@@ -170,64 +160,50 @@ class GlobalStore
      * + @p error on I/O failure (the daemon logs and keeps running; the
      * unwritten records stay pending for the next checkpoint).
      */
-    PHOTON_PHASE_EXEMPT bool maybeCheckpoint(std::string *error = nullptr);
+    bool maybeCheckpoint(std::string *error = nullptr);
 
     /** Unconditional flush (drain path); no-op without a path. */
-    PHOTON_PHASE_EXEMPT bool checkpointNow(std::string *error = nullptr);
+    bool checkpointNow(std::string *error = nullptr);
 
     const Options &options() const { return opts_; }
 
   private:
-    /** Flush pending_ to opts_.path; the caller already holds mu_
-     *  (enforced by the lint lock-set pass at every call site). Folds
-     *  the traces captured since the last checkpoint into the batch
-     *  first. The first checkpoint of a store without a v7 file writes
-     *  the file; every later one appends. */
-    PHOTON_REQUIRES_LOCK(mu_)
+    /** Flush pending_ to opts_.path; the caller already holds mu_.
+     *  Folds the traces captured since the last checkpoint into the
+     *  batch first. The first checkpoint of a store without a v7 file
+     *  writes the file; every later one appends. */
     bool writeCheckpointLocked(std::string *error);
 
     mutable std::mutex mu_;
     Options opts_;
     /** Internally synchronized (own mutex) — workers hit it on every
      *  launch, so it deliberately sits outside mu_. */
-    PHOTON_SHARED_STATE
     func::TraceStore traceStore_;
     /** Everything resident. Its trace map holds every trace handed to
      *  a checkpoint batch (written or pending); the live set is
      *  traceStore_. */
-    PHOTON_SHARED_STATE
-    PHOTON_GUARDED_BY(mu_)
     service::Artifact store_;
     /** The next checkpoint's batch: records published (and traces
      *  captured) since the last successful one. */
-    PHOTON_GUARDED_BY(mu_)
     service::Artifact pending_;
     /** opts_.path holds a v7 artifact the next batch can append to. */
-    PHOTON_GUARDED_BY(mu_)
     bool appendable_ = false;
     /** Size to cut the file back to before the next append: the end of
      *  its last good batch when the load dropped a torn tail, else 0. */
-    PHOTON_GUARDED_BY(mu_)
     std::uint64_t truncateTo_ = 0;
-    PHOTON_SHARED_STATE
-    PHOTON_GUARDED_BY(mu_)
     StoreStats stats_;
     /** spec label -> learned GPU-BBV fingerprint (in-memory only; the
      *  artifact format is unchanged, the registry re-learns after a
      *  restart from the first execution — or never needs to, when the
      *  warm cache answers the request without a detailed run). */
-    PHOTON_GUARDED_BY(mu_)
     std::map<std::string, std::uint64_t> fingerprints_;
     /** gpu -> per-kernel interval memos (in-memory only, like the
      *  fingerprint registry: memos are a pure acceleration and rebuild
      *  from the first execution after a restart — the artifact format
      *  is unchanged). */
-    PHOTON_GUARDED_BY(mu_)
     std::map<std::string, sampling::PhotonSampler::IntervalMemoStore>
         intervalMemos_;
-    PHOTON_GUARDED_BY(mu_)
     std::uint32_t sinceCheckpoint_ = 0;
-    PHOTON_GUARDED_BY(mu_)
     bool dirty_ = false;
 };
 

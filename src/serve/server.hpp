@@ -122,7 +122,7 @@ class SimServer
      *  checkpoint, join the workers. Idempotent. */
     void drain();
 
-    PHOTON_PHASE_EXEMPT ServerStatus status() const;
+    ServerStatus status() const;
 
     GlobalStore &store() { return store_; }
 
@@ -149,9 +149,7 @@ class SimServer
 
     void workerLoop(std::size_t worker);
     ServeResult executeJob(const service::JobSpec &spec);
-    /** Record an already-completed result; the caller holds mu_
-     *  (enforced by the lint lock-set pass at every call site). */
-    PHOTON_REQUIRES_LOCK(mu_)
+    /** Record an already-completed result; the caller holds mu_. */
     Ticket finishedTicketLocked(ServeResult result);
 
     ServerOptions opts_;
@@ -167,11 +165,7 @@ class SimServer
      *  strands later submissions behind it in a single FIFO. */
     service::WorkStealDeques<PendingPtr> queue_;
     /** admission key -> job not yet finished (queued or running). */
-    PHOTON_SHARED_STATE
-    PHOTON_GUARDED_BY(mu_)
     std::map<std::uint64_t, PendingPtr> inFlight_;
-    PHOTON_SHARED_STATE
-    PHOTON_GUARDED_BY(mu_)
     std::map<Ticket, TicketState> tickets_;
     Ticket nextTicket_ = 1;
     std::uint64_t submitted_ = 0;

@@ -361,7 +361,7 @@ putBody(std::string &out, const Artifact &artifact)
         // serialization is byte-deterministic.
         std::vector<const std::string *> keys;
         keys.reserve(g.analyses.size());
-        for (const auto &[key, a] : g.analyses) // photon-lint: order-insensitive
+        for (const auto &[key, a] : g.analyses)
             keys.push_back(&key);
         std::sort(keys.begin(), keys.end(),
                   [](const auto *a, const auto *b) { return *a < *b; });
@@ -461,7 +461,7 @@ mergeArtifact(Artifact &into, Artifact &&from)
         dst.kernels.insert(dst.kernels.end(),
                            std::make_move_iterator(g.kernels.begin()),
                            std::make_move_iterator(g.kernels.end()));
-        for (auto &[key, a] : g.analyses) // photon-lint: order-insensitive
+        for (auto &[key, a] : g.analyses)
             dst.analyses.emplace(key, std::move(a));
         dst.telemetry.insert(dst.telemetry.end(),
                              std::make_move_iterator(g.telemetry.begin()),

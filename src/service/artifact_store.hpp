@@ -36,7 +36,6 @@
 #include "func/warp_trace.hpp"
 #include "sampling/kernel_cache.hpp"
 #include "sampling/photon.hpp"
-#include "sim/phase_annotations.hpp"
 
 namespace photon::service {
 
@@ -125,14 +124,12 @@ LoadStatus deserializeArtifact(std::string_view bytes, Artifact &out);
  *  was); returns ok=false on I/O failure. Persisted artifacts must be
  *  bit-identical across reruns, so a nondeterministic value reaching
  *  this writer is a bug. */
-PHOTON_DET_SINK
 LoadStatus saveArtifact(const Artifact &artifact, const std::string &path);
 
 /** Append @p batch as one more batch to the current-version artifact
  *  at @p path. A failed write (short write, full disk) truncates the
  *  file back to its size before the call, so the file never keeps a
  *  partial batch this process could have removed. */
-PHOTON_DET_SINK
 LoadStatus appendArtifact(const Artifact &batch, const std::string &path);
 
 /** Read an artifact from @p path (I/O, magic, version, checksum and

@@ -60,7 +60,7 @@ SharedSignatureStore::publish(
     g.kernels.insert(g.kernels.end(), kernels.begin(), kernels.end());
     // First entry wins: an analysis is a pure function of the launch, so
     // re-published duplicates are identical and can be dropped.
-    for (const auto &[key, analysis] : analyses) // photon-lint: order-insensitive
+    for (const auto &[key, analysis] : analyses)
         g.analyses.emplace(key, analysis);
 }
 

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "service/artifact_store.hpp"
-#include "sim/phase_annotations.hpp"
 #include "service/campaign.hpp"
 #include "sim/config.hpp"
 
@@ -67,24 +66,19 @@ class SharedSignatureStore
     {}
 
     /** Copy of one GPU's group (empty group if absent). */
-    PHOTON_PHASE_EXEMPT
     StoreGroup snapshot(const std::string &gpu) const;
 
     /** Append kernel records and merge analyses (first entry wins, so
      *  re-published identical analyses are no-ops). */
-    PHOTON_PHASE_EXEMPT
     void publish(const std::string &gpu,
                  const std::vector<sampling::KernelRecord> &kernels,
                  const sampling::PhotonSampler::AnalysisStore &analyses);
 
     /** Copy of the whole store (seed + everything published). */
-    PHOTON_PHASE_EXEMPT
     Artifact exportAll() const;
 
   private:
     mutable std::mutex mu_;
-    PHOTON_SHARED_STATE
-    PHOTON_GUARDED_BY(mu_)
     Artifact store_;
 };
 

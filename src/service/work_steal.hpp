@@ -37,8 +37,6 @@
 #include <mutex>
 #include <utility>
 
-#include "sim/phase_annotations.hpp"
-
 namespace photon::service {
 
 /** Scheduler observability: how much rebalancing actually happened. */
@@ -71,7 +69,6 @@ class WorkStealDeques
 
     /** Enqueue @p item on the next lane round-robin (seeding a batch,
      *  or spreading daemon submissions). */
-    PHOTON_PHASE_EXEMPT
     void
     push(T item)
     {
@@ -81,7 +78,6 @@ class WorkStealDeques
     }
 
     /** Enqueue @p item on worker @p w's lane. */
-    PHOTON_PHASE_EXEMPT
     void
     pushTo(std::size_t w, T item)
     {
@@ -100,7 +96,6 @@ class WorkStealDeques
      * false when every lane is empty — for a batch with no task
      * spawning, that means the batch is done for this worker.
      */
-    PHOTON_PHASE_EXEMPT
     bool
     tryPop(std::size_t w, T &out)
     {
@@ -119,14 +114,12 @@ class WorkStealDeques
 
     /** Tasks currently enqueued (racy by nature; exact when quiesced —
      *  the drain/status predicate). */
-    PHOTON_PHASE_EXEMPT
     std::size_t
     sizeApprox() const
     {
         return size_.load(std::memory_order_acquire);
     }
 
-    PHOTON_PHASE_EXEMPT
     StealStats
     stats() const
     {
@@ -140,8 +133,6 @@ class WorkStealDeques
     struct Lane
     {
         std::mutex mu;
-        PHOTON_SHARED_STATE
-        PHOTON_GUARDED_BY(mu)
         std::deque<T> q;
     };
 

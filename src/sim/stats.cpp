@@ -1,6 +1,7 @@
 #include "sim/stats.hpp"
 
-#include <iomanip>
+#include <cmath>
+#include <cstdint>
 
 namespace photon {
 
@@ -45,9 +46,22 @@ StatRegistry::merge(const StatRegistry &other)
 void
 StatRegistry::print(std::ostream &os, const std::string &prefix) const
 {
+    // Pad by hand rather than with std::left/std::setw, which would
+    // leave the caller's stream left-aligned. Integral values (every
+    // counter) print exactly: the default six significant digits would
+    // round 5729050 to 5.72905e+06 and hide differences when diffing
+    // runs. Doubles are exact integers up to 2^53; the bound keeps the
+    // cast in range.
     for (const auto &[name, value] : values_) {
-        os << prefix << std::left << std::setw(40) << name << " "
-           << value << "\n";
+        os << prefix << name;
+        if (name.size() < 40)
+            os << std::string(40 - name.size(), ' ');
+        os << ' ';
+        if (std::trunc(value) == value && std::fabs(value) < 9.0e18)
+            os << static_cast<std::int64_t>(value);
+        else
+            os << value;
+        os << '\n';
     }
 }
 

@@ -39,7 +39,8 @@ class StatRegistry
     /** Merge another registry into this one (summing values). */
     void merge(const StatRegistry &other);
 
-    /** Render "name value" lines, sorted by name. */
+    /** Render "name value" lines, sorted by name; integral values
+     *  print exactly and @p os keeps its formatting flags. */
     void print(std::ostream &os, const std::string &prefix = "") const;
 
     const std::map<std::string, double> &values() const { return values_; }

@@ -28,7 +28,6 @@
 #include "func/wave_state.hpp"
 #include "isa/program.hpp"
 #include "sim/config.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/stats.hpp"
 #include "timing/gpu.hpp"
 
@@ -105,7 +104,6 @@ class TimingBackend
 
     /** Export run statistics. Exported counters are user-visible
      *  results (determinism sink). */
-    PHOTON_DET_SINK
     virtual void exportStats(StatRegistry &stats) const = 0;
 };
 
@@ -144,7 +142,6 @@ class DetailedBackend final : public TimingBackend
     Cycle now() const override { return gpu_.now(); }
     const GpuConfig &config() const override { return gpu_.config(); }
 
-    PHOTON_DET_SINK
     void
     exportStats(StatRegistry &stats) const override
     {

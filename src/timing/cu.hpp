@@ -23,11 +23,8 @@
  * see slotRi_) so arbitration walks a few cache lines instead of
  * chasing ~300-byte wave objects. Cold per-wave state (pc and EXEC,
  * replay cursors, fetch/bb tracking, barrier flags) lives in parallel
- * slot-indexed arrays touched only on issue or rare events. photon_lint
- * flags any reintroduction of an aggregate-wave vector here
- * (aos-in-hot-path).
+ * slot-indexed arrays touched only on issue or rare events.
  */
-// photon-lint: soa-hot-path
 
 #ifndef PHOTON_TIMING_CU_HPP
 #define PHOTON_TIMING_CU_HPP
@@ -274,7 +271,7 @@ class ComputeUnit
     // bytes through the cache.
     /** pc/EXEC/done as the replay cursor advances them (registers stay
      *  unset), touched only on issue. */
-    std::vector<func::WaveState> waveState_; // photon-lint: aos-ok
+    std::vector<func::WaveState> waveState_;
     std::vector<Cycle> waveReadyAt_;
     std::vector<std::uint8_t> waveActive_;
     std::vector<std::uint8_t> waveAtBarrier_;
@@ -282,7 +279,7 @@ class ComputeUnit
     std::vector<std::uint32_t> waveWgSlot_;
     /** Trace-replay cursor per slot, bound at placement; touched only
      *  on issue, exactly like waveState_. */
-    std::vector<func::WarpReplayCursor> waveCursor_; // photon-lint: aos-ok
+    std::vector<func::WarpReplayCursor> waveCursor_;
     std::vector<std::uint64_t> waveLastFetchLine_;
     // Dynamic basic-block tracking (monitor-observable only).
     std::vector<std::uint8_t> waveBbValid_;
@@ -291,7 +288,7 @@ class ComputeUnit
     std::vector<std::uint32_t> waveCurBbLanes_;
 
     /** workgroupsPerCu slots, read on place/retire only. */
-    std::vector<Workgroup> wgs_; // photon-lint: aos-ok
+    std::vector<Workgroup> wgs_;
     std::vector<Cycle> simdFree_;    ///< per-SIMD issue-port availability
     /** Per-SIMD lower bound on the minimum active slotReady_. Made exact
      *  whenever the SIMD arbitrates; only ever folded downward in
@@ -314,7 +311,7 @@ class ComputeUnit
 
     /** L1V misses of the issuing instruction, walked through L2 after
      *  the instruction fetch — a per-issue queue, not a scan lane. */
-    std::vector<MemorySystem::VmemMiss> pendingMisses_; // photon-lint: aos-ok
+    std::vector<MemorySystem::VmemMiss> pendingMisses_;
     func::StepResult step_; ///< reused functional-step result
 };
 

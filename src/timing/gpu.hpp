@@ -31,7 +31,6 @@
 #include "func/warp_trace.hpp"
 #include "isa/program.hpp"
 #include "sim/config.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/stats.hpp"
 #include "timing/cu.hpp"
 #include "timing/dispatcher.hpp"
@@ -115,7 +114,6 @@ class Gpu
 
     /** Export memory-system and run statistics. Exported counters are
      *  user-visible results (determinism sink). */
-    PHOTON_DET_SINK
     void exportStats(StatRegistry &stats) const;
 
   private:

@@ -360,9 +360,7 @@ IntervalBackend::IntervalBackend(Gpu &gpu)
 IntervalBackend::~IntervalBackend() = default;
 
 // Sole writer of the impl_ store (one backend per job, see the header
-// field comment); tagged so the lock-set pass audits it as the
-// sanctioned accessor instead of demanding a lock it does not need.
-PHOTON_SHARED_STATE
+// field comment), so it needs no lock.
 RunOutcome
 IntervalBackend::runKernel(const isa::Program &program,
                            const func::LaunchDims &dims,

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/phase_annotations.hpp"
 #include "timing/backend.hpp"
 
 namespace photon::timing {
@@ -89,7 +88,6 @@ class IntervalBackend final : public TimingBackend
     /** Export prediction statistics (kernels/warps/insts predicted,
      *  tag-cache hit/miss totals). Exported counters are user-visible
      *  results (determinism sink). */
-    PHOTON_DET_SINK
     void exportStats(StatRegistry &stats) const override;
 
     /**
@@ -107,10 +105,7 @@ class IntervalBackend final : public TimingBackend
     Gpu &gpu_;
     /** Per-kernel fits plus the L1/L2 tag caches (deliberately warm
      *  across kernels, like the machine's caches). The store has a
-     *  single owner (one backend per job); tagged anyway so any
-     *  future cross-job sharing trips the lock-set pass instead of
-     *  racing silently. */
-    PHOTON_SHARED_STATE
+     *  single owner (one backend per job), so it takes no lock. */
     std::unique_ptr<Impl> impl_;
 };
 

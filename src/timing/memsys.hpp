@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/config.hpp"
-#include "sim/phase_annotations.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 #include "timing/cache.hpp"
@@ -78,7 +77,6 @@ class MemorySystem
     /** Export hit/miss/queueing counters into @p stats. Exported
      *  counters are user-visible results: feeding them anything
      *  nondeterministic breaks run-to-run reproducibility. */
-    PHOTON_DET_SINK
     void exportStats(StatRegistry &stats) const;
 
     const SetAssocCache &l1v(std::uint32_t cuId) const

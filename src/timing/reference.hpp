@@ -42,9 +42,8 @@ namespace photon::timing {
 /**
  * Array-of-structures compute unit, serial-only. The aggregate Wave is
  * intentional here — this file is the AoS baseline the SoA hot path is
- * measured against — and is exempt from the aos-in-hot-path lint.
+ * measured against.
  */
-// photon-lint: aos-ok
 class ReferenceCu
 {
   public:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <thread>
 
@@ -435,4 +436,42 @@ TEST(WorkStealDeques, StealsBackHalfInBothDirections)
     StealStats st = d.stats();
     EXPECT_EQ(st.stealOps, 2u);
     EXPECT_EQ(st.stolenTasks, 4u);
+}
+
+TEST(WorkStealDeques, ConcurrentPushersAndStealingPoppers)
+{
+    // Exercised under -fsanitize=thread in CI: each worker pushes onto
+    // its right neighbour's lane and pops its own, stealing when it
+    // runs dry, so pushTo, pops and steals contend on every lane.
+    constexpr std::size_t kWorkers = 4;
+    constexpr int kPerWorker = 2000;
+    WorkStealDeques<int> d(kWorkers);
+    std::atomic<long long> sum{0};
+    std::atomic<int> popped{0};
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+        threads.emplace_back([&d, &sum, &popped, w] {
+            for (int i = 0; i < kPerWorker; ++i) {
+                d.pushTo(w + 1, static_cast<int>(w) * kPerWorker + i);
+                int v = 0;
+                if (d.tryPop(w, v)) {
+                    sum += v;
+                    ++popped;
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    int v = 0;
+    while (d.tryPop(0, v)) {
+        sum += v;
+        ++popped;
+    }
+
+    // Every task came out exactly once.
+    const long long n = static_cast<long long>(kWorkers) * kPerWorker;
+    EXPECT_EQ(popped.load(), n);
+    EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+    EXPECT_EQ(d.sizeApprox(), 0u);
 }

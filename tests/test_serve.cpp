@@ -207,6 +207,122 @@ TEST(ServeFingerprint, LearnedFingerprintReplacesSpecKey)
               fingerprintSpec(spec("fir", 64)));
 }
 
+TEST(ServeFingerprint, AnalysisInsertionOrderChangesNeitherKeyNorBytes)
+{
+    // Two stores with equal entries, filled in opposite orders into
+    // different bucket counts, so their unordered iteration orders
+    // differ. The fingerprint and the saved artifact must not.
+    std::vector<std::string> keys;
+    for (int i = 0; i < 24; ++i)
+        keys.push_back("kernel_" + std::to_string(i));
+    auto analysisFor = [](int i) {
+        sampling::OnlineAnalysis a;
+        a.totalWarps = 64 + static_cast<std::uint32_t>(i);
+        a.signature = sampling::GpuBbv::fromRaw(
+            {static_cast<double>(i), 1.0 / (i + 1)}, 2, 1);
+        return a;
+    };
+    sampling::PhotonSampler::AnalysisStore forward, backward;
+    forward.reserve(1);
+    backward.reserve(1024);
+    for (int i = 0; i < 24; ++i)
+        forward.emplace(keys[i], analysisFor(i));
+    for (int i = 23; i >= 0; --i)
+        backward.emplace(keys[i], analysisFor(i));
+
+    auto order = [](const sampling::PhotonSampler::AnalysisStore &s) {
+        std::vector<std::string> out;
+        for (const auto &entry : s)
+            out.push_back(entry.first);
+        return out;
+    };
+    ASSERT_NE(order(forward), order(backward))
+        << "equal iteration orders: the test would not catch a lost sort";
+
+    EXPECT_EQ(fingerprintAnalyses(forward, "photon", "tiny"),
+              fingerprintAnalyses(backward, "photon", "tiny"));
+
+    fs::path dir = scratchDir("analysis_order");
+    auto save = [&](const sampling::PhotonSampler::AnalysisStore &s,
+                    const std::string &name) {
+        service::Artifact art;
+        art.group("tiny").analyses = s;
+        std::string path = (dir / name).string();
+        EXPECT_TRUE(service::saveArtifact(art, path).ok);
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        return bytes.str();
+    };
+    std::string a = save(forward, "forward.bin");
+    std::string b = save(backward, "backward.bin");
+    EXPECT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "saveArtifact bytes depend on insertion order";
+}
+
+// ----- GlobalStore -----
+
+TEST(GlobalStore, ConcurrentPublishersStatsAndExports)
+{
+    // Exercised under -fsanitize=thread in CI. Inside SimServer the
+    // server's own mutex orders most store calls, so only a direct
+    // hammer shows a store method that lost its lock.
+    GlobalStore store;
+    constexpr int kThreads = 6;
+    constexpr int kPerThread = 40;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&store, t] {
+            const std::string gpu = t % 2 ? "a" : "b";
+            for (int i = 0; i < kPerThread; ++i) {
+                sampling::KernelRecord rec;
+                rec.name = "k";
+                rec.name += std::to_string(t);
+                rec.name += '_';
+                rec.name += std::to_string(i);
+                rec.numWarps = 64;
+                sampling::PhotonSampler::AnalysisStore analyses;
+                analyses[rec.name].totalWarps = 64;
+                std::vector<sampling::KernelTelemetry> telemetry(1);
+                store.publish(gpu, {rec}, analyses, telemetry);
+
+                sampling::PhotonSampler::IntervalMemoStore memos;
+                memos[rec.name].insert(static_cast<std::uint64_t>(i), 100);
+                store.publishIntervalMemos(gpu, memos);
+
+                store.recordJobStats(1, 2, 1, 0, 3, 4);
+                store.recordTraceStats(5, 6, 7);
+                StoreStats s = store.stats();
+                EXPECT_GE(s.jobsExecuted, 1u);
+                if (i % 8 == 0) {
+                    service::Artifact all = store.exportAll();
+                    EXPECT_GE(all.numKernelRecords(), 1u);
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    const std::uint64_t n = std::uint64_t{kThreads} * kPerThread;
+    EXPECT_EQ(store.numKernelRecords(), n);
+    EXPECT_EQ(store.numAnalyses(), n);
+    EXPECT_EQ(store.numIntervalMemoEntries(), n);
+    service::Artifact all = store.exportAll();
+    EXPECT_EQ(all.numKernelRecords(), n);
+    EXPECT_EQ(all.numTelemetryRecords(), n);
+    StoreStats s = store.stats();
+    EXPECT_EQ(s.jobsExecuted, n);
+    EXPECT_EQ(s.cacheHits, n);
+    EXPECT_EQ(s.cacheMisses, 2 * n);
+    EXPECT_EQ(s.cacheInserts, n);
+    EXPECT_EQ(s.intervalHits, 3 * n);
+    EXPECT_EQ(s.intervalMisses, 4 * n);
+    EXPECT_EQ(s.traceHits, 5 * n);
+    EXPECT_EQ(s.traceMisses, 6 * n);
+    EXPECT_EQ(s.traceCaptures, 7 * n);
+}
+
 // ----- SimServer: shared cache, dedup, drain -----
 
 TEST(SimServer, SecondIdenticalRequestIsWarm)
@@ -242,6 +358,58 @@ TEST(SimServer, RejectsInvalidSpecAndDrainingSubmits)
     ServeResult late = server.runSync(spec("relu", 64));
     EXPECT_FALSE(late.ok);
     EXPECT_NE(late.error.find("drain"), std::string::npos) << late.error;
+
+    // Rejected requests are still submitted and answered.
+    ServerStatus st = server.status();
+    EXPECT_EQ(st.submitted, 2u);
+    EXPECT_EQ(st.completed, 2u);
+    EXPECT_TRUE(st.draining);
+}
+
+TEST(SimServer, ConcurrentInvalidAndValidSubmits)
+{
+    // Exercised under -fsanitize=thread in CI: rejected specs get
+    // their tickets under the same admission lock as accepted ones, so
+    // clients submitting both at once never race on the ticket table,
+    // and every request, rejected or run, is counted once.
+    SimServer server(tinyServer(2));
+    EXPECT_EQ(server.status().submitted, 0u);
+    EXPECT_EQ(server.status().completed, 0u);
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 8;
+    std::vector<std::vector<ServeResult>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&server, &results, t] {
+            std::vector<SimServer::Ticket> tickets;
+            for (int i = 0; i < kPerThread; ++i) {
+                tickets.push_back(server.submit(
+                    (t + i) % 2 ? spec("relu", 64) : spec("nosuch", 1)));
+            }
+            for (SimServer::Ticket ticket : tickets)
+                results[t].push_back(server.wait(ticket));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(results[t].size(), std::size_t{kPerThread});
+        for (int i = 0; i < kPerThread; ++i) {
+            const ServeResult &r = results[t][i];
+            if ((t + i) % 2) {
+                EXPECT_TRUE(r.ok) << r.error;
+                EXPECT_EQ(r.spec, spec("relu", 64));
+            } else {
+                EXPECT_FALSE(r.ok);
+                EXPECT_NE(r.error.find("workload"), std::string::npos)
+                    << r.error;
+            }
+        }
+    }
+    ServerStatus st = server.status();
+    EXPECT_EQ(st.submitted, std::uint64_t{kThreads} * kPerThread);
+    EXPECT_EQ(st.completed, std::uint64_t{kThreads} * kPerThread);
 }
 
 TEST(SimServer, PausedAdmissionCollapsesIdenticalRequests)

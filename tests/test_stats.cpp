@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 
 #include "sim/stats.hpp"
@@ -63,4 +64,24 @@ TEST(Stats, PrintContainsAllNamesSorted)
     EXPECT_NE(pa, std::string::npos);
     EXPECT_NE(pb, std::string::npos);
     EXPECT_LT(pa, pb);
+
+    // Counters print exactly, not at the default six significant
+    // digits; fractional values keep the stream's formatting.
+    StatRegistry big;
+    big.set("bytes", 5729050);
+    big.set("huge", 12345678901234.0);
+    big.set("ratio", 0.25);
+    std::ostringstream os2;
+    big.print(os2);
+    std::string text2 = os2.str();
+    EXPECT_NE(text2.find(" 5729050\n"), std::string::npos) << text2;
+    EXPECT_NE(text2.find(" 12345678901234\n"), std::string::npos) << text2;
+    EXPECT_NE(text2.find(" 0.25\n"), std::string::npos) << text2;
+    EXPECT_EQ(text2.find("e+"), std::string::npos) << text2;
+
+    // The caller's stream is left as it was: still right-aligned.
+    EXPECT_FALSE(os2.flags() & std::ios_base::left);
+    os2.str("");
+    os2 << std::setw(4) << 7;
+    EXPECT_EQ(os2.str(), "   7");
 }
