@@ -18,17 +18,28 @@ StabilityDetector::StabilityDetector(std::uint32_t window, double delta)
 void
 StabilityDetector::addPoint(double issue_time, double retired_time)
 {
-    std::size_t cap = std::size_t{2} * window_;
+    const std::size_t cap = std::size_t{2} * window_;
+    const std::size_t pos = total_ % cap;
+    // The oldest point leaves the 2n history (its slot is reused) and
+    // the point n insertions back moves from the recent window to the
+    // previous one.
+    if (full())
+        sumPrev_ -= retire_[pos] - issue_[pos];
+    if (total_ >= window_) {
+        const std::size_t mid = (total_ - window_) % cap;
+        const double e = retire_[mid] - issue_[mid];
+        sumRecent_ -= e;
+        sumPrev_ += e;
+    }
     if (issue_.size() < cap) {
         issue_.push_back(issue_time);
         retire_.push_back(retired_time);
     } else {
-        std::size_t pos = total_ % cap;
         issue_[pos] = issue_time;
         retire_[pos] = retired_time;
     }
+    sumRecent_ += retired_time - issue_time;
     ++total_;
-    dirty_ = true;
 }
 
 void
@@ -37,50 +48,13 @@ StabilityDetector::reset()
     issue_.clear();
     retire_.clear();
     total_ = 0;
-    dirty_ = true;
+    sumRecent_ = 0.0;
+    sumPrev_ = 0.0;
 }
 
-void
-StabilityDetector::computeIfDirty() const
+bool
+StabilityDetector::stable() const
 {
-    if (!dirty_)
-        return;
-    dirty_ = false;
-    stable_ = false;
-    fit_ = LineFit{};
-    meanRecent_ = 0.0;
-    meanPrev_ = 0.0;
-    drift_ = 0.0;
-
-    std::size_t cap = std::size_t{2} * window_;
-    if (total_ < cap)
-        return; // need the full 2n history for the local-optimum guard
-
-    // Gather the last 2n points in chronological order.
-    std::vector<double> xs(cap), ys(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-        std::size_t pos = (total_ + i) % cap; // oldest first
-        xs[i] = issue_[pos];
-        ys[i] = retire_[pos];
-    }
-
-    // The paper fits retired time against issue time and tests
-    // |a - 1| < delta; it interprets a ~ 1 as "the execution time of
-    // basic blocks is not related to its issue time". The fit is kept
-    // for reporting (Figures 3/4); see below for why the stability
-    // decision itself uses window means at this event density.
-    std::vector<double> x_recent(xs.begin() + window_, xs.end());
-    std::vector<double> y_recent(ys.begin() + window_, ys.end());
-    fit_ = leastSquares(x_recent, y_recent);
-
-    double sum_recent = 0.0, sum_prev = 0.0;
-    for (std::size_t i = 0; i < window_; ++i) {
-        sum_prev += ys[i] - xs[i];
-        sum_recent += y_recent[i] - x_recent[i];
-    }
-    meanRecent_ = sum_recent / window_;
-    meanPrev_ = sum_prev / window_;
-
     // Stability: the mean execution time of the last n points must
     // agree with the n before them (the paper's local-optimum guard,
     // promoted to the primary criterion). Within-window regression of
@@ -89,70 +63,69 @@ StabilityDetector::computeIfDirty() const
     // executions are systematically paired with early issues — which is
     // why the across-window comparison carries the decision. The caller
     // adds persistence across several checks (SwitchGovernor).
-    double denom = std::max(std::abs(meanPrev_), 1e-9);
-    drift_ = (meanRecent_ - meanPrev_) / denom;
-    if (std::abs(drift_) >= delta_)
-        return;
-    stable_ = true;
-}
-
-bool
-StabilityDetector::stable() const
-{
-    computeIfDirty();
-    return stable_;
+    return full() && std::abs(relativeDrift()) < delta_;
 }
 
 LineFit
 StabilityDetector::recentFit() const
 {
-    computeIfDirty();
-    return fit_;
+    if (!full())
+        return LineFit{};
+    // The paper fits retired time against issue time over the last n
+    // points and tests |a - 1| < delta; it interprets a ~ 1 as "the
+    // execution time of basic blocks is not related to its issue time".
+    // The fit is kept for reporting (Figures 3/4); see stable() for
+    // why the decision itself uses window means at this event density.
+    const std::size_t cap = std::size_t{2} * window_;
+    std::vector<double> xs(window_), ys(window_);
+    for (std::size_t i = 0; i < window_; ++i) {
+        std::size_t pos = (total_ - window_ + i) % cap; // oldest first
+        xs[i] = issue_[pos];
+        ys[i] = retire_[pos];
+    }
+    return leastSquares(xs, ys);
 }
 
 double
 StabilityDetector::meanExecTime() const
 {
-    computeIfDirty();
-    if (total_ >= std::size_t{2} * window_)
-        return meanRecent_;
+    if (full())
+        return sumRecent_ / window_;
     // Not enough history for the windowed mean: fall back to all points.
-    double sum = 0.0;
-    std::size_t n = issue_.size();
-    if (n == 0)
+    if (total_ == 0)
         return 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += retire_[i] - issue_[i];
-    return sum / static_cast<double>(n);
+    return (sumRecent_ + sumPrev_) / static_cast<double>(total_);
 }
 
 double
 StabilityDetector::relativeDrift() const
 {
-    computeIfDirty();
-    return drift_;
+    if (!full())
+        return 0.0;
+    const double recent = sumRecent_ / window_;
+    const double prev = sumPrev_ / window_;
+    const double denom = std::max(std::abs(prev), 1e-9);
+    return (recent - prev) / denom;
 }
 
 double
 StabilityDetector::previousMeanExecTime() const
 {
-    computeIfDirty();
-    return meanPrev_;
+    return full() ? sumPrev_ / window_ : 0.0;
 }
 
 StabilitySnapshot
 StabilityDetector::snapshot() const
 {
-    computeIfDirty();
     StabilitySnapshot s;
     s.points = total_;
-    LineFit fit = fit_;
+    LineFit fit = recentFit();
     s.slope = fit.a;
     s.slopeValid = fit.valid;
-    s.drift = drift_;
-    s.meanRecent = meanRecent_;
-    s.meanPrev = meanPrev_;
-    s.stable = stable_;
+    s.drift = relativeDrift();
+    s.meanRecent = full() ? meanExecTime() : 0.0;
+    s.meanPrev = previousMeanExecTime();
+    s.stable = stable();
     return s;
 }
 

@@ -43,8 +43,14 @@ struct StabilitySnapshot
 
 /**
  * Rolling (issue, retire) window with the paper's stability criterion.
- * Holds the last 2n points in a ring buffer; stability checks are O(n)
- * and cached until the next insertion.
+ * Holds the last 2n points in a ring buffer and keeps running sums of
+ * execution time over the last n points and the n before them, so the
+ * stability check and the means are O(1); only the least-squares fit
+ * (recentFit(), snapshot()) walks the window.
+ *
+ * The sums are exact, and so equal a fresh sum in any order, when the
+ * times are integer-valued and every sum stays below 2^53: simulated
+ * cycles are.
  */
 class StabilityDetector
 {
@@ -65,10 +71,12 @@ class StabilityDetector
     /** Observations recorded so far (saturating at 2n retained). */
     std::uint64_t totalPoints() const { return total_; }
 
-    /** True when the slope and local-optimum criteria both hold. */
+    /** True when the full 2n history is held and the mean execution
+     *  time drifts by less than delta across its two halves. */
     bool stable() const;
 
-    /** Slope over the most recent n points (NaN-free; valid flag). */
+    /** Slope over the most recent n points (NaN-free; valid flag).
+     *  O(n): only telemetry reads it. */
     LineFit recentFit() const;
 
     /** Mean execution time (retire - issue) over the last n points. */
@@ -88,20 +96,18 @@ class StabilityDetector
     double delta() const { return delta_; }
 
   private:
-    void computeIfDirty() const;
+    /** The full 2n history is held (the local-optimum guard needs it). */
+    bool full() const { return total_ >= std::uint64_t{2} * window_; }
 
     std::uint32_t window_;
     double delta_;
     std::vector<double> issue_;  ///< ring of 2n
     std::vector<double> retire_; ///< ring of 2n
     std::uint64_t total_ = 0;
-
-    mutable bool dirty_ = true;
-    mutable bool stable_ = false;
-    mutable LineFit fit_;
-    mutable double meanRecent_ = 0.0;
-    mutable double meanPrev_ = 0.0;
-    mutable double drift_ = 0.0;
+    /** Execution time (retire - issue) summed over the last n points,
+     *  and over the up to n retained points before them. */
+    double sumRecent_ = 0.0;
+    double sumPrev_ = 0.0;
 };
 
 /**

@@ -26,6 +26,15 @@ struct CacheConfig
     std::uint32_t numSets() const { return sizeBytes / (ways * lineBytes); }
 };
 
+/**
+ * GCN compute-unit geometry: 4 SIMDs of 16 lanes, each holding up to 10
+ * resident wavefronts. Fixed in every Table 1 config and the tiny test
+ * config, and a compile-time constant so the detailed core's per-SIMD
+ * arbitration and hint loops have fixed trip counts.
+ */
+inline constexpr std::uint32_t kSimdsPerCu = 4;
+inline constexpr std::uint32_t kWavesPerSimd = 10;
+
 /** DRAM channel/bank model parameters. */
 struct DramConfig
 {
@@ -38,7 +47,9 @@ struct DramConfig
 
 /**
  * Full GPU configuration. Defaults approximate the AMD R9 Nano setup used
- * by the paper (Table 1); MI100 scales CU count and L2 capacity.
+ * by the paper (Table 1); MI100 scales CU count and L2 capacity. The CU
+ * geometry is not a field: every config has kSimdsPerCu SIMDs of
+ * kWavesPerSimd wave slots (4 x 10, GCN).
  */
 struct GpuConfig
 {
@@ -46,10 +57,6 @@ struct GpuConfig
 
     /** Compute units per GPU. */
     std::uint32_t numCus = 64;
-    /** SIMD units per CU (GCN: 4 SIMDs of 16 lanes each). */
-    std::uint32_t simdsPerCu = 4;
-    /** Maximum resident wavefronts per SIMD. */
-    std::uint32_t wavesPerSimd = 10;
     /** Issue occupancy of one 64-lane vector op on a 16-lane SIMD. */
     Cycle vectorIssueCycles = 4;
     /** Issue occupancy of a scalar op. */
@@ -87,7 +94,7 @@ struct GpuConfig
     std::uint32_t
     totalWaveSlots() const
     {
-        return numCus * simdsPerCu * wavesPerSimd;
+        return numCus * kSimdsPerCu * kWavesPerSimd;
     }
 };
 

@@ -22,9 +22,7 @@ ComputeUnit::ComputeUnit(const GpuConfig &cfg, std::uint32_t cuId,
                          MemorySystem &memsys, func::WarpCapturer &capturer)
     : cfg_(cfg), cuId_(cuId), memsys_(memsys), capturer_(capturer)
 {
-    PHOTON_ASSERT(cfg.wavesPerSimd <= 64,
-                  "issue mask is one 64-bit word per SIMD");
-    const std::uint32_t slots = cfg.simdsPerCu * cfg.wavesPerSimd;
+    const std::uint32_t slots = kSimdsPerCu * kWavesPerSimd;
     slotReady_.assign(slots, kNoCycle);
     slotWarp_.assign(slots, ~std::uint32_t{0});
     waveState_.resize(slots);
@@ -40,15 +38,7 @@ ComputeUnit::ComputeUnit(const GpuConfig &cfg, std::uint32_t cuId,
     waveCurBbIssue_.assign(slots, 0);
     waveCurBbLanes_.assign(slots, 0);
     wgs_.resize(cfg.workgroupsPerCu);
-    simdFree_.assign(cfg.simdsPerCu, 0);
-    simdMin_.assign(cfg.simdsPerCu, kNoCycle);
-    slotSimd_.resize(slots);
-    slotRi_.resize(slots);
-    for (std::uint32_t slot = 0; slot < slots; ++slot) {
-        slotSimd_[slot] = slot % cfg.simdsPerCu;
-        slotRi_[slot] = slotSimd_[slot] * cfg.wavesPerSimd +
-                        slot / cfg.simdsPerCu;
-    }
+    simdMin_.fill(kNoCycle);
 
     auto u = [](isa::FuncUnit f) { return static_cast<std::size_t>(f); };
     unitCompleteLat_[u(isa::FuncUnit::SALU)] = cfg.saluLatency;
@@ -83,8 +73,8 @@ ComputeUnit::startKernel(const KernelContext &ctx)
     for (Workgroup &wg : wgs_) {
         wg.active = false;
     }
-    std::fill(simdFree_.begin(), simdFree_.end(), 0);
-    std::fill(simdMin_.begin(), simdMin_.end(), kNoCycle);
+    simdFree_.fill(0);
+    simdMin_.fill(kNoCycle);
     nextHint_ = kNoCycle;
     residentWaves_ = 0;
     residentWgs_ = 0;
@@ -143,8 +133,7 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
             waveCursor_[wave_slot].bind(ctx_.replay, warp);
         else
             waveCursor_[wave_slot].bind(&group.trace, i);
-        const std::uint32_t ri = slotRi_[wave_slot];
-        slotWarp_[ri] = warp;
+        slotWarp_[laneOf(wave_slot)] = warp;
         group.slots.push_back(wave_slot);
         setSlotReady(wave_slot, waveReadyAt_[wave_slot]);
         ++residentWaves_;
@@ -170,28 +159,36 @@ ComputeUnit::tickImpl(Cycle now)
         return out;
     }
     const std::uint32_t before = wavesRetired_;
-    const std::uint32_t simds = cfg_.simdsPerCu;
-    const std::uint32_t per_simd = cfg_.wavesPerSimd;
 
-    for (std::uint32_t s = 0; s < simds; ++s) {
-        // simdMin_ is a lower bound on this SIMD's earliest ready slot:
-        // above now it proves the scan would come up empty (and refine
-        // nothing — the bound already exceeds now), so skip it.
-        if (simdFree_[s] > now || simdMin_[s] > now)
-            continue;
+    // Eligibility mask: SIMD s may issue when its port is free and its
+    // ready lower bound has come due (a SIMD whose simdMin_ is above
+    // now would scan empty and refine nothing). Building the mask up
+    // front is exact: an issue on one SIMD never writes another SIMD's
+    // simdFree_, and can lower another SIMD's simdMin_ only to a value
+    // above now (a barrier release files now + 1), so no SIMD gains or
+    // loses eligibility during the walk.
+    std::uint32_t eligible = 0;
+    for (std::uint32_t s = 0; s < kSimdsPerCu; ++s) {
+        const bool due = std::max(simdFree_[s], simdMin_[s]) <= now;
+        eligible |= std::uint32_t{due} << s;
+    }
+    while (eligible != 0) {
+        const std::uint32_t s =
+            static_cast<std::uint32_t>(std::countr_zero(eligible));
+        eligible &= eligible - 1;
         // Age-prioritised arbitration (GCN issues the oldest ready
         // wavefront): staggers wavefront completion instead of keeping
         // all residents phase-locked. The same pass computes the exact
         // minimum of the non-selected slots' ready cycles, refreshing
         // this SIMD's contribution to the incremental hint; the
         // winner's new ready cycle is folded back in by its issue.
+        const std::uint32_t base = s * kWavesPerSimd;
         Cycle min_excl = kNoCycle;
-        std::uint32_t best = arbitrate(&slotReady_[s * per_simd],
-                                       &slotWarp_[s * per_simd], now,
-                                       min_excl);
+        std::uint32_t best = arbitrate(&slotReady_[base], &slotWarp_[base],
+                                       now, min_excl);
         simdMin_[s] = min_excl;
-        if (best != per_simd) {
-            issue<kHooks>(s + best * simds, s * per_simd + best, s, now);
+        if (best != kWavesPerSimd) {
+            issue<kHooks>(s + best * kSimdsPerCu, base + best, s, now);
             ++out.issued;
         }
     }
@@ -369,10 +366,14 @@ ComputeUnit::recomputeHint()
 {
     // max distributes over min, so min over slots of
     // max(slotReady, simdFree) equals min over SIMDs of
-    // max(min slotReady, simdFree).
+    // max(min slotReady, simdFree). Selects on values, not
+    // std::min/std::max: those return references, and choosing between
+    // two addresses compiled to branches on the data.
     Cycle next = kNoCycle;
-    for (std::uint32_t s = 0; s < cfg_.simdsPerCu; ++s)
-        next = std::min(next, std::max(simdMin_[s], simdFree_[s]));
+    for (std::uint32_t s = 0; s < kSimdsPerCu; ++s) {
+        Cycle due = simdMin_[s] > simdFree_[s] ? simdMin_[s] : simdFree_[s];
+        next = due < next ? due : next;
+    }
     nextHint_ = next;
 }
 

@@ -20,10 +20,12 @@
  * Data layout (DESIGN.md §13): wavefront bookkeeping is
  * structure-of-arrays. The scheduling-hot lanes — ready cycle and warp
  * age key — are stored SIMD-major (one SIMD's wave slots contiguous,
- * see slotRi_) so arbitration walks a few cache lines instead of
- * chasing ~300-byte wave objects. Cold per-wave state (pc and EXEC,
- * replay cursors, fetch/bb tracking, barrier flags) lives in parallel
- * slot-indexed arrays touched only on issue or rare events.
+ * see laneOf()) so arbitration walks a few cache lines instead of
+ * chasing ~300-byte wave objects. The geometry is the compile-time
+ * kSimdsPerCu x kWavesPerSimd, so every per-SIMD loop has a fixed trip
+ * count. Cold per-wave state (pc and EXEC, replay cursors, fetch/bb
+ * tracking, barrier flags) lives in parallel slot-indexed arrays
+ * touched only on issue or rare events.
  */
 
 #ifndef PHOTON_TIMING_CU_HPP
@@ -155,15 +157,20 @@ class ComputeUnit
     void
     setSlotReady(std::uint32_t slot, Cycle t)
     {
-        slotReady_[slotRi_[slot]] = t;
-        std::uint32_t s = slotSimd_[slot];
-        if (t < simdMin_[s])
-            simdMin_[s] = t;
+        setSlotReadyAt(laneOf(slot), slot % kSimdsPerCu, t);
+    }
+
+    /** Slot -> index of its entry in the SIMD-major lanes: slots are
+     *  interleaved across SIMDs (slot % kSimdsPerCu owns it), lanes
+     *  hold one SIMD's kWavesPerSimd slots contiguously. */
+    static std::uint32_t
+    laneOf(std::uint32_t slot)
+    {
+        return slot % kSimdsPerCu * kWavesPerSimd + slot / kSimdsPerCu;
     }
 
     /** setSlotReady when the caller already has the lane index and
-     *  SIMD (the tick derives both from the arbitration result,
-     *  skipping even the table loads). */
+     *  SIMD (the tick derives both from the arbitration result). */
     void
     setSlotReadyAt(std::uint32_t ri, std::uint32_t simd, Cycle t)
     {
@@ -175,32 +182,33 @@ class ComputeUnit
     /**
      * Branchless arbitration over one SIMD's contiguous ready lane:
      * build the issue mask of slots ready at @p now with compare-only
-     * passes, walk its set bits (countr_zero, mirroring the calendar
-     * wheel in gpu.cpp) to select the oldest wavefront, and return the
-     * minimum ready cycle over the *other* slots through @p min_excl —
-     * the SIMD's refreshed hint contribution (the winner's new ready
-     * cycle is folded back in when its issue lands). Returns the
-     * per-SIMD slot index of the winner, or per_simd when nothing is
-     * ready (min_excl then covers every slot).
+     * passes of fixed width kWavesPerSimd (unrolled by the compiler),
+     * walk its set bits (countr_zero, mirroring the calendar wheel in
+     * gpu.cpp) to select the oldest wavefront, and return the minimum
+     * ready cycle over the *other* slots through @p min_excl — the
+     * SIMD's refreshed hint contribution (the winner's new ready cycle
+     * is folded back in when its issue lands). Returns the per-SIMD
+     * slot index of the winner, or kWavesPerSimd when nothing is ready
+     * (min_excl then covers every slot).
      */
-    std::uint32_t
+    static std::uint32_t
     arbitrate(const Cycle *ready, const std::uint32_t *warp, Cycle now,
               Cycle &min_excl)
     {
-        const std::uint32_t per_simd = cfg_.wavesPerSimd;
+        static_assert(kWavesPerSimd <= 64,
+                      "issue mask is one 64-bit word per SIMD");
         // One compare-only pass builds the issue mask and the all-slots
-        // minimum together (no data-dependent branches to mispredict on
-        // irregular ready patterns).
+        // minimum together.
         std::uint64_t mask = 0;
         Cycle mn = kNoCycle;
-        for (std::uint32_t k = 0; k < per_simd; ++k) {
+        for (std::uint32_t k = 0; k < kWavesPerSimd; ++k) {
             Cycle r = ready[k];
             mask |= std::uint64_t{r <= now} << k;
             mn = mn < r ? mn : r;
         }
         if (mask == 0) {
             min_excl = mn;
-            return per_simd;
+            return kWavesPerSimd;
         }
         std::uint32_t best =
             static_cast<std::uint32_t>(std::countr_zero(mask));
@@ -210,7 +218,7 @@ class ComputeUnit
             // with the winner masked out (the only case where the
             // all-slots minimum is not a usable bound).
             Cycle mx = kNoCycle;
-            for (std::uint32_t k = 0; k < per_simd; ++k) {
+            for (std::uint32_t k = 0; k < kWavesPerSimd; ++k) {
                 Cycle r = k == best ? kNoCycle : ready[k];
                 mx = mx < r ? mx : r;
             }
@@ -236,7 +244,8 @@ class ComputeUnit
         return best;
     }
 
-    /** Recompute nextHint_ from the per-SIMD minima (O(simds)). */
+    /** Recompute nextHint_ from the per-SIMD minima (kSimdsPerCu
+     *  compares). */
     void recomputeHint();
 
     const GpuConfig &cfg_;
@@ -248,21 +257,13 @@ class ComputeUnit
      *  one add and shift instead of a 64-bit multiply and divide. */
     std::uint64_t codeLineBase_ = 0;
 
-    // ---- Scheduling-hot lanes, SIMD-major (see slotRi_) -------------
+    // ---- Scheduling-hot lanes, SIMD-major (see laneOf) --------------
     /** Compact per-slot scheduling key: the cycle the slot's wavefront
      *  can next issue, or kNoCycle when empty / at a barrier. */
     std::vector<Cycle> slotReady_;
     /** Arbitration age key: the slot's warp id (stable for the wave's
      *  lifetime; slots excluded from the issue mask never read it). */
     std::vector<std::uint32_t> slotWarp_;
-
-    /** slot -> owning SIMD (slot % simdsPerCu precomputed). */
-    std::vector<std::uint32_t> slotSimd_;
-    /** slot -> index of its entry in the SIMD-major lanes. A table:
-     *  the modulo/divide pair costs two runtime integer divisions per
-     *  use (the divisors are config values, invisible to the
-     *  compiler), which is real money at one-per-issue rates. */
-    std::vector<std::uint32_t> slotRi_;
 
     // ---- Cold per-wave state, slot-indexed --------------------------
     // Deliberately parallel arrays, not a vector of wave aggregates:
@@ -289,11 +290,11 @@ class ComputeUnit
 
     /** workgroupsPerCu slots, read on place/retire only. */
     std::vector<Workgroup> wgs_;
-    std::vector<Cycle> simdFree_;    ///< per-SIMD issue-port availability
+    std::array<Cycle, kSimdsPerCu> simdFree_{}; ///< issue-port availability
     /** Per-SIMD lower bound on the minimum active slotReady_. Made exact
      *  whenever the SIMD arbitrates; only ever folded downward in
      *  between, so the derived hint can be early but never late. */
-    std::vector<Cycle> simdMin_;
+    std::array<Cycle, kSimdsPerCu> simdMin_{};
     /** Per-unit completion latency (cycles past issue) and issue-port
      *  occupancy, precomputed from the config so the per-issue latency
      *  selection is two table loads instead of a unit switch. VMEM and

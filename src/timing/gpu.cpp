@@ -45,7 +45,7 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
     PHOTON_ASSERT(dims.numWorkgroups > 0, "empty launch");
     PHOTON_ASSERT(dims.wavesPerWorkgroup > 0 &&
                   dims.wavesPerWorkgroup <=
-                      cfg_.simdsPerCu * cfg_.wavesPerSimd,
+                      kSimdsPerCu * kWavesPerSimd,
                   "workgroup does not fit in one CU");
 
     isa::BasicBlockTable bb_table(program, opts.splitBbAtWaitcnt);

@@ -405,7 +405,7 @@ IntervalBackend::runKernel(const isa::Program &program,
     Cycle bw = static_cast<Cycle>((lines * cfg.dram.cyclesPerLine +
                                    cfg.dram.numBanks - 1) /
                                   cfg.dram.numBanks);
-    std::uint64_t ports = std::uint64_t{cfg.numCus} * cfg.simdsPerCu;
+    std::uint64_t ports = std::uint64_t{cfg.numCus} * kSimdsPerCu;
     Cycle issue = static_cast<Cycle>(
         (impl_->issueCycles - issue0 + ports - 1) / ports);
     // Little's law on the per-CU MSHR file: every missed line occupies

@@ -21,8 +21,8 @@ constexpr std::uint32_t kPcsPerLine =
 ReferenceCu::ReferenceCu(const GpuConfig &cfg, std::uint32_t cuId,
                          MemorySystem &memsys, const func::Emulator &emu)
     : cfg_(cfg), cuId_(cuId), memsys_(memsys), emu_(emu),
-      waves_(cfg.simdsPerCu * cfg.wavesPerSimd),
-      wgs_(cfg.workgroupsPerCu), simdFree_(cfg.simdsPerCu, 0)
+      waves_(kSimdsPerCu * kWavesPerSimd), wgs_(cfg.workgroupsPerCu),
+      simdFree_(kSimdsPerCu, 0)
 {}
 
 void
@@ -103,8 +103,8 @@ ReferenceCu::tick(Cycle now)
         return 0;
 
     std::uint32_t issued = 0;
-    const std::uint32_t simds = cfg_.simdsPerCu;
-    const std::uint32_t per_simd = cfg_.wavesPerSimd;
+    const std::uint32_t simds = kSimdsPerCu;
+    const std::uint32_t per_simd = kWavesPerSimd;
 
     for (std::uint32_t s = 0; s < simds; ++s) {
         if (simdFree_[s] > now)
@@ -136,7 +136,7 @@ ReferenceCu::issueWave(std::uint32_t slot, Cycle now)
 {
     Wave &w = waves_[slot];
     Workgroup &wg = wgs_[w.wgSlot];
-    const std::uint32_t simd = slot % cfg_.simdsPerCu;
+    const std::uint32_t simd = slot % kSimdsPerCu;
     const std::uint32_t pc_before = w.ws.pc;
     const WarpId warp = w.ws.warpId;
 

@@ -105,7 +105,7 @@ class ReferenceCu
     KernelContext ctx_;
     std::uint64_t codeLineBase_ = 0;
 
-    std::vector<Wave> waves_;     ///< simdsPerCu * wavesPerSimd slots
+    std::vector<Wave> waves_;     ///< kSimdsPerCu * kWavesPerSimd slots
     std::vector<Workgroup> wgs_;  ///< workgroupsPerCu slots
     std::vector<Cycle> simdFree_; ///< per-SIMD issue-port availability
     std::uint32_t residentWaves_ = 0;

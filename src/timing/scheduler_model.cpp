@@ -27,7 +27,7 @@ SchedulerModel::effectiveSlots(const GpuConfig &cfg,
     std::uint32_t wg_cap = cfg.workgroupsPerCu;
     if (lds_bytes > 0)
         wg_cap = std::min(wg_cap, cfg.ldsBytesPerCu / lds_bytes);
-    std::uint32_t per_cu = std::min(cfg.simdsPerCu * cfg.wavesPerSimd,
+    std::uint32_t per_cu = std::min(kSimdsPerCu * kWavesPerSimd,
                                     wg_cap * waves_per_wg);
     return per_cu * cfg.numCus;
 }

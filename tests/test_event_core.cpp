@@ -173,9 +173,10 @@ runOnGpuNoMonitor(const ProgramPtr &prog, func::LaunchDims dims,
     return r;
 }
 
-/** The three kernel shapes that exercise distinct run-loop paths:
- *  ALU-bound (dense issue), barrier (wave-slot lists + releases), and
- *  memory-bound (L1V probe/commit, MSHRs, long idle gaps). */
+/** The kernel shapes that exercise distinct run-loop paths: ALU-bound
+ *  (dense issue), barrier (wave-slot lists + releases), memory-bound
+ *  (L1V probe/commit, MSHRs, long idle gaps) and ALU-bound at full
+ *  occupancy (every wave slot, multi-ready arbitration). */
 const struct KernelCase
 {
     const char *name;
@@ -186,6 +187,10 @@ const struct KernelCase
     {"alu", [] { return aluKernel(20); }, {16, 4, 0}, 1 << 20},
     {"barrier", [] { return barrierKernel(); }, {8, 2, 0}, 1 << 20},
     {"mem", [] { return memKernel(12); }, {32, 4, 0}, 64ull << 20},
+    // Full occupancy: 8 resident workgroups x 5 waves fill all 40 wave
+    // slots of each tiny CU (every lane of every SIMD, twice over), so
+    // arbitration sees up to 10 ready waves per SIMD.
+    {"alu-full", [] { return aluKernel(20); }, {64, 5, 0}, 1 << 20},
 };
 
 struct WorkloadRun

@@ -165,25 +165,32 @@ TEST(GoldenParity, NanoSwitchPathsSerial)
 
 namespace {
 
-/** A full-detail mi100 run pinned down to every exported memory
- *  counter, captured from the timestamp-LRU cache model the
- *  move-to-front tag lists replaced. mi100 has 32 L2 banks and 32
- *  DRAM banks (r9nano 8 and 16, tiny 2 and 4), so these cases cover
- *  the widest bank interleave and the largest cache state. */
-struct Mi100Case {
+/** A full-detail run pinned down to every exported memory counter,
+ *  captured from the timestamp-LRU cache model the move-to-front tag
+ *  lists replaced. mi100 has 32 L2 banks and 32 DRAM banks (r9nano 8
+ *  and 16, tiny 2 and 4), so its cases cover the widest bank
+ *  interleave and the largest cache state.
+ *
+ *  The occupancy integrals (gpu.now_cycles, gpu.active_cycles,
+ *  gpu.busy_cu_cycles, gpu.wave_cycles) are pinned as absolute values
+ *  too: a test that only compares two runs with each other cannot see
+ *  an accumulator both runs start from the same garbage. */
+struct FullDetailCase {
     const char *workload;
     std::uint32_t size;
+    const char *gpu;
     Cycle cycles;
     std::uint64_t insts;
     std::vector<std::pair<const char *, double>> mem;
+    std::vector<std::pair<const char *, double>> occupancy;
 };
 
 void
-runMi100Case(const Mi100Case &c)
+runFullDetailCase(const FullDetailCase &c)
 {
     GpuConfig gpu;
     std::string err;
-    ASSERT_TRUE(service::parseGpuName("mi100", gpu, &err)) << err;
+    ASSERT_TRUE(service::parseGpuName(c.gpu, gpu, &err)) << err;
     driver::Platform p(gpu, driver::SimMode::FullDetailed, SamplingConfig{});
     auto w = service::makeWorkload(c.workload, c.size, &err);
     ASSERT_NE(w, nullptr) << err;
@@ -199,14 +206,16 @@ runMi100Case(const Mi100Case &c)
     EXPECT_EQ(exported, c.mem.size()) << c.workload;
     for (const auto &[name, value] : c.mem)
         EXPECT_EQ(stats.get(name), value) << c.workload << " " << name;
+    for (const auto &[name, value] : c.occupancy)
+        EXPECT_EQ(stats.get(name), value) << c.workload << " " << name;
 }
 
 } // namespace
 
 TEST(GoldenParity, Mi100FullDetailMemoryStats)
 {
-    const Mi100Case kCases[] = {
-        {"spmv", 512, 540075ull, 453316ull,
+    const FullDetailCase kCases[] = {
+        {"spmv", 512, "mi100", 540075ull, 453316ull,
          {{"mem.dram.accesses", 1036348},
           {"mem.dram.queueing_cycles", 15105164},
           {"mem.l1i.hits", 65414},
@@ -216,8 +225,12 @@ TEST(GoldenParity, Mi100FullDetailMemoryStats)
           {"mem.l1v.hits", 566580},
           {"mem.l1v.misses", 1388805},
           {"mem.l2.hits", 352637},
-          {"mem.l2.misses", 1036348}}},
-        {"mm", 128, 18085ull, 298240ull,
+          {"mem.l2.misses", 1036348}},
+         {{"gpu.now_cycles", 540075},
+          {"gpu.active_cycles", 540074},
+          {"gpu.busy_cu_cycles", 64108803},
+          {"gpu.wave_cycles", 272405369}}},
+        {"mm", 128, "mi100", 18085ull, 298240ull,
          {{"mem.dram.accesses", 3076},
           {"mem.dram.queueing_cycles", 3028},
           {"mem.l1i.hits", 65744},
@@ -227,8 +240,35 @@ TEST(GoldenParity, Mi100FullDetailMemoryStats)
           {"mem.l1v.hits", 97280},
           {"mem.l1v.misses", 67584},
           {"mem.l2.hits", 64572},
-          {"mem.l2.misses", 3076}}},
+          {"mem.l2.misses", 3076}},
+         {{"gpu.now_cycles", 18085},
+          {"gpu.active_cycles", 18084},
+          {"gpu.busy_cu_cycles", 1146572},
+          {"gpu.wave_cycles", 4564162}}},
     };
-    for (const Mi100Case &c : kCases)
-        runMi100Case(c);
+    for (const FullDetailCase &c : kCases)
+        runFullDetailCase(c);
+}
+
+TEST(GoldenParity, NanoFullDetailMemoryStats)
+{
+    const FullDetailCase kCases[] = {
+        {"fir", 4096, "r9nano", 47731ull, 655360ull,
+         {{"mem.dram.accesses", 159996},
+          {"mem.dram.queueing_cycles", 49906165},
+          {"mem.l1i.hits", 139200},
+          {"mem.l1i.misses", 64},
+          {"mem.l1k.hits", 85984},
+          {"mem.l1k.misses", 32},
+          {"mem.l1v.hits", 168794},
+          {"mem.l1v.misses", 171174},
+          {"mem.l2.hits", 11274},
+          {"mem.l2.misses", 159996}},
+         {{"gpu.now_cycles", 47731},
+          {"gpu.active_cycles", 47730},
+          {"gpu.busy_cu_cycles", 2901520},
+          {"gpu.wave_cycles", 81414041}}},
+    };
+    for (const FullDetailCase &c : kCases)
+        runFullDetailCase(c);
 }

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "sampling/stability.hpp"
 #include "sim/rng.hpp"
 
@@ -197,6 +202,127 @@ TEST_P(DeltaSweep, DriftJustAboveDeltaRejected)
 
 INSTANTIATE_TEST_SUITE_P(Deltas, DeltaSweep,
                          ::testing::Values(0.02, 0.05, 0.10, 0.20));
+
+namespace {
+
+/** The O(n) detector the running sums replaced, kept as the oracle:
+ *  every point since the last reset is retained, and each accessor
+ *  re-sums the last 2n points in chronological order. */
+struct OracleDetector
+{
+    std::uint32_t n;
+    double delta;
+    std::vector<double> issue, retire;
+
+    bool full() const { return issue.size() >= std::size_t{2} * n; }
+
+    double
+    sumExec(std::size_t from, std::size_t to) const
+    {
+        double sum = 0.0;
+        for (std::size_t i = from; i < to; ++i)
+            sum += retire[i] - issue[i];
+        return sum;
+    }
+    double
+    meanRecent() const
+    {
+        return full() ? sumExec(issue.size() - n, issue.size()) / n : 0.0;
+    }
+    double
+    meanPrev() const
+    {
+        return full() ? sumExec(issue.size() - 2 * n, issue.size() - n) / n
+                      : 0.0;
+    }
+    double
+    drift() const
+    {
+        if (!full())
+            return 0.0;
+        double prev = meanPrev();
+        return (meanRecent() - prev) / std::max(std::abs(prev), 1e-9);
+    }
+    bool stable() const { return full() && std::abs(drift()) < delta; }
+    double
+    meanExecTime() const
+    {
+        if (full())
+            return meanRecent();
+        if (issue.empty())
+            return 0.0;
+        return sumExec(0, issue.size()) / static_cast<double>(issue.size());
+    }
+    LineFit
+    fit() const
+    {
+        if (!full())
+            return LineFit{};
+        std::vector<double> xs(issue.end() - n, issue.end());
+        std::vector<double> ys(retire.end() - n, retire.end());
+        return leastSquares(xs, ys);
+    }
+};
+
+void
+expectMatchesOracle(const StabilityDetector &det, const OracleDetector &o,
+                    const std::string &what)
+{
+    ASSERT_EQ(det.totalPoints(), o.issue.size()) << what;
+    EXPECT_EQ(det.stable(), o.stable()) << what;
+    EXPECT_EQ(det.meanExecTime(), o.meanExecTime()) << what;
+    EXPECT_EQ(det.relativeDrift(), o.drift()) << what;
+    EXPECT_EQ(det.previousMeanExecTime(), o.meanPrev()) << what;
+    LineFit fit = det.recentFit(), want = o.fit();
+    EXPECT_EQ(fit.valid, want.valid) << what;
+    EXPECT_EQ(fit.a, want.a) << what;
+    EXPECT_EQ(fit.b, want.b) << what;
+    StabilitySnapshot snap = det.snapshot();
+    EXPECT_EQ(snap.points, o.issue.size()) << what;
+    EXPECT_EQ(snap.slope, want.a) << what;
+    EXPECT_EQ(snap.slopeValid, want.valid) << what;
+    EXPECT_EQ(snap.drift, o.drift()) << what;
+    EXPECT_EQ(snap.meanRecent, o.meanRecent()) << what;
+    EXPECT_EQ(snap.meanPrev, o.meanPrev()) << what;
+    EXPECT_EQ(snap.stable, o.stable()) << what;
+}
+
+} // namespace
+
+TEST(StabilityDetector, RunningSumsMatchTheWindowScan)
+{
+    // Random integer-cycle streams (the simulator's times) through
+    // windows from the minimum up, with level shifts so the drift
+    // crosses delta both ways, and random resets so the fewer-than-2n
+    // fallback recurs mid-stream. Every accessor must equal the O(n)
+    // computation bit for bit after every point.
+    Rng rng(17);
+    for (std::uint32_t n : {2u, 3u, 5u, 16u, 64u}) {
+        StabilityDetector det(n, 0.08);
+        OracleDetector o{n, 0.08, {}, {}};
+        double issue = static_cast<double>(rng.nextBelow(1u << 30));
+        double level = 100.0;
+        for (int i = 0; i < 40 * static_cast<int>(n) + 200; ++i) {
+            std::string what =
+                "n=" + std::to_string(n) + " point " + std::to_string(i);
+            if (rng.nextBelow(150) == 0) {
+                det.reset();
+                o.issue.clear();
+                o.retire.clear();
+                expectMatchesOracle(det, o, what + " after reset");
+            }
+            if (rng.nextBelow(4 * n) == 0)
+                level = static_cast<double>(1 + rng.nextBelow(200000));
+            issue += static_cast<double>(rng.nextBelow(64));
+            std::uint64_t noise = 1 + static_cast<std::uint64_t>(level) / 8;
+            double exec = level + static_cast<double>(rng.nextBelow(noise));
+            det.addPoint(issue, issue + exec);
+            o.issue.push_back(issue);
+            o.retire.push_back(issue + exec);
+            expectMatchesOracle(det, o, what);
+        }
+    }
+}
 
 // ----- SwitchGovernor -----
 
