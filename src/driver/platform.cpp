@@ -131,15 +131,12 @@ Platform::launch(const isa::ProgramPtr &program,
         // plus replay. A trace captured elsewhere (campaign sibling,
         // photond warm state) replaces the per-warp analysis emulation
         // bit-identically.
-        func::LaunchTracePtr trace;
-        if (traceReuse_) {
-            trace = traceStore_->lookup(
-                func::traceKey(*program, dims, mem_.contentHash()));
-            if (trace)
-                ++traceHits_;
-            else
-                ++traceMisses_;
-        }
+        func::LaunchTracePtr trace = traceStore_->lookup(
+            func::traceKey(*program, dims, mem_.contentHash()));
+        if (trace)
+            ++traceHits_;
+        else
+            ++traceMisses_;
         result.sample =
             photon_->runKernel(*program, dims, mem_, trace.get());
         break;
@@ -171,8 +168,6 @@ func::LaunchTracePtr
 Platform::acquireTrace(const isa::Program &program,
                        const func::LaunchDims &dims)
 {
-    if (!traceReuse_)
-        return nullptr;
     const std::uint64_t fingerprint = mem_.contentHash();
     const std::string key = func::traceKey(program, dims, fingerprint);
     func::LaunchTracePtr trace = traceStore_->lookup(key);

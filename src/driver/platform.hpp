@@ -130,11 +130,6 @@ class Platform
     }
     func::TraceStore &traceStore() { return *traceStore_; }
 
-    /** Disable capture-once/replay-many (--no-trace-reuse ablation):
-     *  every launch re-executes register semantics. */
-    void setTraceReuse(bool on) { traceReuse_ = on; }
-    bool traceReuse() const { return traceReuse_; }
-
     /** Launches served by a cached trace (emulation skipped). */
     std::uint64_t traceHits() const { return traceHits_; }
     /** Traceable launches that found no cached trace. */
@@ -152,8 +147,8 @@ class Platform
   private:
     /** Lookup-or-capture for a full-detailed launch: on a hit, applies
      *  the trace's store log to memory (replay runs never write); on a
-     *  miss, captures (which executes the launch functionally). Null
-     *  when reuse is off. */
+     *  miss, captures (which executes the launch functionally). Never
+     *  null. */
     func::LaunchTracePtr acquireTrace(const isa::Program &program,
                                       const func::LaunchDims &dims);
 
@@ -171,7 +166,6 @@ class Platform
     /** Private trace cache; traceStore_ points here unless shared. */
     func::TraceStore ownTraceStore_;
     func::TraceStore *traceStore_ = &ownTraceStore_;
-    bool traceReuse_ = true;
     std::uint64_t traceHits_ = 0;
     std::uint64_t traceMisses_ = 0;
     std::uint64_t traceCaptures_ = 0;

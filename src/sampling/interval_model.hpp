@@ -69,25 +69,6 @@ class InstLatencyTable
         return count_[static_cast<std::size_t>(op)];
     }
 
-    /** Sum of observed latencies for @p op (0 when unobserved). */
-    double
-    observedSum(isa::Opcode op) const
-    {
-        return sum_[static_cast<std::size_t>(op)];
-    }
-
-    /** Bulk-merge previously aggregated observations — the transfer
-     *  path that seeds an interval backend's fits from a detailed
-     *  phase (equivalent to @p count record() calls summing to
-     *  @p sum). */
-    void
-    seedObservations(isa::Opcode op, double sum, std::uint64_t count)
-    {
-        auto i = static_cast<std::size_t>(op);
-        sum_[i] += sum;
-        count_[i] += count;
-    }
-
     /** FNV-1a digest of the table's observed state (sums and counts);
      *  two tables with equal fingerprints predict identically. */
     std::uint64_t fingerprint() const;

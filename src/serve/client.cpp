@@ -1,18 +1,10 @@
 #include "serve/client.hpp"
 
-#include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
-
 #include "serve/net.hpp"
 
 namespace photon::serve {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 ClientResult
 failResult(std::string why)
@@ -20,18 +12,6 @@ failResult(std::string why)
     ClientResult r;
     r.ok = false;
     r.error = std::move(why);
-    return r;
-}
-
-ClientResult
-decodeInto(std::string line)
-{
-    ClientResult r;
-    r.rawLine = std::move(line);
-    std::string err;
-    if (!decodeResponse(r.rawLine, r.response, &err))
-        return failResult("bad response from daemon: " + err);
-    r.ok = true;
     return r;
 }
 
@@ -49,62 +29,16 @@ requestOverSocket(const std::string &socket_path, const Request &request,
         net::closeFd(fd);
         return failResult("send failed on " + socket_path);
     }
-    std::string line;
-    int n = net::recvLine(fd, line, timeout_seconds);
+    ClientResult r;
+    int n = net::recvLine(fd, r.rawLine, timeout_seconds);
     net::closeFd(fd);
     if (n <= 0)
         return failResult(n == 0 ? "daemon closed the connection"
                                  : "timed out waiting for response");
-    return decodeInto(std::move(line));
-}
-
-ClientResult
-requestOverDrop(const std::string &drop_dir, const Request &request,
-                double timeout_seconds)
-{
-    if (request.id.empty())
-        return failResult("file-drop requests need a non-empty id");
-    fs::path inbox = fs::path(drop_dir) / "inbox";
-    fs::path outbox = fs::path(drop_dir) / "outbox";
-    std::error_code ec;
-    fs::create_directories(inbox, ec);
-    fs::create_directories(outbox, ec);
-    if (ec)
-        return failResult("cannot create drop directories under '" +
-                          drop_dir + "': " + ec.message());
-
-    std::string name = request.id + ".json";
-    fs::path tmp = inbox / (name + ".tmp");
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return failResult("cannot write " + tmp.string());
-        out << encodeRequest(request) << "\n";
-    }
-    fs::rename(tmp, inbox / name, ec);
-    if (ec)
-        return failResult("cannot submit request file: " + ec.message());
-
-    fs::path reply = outbox / name;
-    // Poll in 50 ms slices; the accumulated-slice clock mirrors the
-    // socket path's timeout handling and keeps this free of wall time.
-    double waited = 0.0;
-    while (waited < timeout_seconds) {
-        if (fs::exists(reply, ec)) {
-            std::ifstream in(reply);
-            std::string line;
-            std::getline(in, line);
-            in.close();
-            fs::remove(reply, ec);
-            if (line.empty())
-                return failResult("empty response file " +
-                                  reply.string());
-            return decodeInto(std::move(line));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        waited += 0.05;
-    }
-    return failResult("timed out waiting for " + reply.string());
+    if (!decodeResponse(r.rawLine, r.response, &err))
+        return failResult("bad response from daemon: " + err);
+    r.ok = true;
+    return r;
 }
 
 } // namespace photon::serve

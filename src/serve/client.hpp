@@ -1,8 +1,8 @@
 /**
  * @file
  * Client helpers for `photon_sim submit` / `status` / `cache` /
- * `shutdown`: send one request to a running photond over the socket or
- * file-drop transport and decode the response.
+ * `shutdown`: send one request to a running photond over its Unix
+ * socket and decode the response.
  */
 
 #ifndef PHOTON_SERVE_CLIENT_HPP
@@ -30,16 +30,6 @@ struct ClientResult
 ClientResult requestOverSocket(const std::string &socket_path,
                                const Request &request,
                                double timeout_seconds = 300.0);
-
-/**
- * Send @p request through the file-drop transport rooted at
- * @p drop_dir: write `<drop>/inbox/<id>.json` atomically, then poll
- * `<drop>/outbox/<id>.json` until the daemon answers or the timeout
- * elapses.
- */
-ClientResult requestOverDrop(const std::string &drop_dir,
-                             const Request &request,
-                             double timeout_seconds = 300.0);
 
 } // namespace photon::serve
 

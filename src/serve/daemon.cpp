@@ -1,12 +1,8 @@
 #include "serve/daemon.hpp"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -17,8 +13,6 @@
 namespace photon::serve {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 /** Set from the SIGINT/SIGTERM handler; polled by the accept loop. */
 volatile std::sig_atomic_t g_signal_stop = 0;
@@ -62,7 +56,7 @@ handleRequest(SimServer &server, const Request &request,
     return resp;
 }
 
-/** Decode a line, dispatch, encode — shared by both transports. */
+/** Decode a line, dispatch, encode. */
 std::string
 handleLine(SimServer &server, const std::string &line,
            std::atomic<bool> &shutdown_requested)
@@ -148,80 +142,20 @@ connectionLoop(Workers &workers, int fd)
     net::closeFd(fd);
 }
 
-/** Scan the file-drop inbox and dispatch any complete request files. */
-void
-scanDropInbox(Workers &workers, const std::string &drop_dir)
-{
-    fs::path inbox = fs::path(drop_dir) / "inbox";
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(inbox, ec)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ".json")
-            continue;
-        fs::path claimed = entry.path();
-        claimed += ".claimed";
-        // Atomic claim: whichever scan renames first owns the request.
-        std::error_code rename_ec;
-        fs::rename(entry.path(), claimed, rename_ec);
-        if (rename_ec)
-            continue;
-        std::string name = entry.path().filename().string();
-        workers.spawn(std::thread([&workers, drop_dir, claimed, name] {
-            std::ifstream in(claimed);
-            std::stringstream buf;
-            buf << in.rdbuf();
-            in.close();
-            std::error_code rm_ec;
-            fs::remove(claimed, rm_ec);
-            std::string line = buf.str();
-            if (std::size_t nl = line.find('\n');
-                nl != std::string::npos)
-                line.erase(nl);
-            std::string resp = handleLine(workers.server, line,
-                                          workers.shutdownRequested);
-            fs::path outbox = fs::path(drop_dir) / "outbox";
-            fs::path tmp = outbox / (name + ".tmp");
-            {
-                std::ofstream out(tmp);
-                out << resp << "\n";
-            }
-            std::error_code out_ec;
-            fs::rename(tmp, outbox / name, out_ec);
-        }));
-    }
-}
-
 } // namespace
 
 int
 runDaemon(const DaemonOptions &options)
 {
-    if (options.socketPath.empty() && options.dropDir.empty()) {
-        warn("serve: no transport configured (need --socket and/or "
-             "--drop)");
+    if (options.socketPath.empty()) {
+        warn("serve: no socket configured (need --socket)");
         return 1;
     }
-
-    int listener = -1;
-    if (!options.socketPath.empty()) {
-        std::string err;
-        listener = net::listenUnix(options.socketPath, &err);
-        if (listener < 0) {
-            warn("serve: ", err);
-            return 1;
-        }
-    }
-    if (!options.dropDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(fs::path(options.dropDir) / "inbox", ec);
-        fs::create_directories(fs::path(options.dropDir) / "outbox", ec);
-        if (ec) {
-            warn("serve: cannot create drop directories under '",
-                 options.dropDir, "': ", ec.message());
-            net::closeFd(listener);
-            return 1;
-        }
+    std::string err;
+    int listener = net::listenUnix(options.socketPath, &err);
+    if (listener < 0) {
+        warn("serve: ", err);
+        return 1;
     }
 
     if (options.installSignalHandlers) {
@@ -237,13 +171,9 @@ runDaemon(const DaemonOptions &options)
 
     if (options.verbose) {
         std::printf(
-            "photond: serving on %s%s%s (workers=%u, store=%s, "
+            "photond: serving on %s (workers=%u, store=%s, "
             "protocol v%u)\n",
-            options.socketPath.empty() ? "" : options.socketPath.c_str(),
-            !options.socketPath.empty() && !options.dropDir.empty()
-                ? " + "
-                : "",
-            options.dropDir.empty() ? "" : options.dropDir.c_str(),
+            options.socketPath.c_str(),
             options.server.workers ? options.server.workers : 1,
             options.server.store.path.empty()
                 ? "<none>"
@@ -254,21 +184,14 @@ runDaemon(const DaemonOptions &options)
 
     while (!g_signal_stop && !shutdown_requested.load() &&
            !(options.externalStop && options.externalStop->load())) {
-        if (listener >= 0) {
-            int fd = net::acceptClient(listener, options.pollMs);
-            if (fd >= 0) {
-                workers.spawn(std::thread(
-                    [&workers, fd] { connectionLoop(workers, fd); }));
-            } else if (fd == -2) {
-                warn("serve: accept failed; shutting down");
-                break;
-            }
-        } else {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(options.pollMs));
+        int fd = net::acceptClient(listener, options.pollMs);
+        if (fd >= 0) {
+            workers.spawn(std::thread(
+                [&workers, fd] { connectionLoop(workers, fd); }));
+        } else if (fd == -2) {
+            warn("serve: accept failed; shutting down");
+            break;
         }
-        if (!options.dropDir.empty())
-            scanDropInbox(workers, options.dropDir);
     }
 
     // Graceful drain: stop accepting, finish all admitted work, flush
@@ -278,13 +201,11 @@ runDaemon(const DaemonOptions &options)
                     "flushing checkpoint)\n");
         std::fflush(stdout);
     }
-    if (listener >= 0)
-        net::closeFd(listener);
+    net::closeFd(listener);
     server.drain();
     stopping.store(true);
     workers.joinAll();
-    if (!options.socketPath.empty())
-        net::unlinkPath(options.socketPath);
+    net::unlinkPath(options.socketPath);
 
     if (options.verbose) {
         ServerStatus s = server.status();

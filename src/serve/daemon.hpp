@@ -1,16 +1,11 @@
 /**
  * @file
- * The `photon_sim serve` front end: binds the SimServer to its
- * transports (Unix-domain socket, file-drop directory, or both), speaks
- * the newline-delimited JSON protocol, and implements graceful drain —
- * on SIGINT/SIGTERM (or a `shutdown` request) the daemon stops
- * admitting, finishes every in-flight and queued job, flushes the store
+ * The `photon_sim serve` front end: binds the SimServer to a
+ * Unix-domain socket, its one transport, speaks the newline-delimited
+ * JSON protocol over it, and implements graceful drain — on
+ * SIGINT/SIGTERM (or a `shutdown` request) the daemon stops admitting,
+ * finishes every in-flight and queued job, flushes the store
  * checkpoint, and exits 0.
- *
- * File-drop fallback layout (for hosts/containers without socket
- * access): clients atomically rename a request file into
- * `<drop>/inbox/<id>.json`; the daemon consumes it and atomically
- * renames the response into `<drop>/outbox/<id>.json`.
  */
 
 #ifndef PHOTON_SERVE_DAEMON_HPP
@@ -23,11 +18,10 @@
 
 namespace photon::serve {
 
-/** Daemon configuration (one of socketPath / dropDir must be set). */
+/** Daemon configuration. */
 struct DaemonOptions
 {
-    std::string socketPath; ///< "" = no socket listener
-    std::string dropDir;    ///< "" = no file-drop watcher
+    std::string socketPath; ///< required: the listening socket's path
     ServerOptions server{};
     /** Install SIGINT/SIGTERM handlers that trigger graceful drain.
      *  Off for in-process tests, which stop via @ref externalStop. */
@@ -41,8 +35,8 @@ struct DaemonOptions
 
 /**
  * Run the daemon until a stop condition, then drain. Returns the
- * process exit code (0 on clean drain, 1 on a startup failure such as
- * an unbindable socket path).
+ * process exit code (0 on clean drain, 1 on a startup failure: no
+ * socket path, or an unbindable one).
  */
 int runDaemon(const DaemonOptions &options);
 

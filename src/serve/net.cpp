@@ -3,25 +3,18 @@
 #include <cerrno>
 #include <cstring>
 
-#if !defined(_WIN32)
-#define PHOTON_HAVE_UNIX_SOCKETS 1
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define PHOTON_HAVE_UNIX_SOCKETS 0
-#endif
 
 namespace photon::serve::net {
 
 bool
 available()
 {
-    return PHOTON_HAVE_UNIX_SOCKETS != 0;
+    return true;
 }
-
-#if PHOTON_HAVE_UNIX_SOCKETS
 
 namespace {
 
@@ -207,58 +200,5 @@ unlinkPath(const std::string &path)
 {
     ::unlink(path.c_str());
 }
-
-#else // !PHOTON_HAVE_UNIX_SOCKETS
-
-namespace {
-int
-unsupported(std::string *error)
-{
-    if (error)
-        *error = "Unix-domain sockets are not available on this "
-                 "platform; use the --drop file-drop transport";
-    return -1;
-}
-} // namespace
-
-int
-listenUnix(const std::string &, std::string *error)
-{
-    return unsupported(error);
-}
-
-int
-acceptClient(int, int)
-{
-    return -2;
-}
-
-int
-connectUnix(const std::string &, std::string *error)
-{
-    return unsupported(error);
-}
-
-bool
-sendLine(int, const std::string &)
-{
-    return false;
-}
-
-int
-recvLine(int, std::string &, double)
-{
-    return -1;
-}
-
-void
-closeFd(int)
-{}
-
-void
-unlinkPath(const std::string &)
-{}
-
-#endif // PHOTON_HAVE_UNIX_SOCKETS
 
 } // namespace photon::serve::net

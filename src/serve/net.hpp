@@ -14,7 +14,8 @@
 
 namespace photon::serve::net {
 
-/** True when this build has Unix-domain-socket support. */
+/** Always true: every supported platform has Unix-domain sockets.
+ *  Kept because the benchmark driver (perfbench/photond.cpp) asks. */
 bool available();
 
 /** Create + bind + listen on @p path (an existing socket file is

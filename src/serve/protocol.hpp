@@ -1,9 +1,9 @@
 /**
  * @file
  * The daemon's wire protocol: newline-delimited JSON, one request and
- * one response object per line, explicitly versioned. The same messages
- * travel over both transports (Unix-domain socket and the file-drop
- * fallback), so everything here is transport-agnostic plain text.
+ * one response object per line, explicitly versioned. The messages
+ * travel over the daemon's Unix-domain socket; everything here is
+ * transport-agnostic plain text.
  *
  * Requests:
  *

@@ -222,10 +222,7 @@ SimServer::executeJob(const service::JobSpec &spec)
     // sampled modes consume hits for their analysis passes. The store
     // rides the v5 checkpoint, so a warm-restarted daemon replays
     // without a single emulator invocation.
-    if (opts_.traceReuse)
-        platform.setTraceStore(&store_.traceStore());
-    else
-        platform.setTraceReuse(false);
+    platform.setTraceStore(&store_.traceStore());
 
     service::StoreGroup seed = store_.snapshot(spec.gpu);
     std::size_t seed_records = 0;

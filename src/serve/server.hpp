@@ -3,8 +3,8 @@
  * The in-process service core of `photon_sim serve`: a job queue in
  * front of N resident workers, one shared GlobalStore, and admission
  * dedup keyed by GPU-BBV fingerprint. Transport-free by design — the
- * socket / file-drop front end (serve/daemon.hpp) and the tests drive
- * the same object.
+ * socket front end (serve/daemon.hpp) and the tests drive the same
+ * object.
  *
  * Request lifecycle:
  *
@@ -48,11 +48,6 @@ struct ServerOptions
     /** Start with the queue held: nothing executes until resume().
      *  Deterministic-admission mode for tests and benches. */
     bool startPaused = false;
-    /** Attach the resident functional-trace store to every worker
-     *  Platform (DESIGN.md §15): a launch captured by any job replays
-     *  for every later job, and traces persist across restarts via the
-     *  v5 checkpoint. false restores capture-nothing, replay-nothing. */
-    bool traceReuse = true;
 };
 
 /** Outcome of one request (leader result, fanned out to waiters). */

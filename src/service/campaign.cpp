@@ -298,9 +298,7 @@ writeJsonReport(const CampaignResult &result, std::ostream &os)
        << sampling::kTelemetrySchemaVersion << ",\n";
     os << "  \"workers\": " << result.workers << ",\n";
     os << "  \"share\": \"" << jsonEscape(result.share) << "\",\n";
-    os << "  \"scheduler\": {\"stealing\": "
-       << (result.stealing ? "true" : "false")
-       << ", \"steal_ops\": " << result.stealOps
+    os << "  \"scheduler\": {\"steal_ops\": " << result.stealOps
        << ", \"stolen_tasks\": " << result.stolenTasks << "},\n";
     os << "  \"wall_seconds\": " << result.wallSeconds << ",\n";
     os << "  \"jobs\": [\n";

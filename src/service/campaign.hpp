@@ -155,10 +155,9 @@ struct CampaignResult
     std::uint32_t workers = 1;
     std::string share;     ///< share-policy name the campaign ran with
     Artifact finalStore;   ///< merged store (seed + everything published)
-    /** Work-stealing scheduler observability: whether rebalancing was
-     *  enabled and how much actually happened (0 steals on a balanced
-     *  batch is normal — stealing only fires when a lane runs dry). */
-    bool stealing = true;
+    /** Work-stealing scheduler observability: how much rebalancing
+     *  happened (0 steals on a balanced batch is normal — stealing
+     *  only fires when a lane runs dry). */
     std::uint64_t stealOps = 0;
     std::uint64_t stolenTasks = 0;
 

@@ -97,7 +97,6 @@ runOneJob(const JobSpec &spec, const CampaignOptions &options,
 
     auto t0 = std::chrono::steady_clock::now();
     driver::Platform platform(gpu, mode, options.sampling, backend);
-    platform.setTraceReuse(options.traceReuse);
     if (traces)
         platform.setTraceStore(traces);
     sampling::CacheCounters base;
@@ -225,7 +224,7 @@ runCampaign(const std::vector<JobSpec> &jobs,
     // one expensive chain can't strand the work queued behind it.
     // Steals move whole chains, never split one: `ordered` semantics
     // and per-index report assembly are schedule-independent.
-    WorkStealDeques<std::size_t> tasks(pool, options.stealing);
+    WorkStealDeques<std::size_t> tasks(pool);
     for (std::size_t ci = 0; ci < chains.size(); ++ci)
         tasks.push(ci);
 
@@ -258,7 +257,6 @@ runCampaign(const std::vector<JobSpec> &jobs,
     auto t1 = std::chrono::steady_clock::now();
 
     result.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-    result.stealing = options.stealing;
     StealStats steals = tasks.stats();
     result.stealOps = steals.stealOps;
     result.stolenTasks = steals.stolenTasks;

@@ -2,11 +2,13 @@
  * @file
  * The parallel campaign runner: executes a batch of simulation jobs
  * across a fixed-size thread pool. Every worker owns a private Platform
- * per job, so each job's simulation is bit-identical to a serial run;
- * the only cross-job state is the SharedSignatureStore, through which
+ * per job, so each job's simulation is bit-identical to a serial run.
+ * Two stores cross jobs: the SharedSignatureStore, through which
  * finished jobs publish their kernel signatures and online analyses so
  * later jobs get kernel-sampling hits (paper Section 6.3 reuse, applied
- * within one process).
+ * within one process), and one functional-trace store, so a launch any
+ * job captured replays for every later job (CampaignOptions::traceReuse;
+ * a trace is a pure function of its key, so sharing changes no result).
  *
  * Share policies:
  *  - none:    jobs see only the campaign's seed store (from --cache-in).
@@ -21,8 +23,9 @@
  * work-stealing deques (service/work_steal.hpp); a worker that drains
  * its own lane steals the back half of a neighbour's, so skewed job
  * costs can't strand queued work behind one long straggler. Stealing
- * moves whole chains between workers and never splits or reorders one,
- * so the ordered policy's determinism argument is untouched.
+ * is always on; it moves whole chains between workers and never splits
+ * or reorders one, so the ordered policy's determinism argument is
+ * untouched.
  */
 
 #ifndef PHOTON_SERVICE_CAMPAIGN_RUNNER_HPP
@@ -88,17 +91,17 @@ struct CampaignOptions
     std::uint32_t workers = 1; ///< thread-pool size (0 behaves as 1)
     SharePolicy share = SharePolicy::Ordered;
     SamplingConfig sampling{};
-    /** Work-stealing rebalancing across the worker deques (see
-     *  service/work_steal.hpp). false pins every chain to the lane it
-     *  was seeded on (a static partition). Results are identical
-     *  either way; only wall-clock changes. */
-    bool stealing = true;
-    /** Share captured functional traces across the campaign's jobs
-     *  (DESIGN.md §15): the first full-mode job of a (program, launch,
-     *  input) captures, every later job replays. Trace content is a
-     *  pure function of its key, so reuse is schedule-independent
-     *  under every share policy; false disables the launch-trace
-     *  cache (every job re-emulates). */
+    /** Workers share one functional-trace store (DESIGN.md §15),
+     *  seeded from the seed artifact's traces and exported in
+     *  CampaignResult::finalStore: the first full-mode job of a
+     *  (program, launch, input) captures, every later job replays.
+     *  Trace content is a pure function of its key, so sharing is
+     *  schedule-independent under every share policy. false gives each
+     *  job's Platform its own private store (it still captures and
+     *  replays its own launches), and finalStore carries only the
+     *  seed's traces. Results are bit-identical either way. The field
+     *  stays because the benchmark driver (perfbench/dse_sweep.cpp)
+     *  assigns it. */
     bool traceReuse = true;
 };
 

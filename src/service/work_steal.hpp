@@ -19,7 +19,7 @@
  * and tasks whose relative order matters (the campaign's `ordered`
  * share chains) are enqueued as ONE task that runs its chain
  * sequentially. The schedule affects wall-clock only, never output;
- * test_campaign pins steal == no-steal result equality.
+ * test_campaign pins 1-worker == 4-worker result equality.
  *
  * Locking: one mutex per lane, taken for O(1) pushes/pops and O(k)
  * steal transfers. Fine for job granularity (tasks are whole kernel
@@ -51,13 +51,8 @@ template <typename T>
 class WorkStealDeques
 {
   public:
-    /**
-     * @param workers number of lanes (>= 1 enforced)
-     * @param stealing false disables rebalancing — each worker only
-     *        drains its own lane (a static partition)
-     */
-    explicit WorkStealDeques(std::size_t workers, bool stealing = true)
-        : stealing_(stealing)
+    /** @param workers number of lanes (>= 1 enforced) */
+    explicit WorkStealDeques(std::size_t workers)
     {
         if (workers == 0)
             workers = 1;
@@ -103,8 +98,6 @@ class WorkStealDeques
         w %= n;
         if (popFront(lanes_[w], out))
             return true;
-        if (!stealing_)
-            return false;
         for (std::size_t k = 1; k < n; ++k) {
             if (stealInto(lanes_[(w + k) % n], lanes_[w], out))
                 return true;
@@ -176,7 +169,6 @@ class WorkStealDeques
         return true;
     }
 
-    bool stealing_;
     std::deque<Lane> lanes_; ///< stable addresses; never resized
     std::atomic<std::size_t> size_{0};
     std::atomic<std::uint64_t> rr_{0};

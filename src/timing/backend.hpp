@@ -15,7 +15,7 @@
  *
  * Layering: this header sits in src/timing and must not include
  * anything from src/sampling (the CI hygiene check pins that); the
- * IntervalBackend's use of the sampling layer's interval-model fits is
+ * IntervalBackend's use of the sampling layer's interval-model table is
  * confined to its .cpp.
  */
 

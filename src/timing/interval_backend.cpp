@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <map>
 
 #include "func/warp_trace.hpp"
 #include "func/wave_state.hpp"
@@ -20,26 +19,42 @@ namespace photon::timing {
 
 struct IntervalBackend::Impl
 {
-    /** Per-kernel latency fits (the interval-model table, paper
-     *  Figure 9), seedable from a detailed phase. The table's lookup
-     *  path (observed mean with a config-derived default) runs once
-     *  per traced instruction, so it is memoized into flat per-opcode
-     *  arrays; seeding invalidates the memo. */
-    struct KernelModel
-    {
-        explicit KernelModel(const GpuConfig &cfg) : table(cfg) {}
-
-        sampling::InstLatencyTable table;
-        std::array<double, isa::kNumOpcodes> opLat{};
-        std::array<bool, isa::kNumOpcodes> seeded{};
-        bool fresh = false;
-    };
-
     explicit Impl(const GpuConfig &cfg)
         : cfg(cfg),
+          opLat(opcodeLatencies(cfg)),
           l1(cfg.numCus, SetAssocCache(cfg.l1v)),
           l2(cfg.l2Banks, SetAssocCache(cfg.l2))
     {}
+
+    /**
+     * Per-opcode latencies: the interval-model table's config-derived
+     * defaults (paper Figure 9), refined with static opcode identity
+     * (the detailed core retires vector stores at issue-occupancy cost
+     * and scalar loads out of a hot L1K, while the shared default
+     * prices both as L2 walks). Looked up once per traced instruction,
+     * so they are flattened into one array up front.
+     */
+    static std::array<double, isa::kNumOpcodes>
+    opcodeLatencies(const GpuConfig &cfg)
+    {
+        const sampling::InstLatencyTable table(cfg);
+        std::array<double, isa::kNumOpcodes> lat{};
+        for (unsigned i = 0; i < isa::kNumOpcodes; ++i) {
+            auto op = static_cast<isa::Opcode>(i);
+            switch (op) {
+              case isa::Opcode::FLAT_STORE_DWORD:
+                lat[i] = static_cast<double>(cfg.vectorIssueCycles);
+                break;
+              case isa::Opcode::S_LOAD_DWORD:
+                lat[i] = static_cast<double>(cfg.l1k.hitLatency);
+                break;
+              default:
+                lat[i] = table.latency(op);
+                break;
+            }
+        }
+        return lat;
+    }
 
     /** L2 probe through the detailed model's bank interleave (the
      *  bank count is a power of two). */
@@ -47,47 +62,6 @@ struct IntervalBackend::Impl
     l2Access(Addr line)
     {
         return l2[line & (l2.size() - 1)].probe(line);
-    }
-
-    KernelModel &
-    model(const std::string &kernel)
-    {
-        KernelModel &km = models.try_emplace(kernel, cfg).first->second;
-        if (!km.fresh)
-            refresh(km);
-        return km;
-    }
-
-    /**
-     * Rebuild @p km's memoized per-opcode costs. Observed means win;
-     * for unseeded opcodes the shared table's config defaults are
-     * refined with static opcode identity (the detailed core retires
-     * vector stores at issue-occupancy cost and scalar loads out of a
-     * hot L1K, while the shared default prices both as L2 walks).
-     */
-    void
-    refresh(KernelModel &km) const
-    {
-        for (unsigned i = 0; i < isa::kNumOpcodes; ++i) {
-            auto op = static_cast<isa::Opcode>(i);
-            km.seeded[i] = km.table.observations(op) > 0;
-            if (km.seeded[i]) {
-                km.opLat[i] = km.table.latency(op);
-                continue;
-            }
-            switch (op) {
-              case isa::Opcode::FLAT_STORE_DWORD:
-                km.opLat[i] = static_cast<double>(cfg.vectorIssueCycles);
-                break;
-              case isa::Opcode::S_LOAD_DWORD:
-                km.opLat[i] = static_cast<double>(cfg.l1k.hitLatency);
-                break;
-              default:
-                km.opLat[i] = km.table.latency(op);
-                break;
-            }
-        }
-        km.fresh = true;
     }
 
     /**
@@ -98,16 +72,11 @@ struct IntervalBackend::Impl
      * wait for their slowest line.
      */
     double
-    priceStep(KernelModel &km, const func::StepResult &step,
-              std::uint32_t cu)
+    priceStep(const func::StepResult &step, std::uint32_t cu)
     {
         using isa::FuncUnit;
-        auto oi = static_cast<std::size_t>(step.op);
         if (step.unit == FuncUnit::VMEM) {
-            bool seeded = km.seeded[oi];
-            double lat =
-                seeded ? km.opLat[oi]
-                       : static_cast<double>(cfg.vectorIssueCycles);
+            double lat = static_cast<double>(cfg.vectorIssueCycles);
             for (std::uint32_t i = 0; i < step.numLines; ++i) {
                 Addr line = step.lines[i];
                 double line_lat;
@@ -131,7 +100,7 @@ struct IntervalBackend::Impl
                     line_lat = static_cast<double>(
                         cfg.l1v.hitLatency + cfg.l2.hitLatency);
                 }
-                if (!seeded && !step.linesWrite)
+                if (!step.linesWrite)
                     lat = std::max(lat, line_lat);
             }
             issueCycles += cfg.vectorIssueCycles;
@@ -142,8 +111,8 @@ struct IntervalBackend::Impl
                                step.unit == FuncUnit::SMEM
                            ? cfg.scalarIssueCycles
                            : cfg.vectorIssueCycles;
-        double lat = km.opLat[oi];
-        if (step.unit == FuncUnit::LDS && !km.seeded[oi])
+        double lat = opLat[static_cast<std::size_t>(step.op)];
+        if (step.unit == FuncUnit::LDS)
             lat += static_cast<double>(step.ldsAccesses / 16);
         return lat;
     }
@@ -165,7 +134,7 @@ struct IntervalBackend::Impl
      *         @p insts accumulates instructions executed.
      */
     std::vector<Cycle>
-    traceLaunch(KernelModel &km, const isa::Program &program,
+    traceLaunch(const isa::Program &program,
                 const func::LaunchDims &dims, std::uint64_t &insts,
                 const func::LaunchTrace &trace)
     {
@@ -280,7 +249,7 @@ struct IntervalBackend::Impl
                          k < kChunk && !a.ws.done; ++k) {
                         a.cursor.step(program, a.ws, res);
                         ++a.n;
-                        a.d += priceStep(km, res, cu);
+                        a.d += priceStep(res, cu);
                     }
                     if (a.ws.done) {
                         dur[a.warp] = std::max<Cycle>(
@@ -330,14 +299,13 @@ struct IntervalBackend::Impl
     }
 
     GpuConfig cfg;
+    /** Per-opcode latency (see opcodeLatencies). */
+    std::array<double, isa::kNumOpcodes> opLat;
     /** Hit/miss classifiers in the detailed model's geometry; only
      *  their tag state is used (no ports, no timing). Deterministic:
      *  state evolves in trace order. */
     std::vector<SetAssocCache> l1; ///< one per CU L1V
     std::vector<SetAssocCache> l2; ///< one per L2 bank
-    /** Ordered by kernel name so statistic export iterates
-     *  deterministically. */
-    std::map<std::string, KernelModel> models;
     std::uint64_t kernels = 0;
     std::uint64_t warps = 0;
     std::uint64_t insts = 0;
@@ -378,7 +346,6 @@ IntervalBackend::runKernel(const isa::Program &program,
         trace = captured.get();
     }
 
-    Impl::KernelModel &km = impl_->model(program.name());
     const GpuConfig &cfg = impl_->cfg;
 
     RunOutcome out;
@@ -392,7 +359,7 @@ IntervalBackend::runKernel(const isa::Program &program,
     std::uint64_t issue0 = impl_->issueCycles;
     std::uint64_t l2h0 = impl_->l2Hits;
     std::vector<Cycle> durations =
-        impl_->traceLaunch(km, program, dims, out.instsIssued, *trace);
+        impl_->traceLaunch(program, dims, out.instsIssued, *trace);
     for (Cycle d : durations)
         sched.scheduleWarp(d);
 
@@ -458,8 +425,6 @@ IntervalBackend::exportStats(StatRegistry &stats) const
     stats.set("interval.kernels", static_cast<double>(impl_->kernels));
     stats.set("interval.warps", static_cast<double>(impl_->warps));
     stats.set("interval.insts", static_cast<double>(impl_->insts));
-    stats.set("interval.models",
-              static_cast<double>(impl_->models.size()));
     stats.set("interval.l1_hits", static_cast<double>(impl_->l1Hits));
     stats.set("interval.l1_misses",
               static_cast<double>(impl_->l1Misses));
@@ -468,22 +433,6 @@ IntervalBackend::exportStats(StatRegistry &stats) const
               static_cast<double>(impl_->l2Misses));
     stats.set("interval.dram_lines",
               static_cast<double>(impl_->dramLines));
-}
-
-void
-IntervalBackend::seedLatencies(const std::string &kernel,
-                               const std::vector<LatencyObservation> &obs)
-{
-    Impl::KernelModel &km = impl_->model(kernel);
-    for (const LatencyObservation &o : obs) {
-        if (o.count == 0)
-            continue;
-        km.table.seedObservations(static_cast<isa::Opcode>(o.opcode),
-                                  o.latencySum, o.count);
-    }
-    // Invalidate the memoized per-opcode costs: the next priced
-    // instruction sees the merged fits.
-    km.fresh = false;
 }
 
 } // namespace photon::timing

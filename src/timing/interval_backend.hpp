@@ -5,9 +5,9 @@
  * warp's instruction stream comes from the launch's functional trace
  * (func/warp_trace.hpp: the caller's, or one the backend captures,
  * landing the launch's stores), but only the warps of a static sample
- * of CUs (one in four) are priced as they replay:
- * per-opcode latencies come from the sampling layer's interval-model
- * fits (paper Figure 9), memory instructions are classified hit/miss
+ * of CUs (one in four) are priced as they replay: per-opcode
+ * latencies come from the sampling layer's interval-model latency
+ * table (paper Figure 9), memory instructions are classified hit/miss
  * by the detailed model's SetAssocCache in its L1V/L2 geometry (tag
  * state only), and the remaining warps' durations are extrapolated
  * from the matching warp slot of their sample CU by instruction
@@ -15,8 +15,9 @@
  * the slot-occupancy scheduler model, and the resulting makespan is
  * floored by the machine's DRAM-line bandwidth, SIMD-issue and
  * MSHR-concurrency limits (sample counters rescaled to machine
- * equivalents). Per-kernel latency fits can be seeded from a detailed
- * phase, replacing configuration-derived defaults with observed means.
+ * equivalents). The per-opcode latencies are that table's
+ * configuration-derived defaults, the same for every kernel: nothing
+ * feeds the backend observed latencies.
  *
  * Results are deterministic (same job -> bit-identical cycles) but
  * deliberately NOT cycle-parity with the detailed core: there is no
@@ -33,24 +34,11 @@
 #ifndef PHOTON_TIMING_INTERVAL_BACKEND_HPP
 #define PHOTON_TIMING_INTERVAL_BACKEND_HPP
 
-#include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "timing/backend.hpp"
 
 namespace photon::timing {
-
-/** One opcode's aggregated latency observations, the transfer format
- *  for seeding interval fits from a detailed phase (kept free of
- *  sampling-layer types so it can cross the timing seam). */
-struct LatencyObservation
-{
-    std::uint32_t opcode = 0; ///< isa::Opcode as its underlying value
-    double latencySum = 0.0;  ///< sum of observed completion latencies
-    std::uint64_t count = 0;  ///< observations behind that sum
-};
 
 /** The analytical interval backend (see file comment). */
 class IntervalBackend final : public TimingBackend
@@ -90,21 +78,12 @@ class IntervalBackend final : public TimingBackend
      *  results (determinism sink). */
     void exportStats(StatRegistry &stats) const override;
 
-    /**
-     * Seed @p kernel's latency table with observations aggregated
-     * during a detailed phase. Invalidates the
-     * kernel's memoized per-opcode costs — predictions after a seed
-     * reflect the merged fits.
-     */
-    void seedLatencies(const std::string &kernel,
-                       const std::vector<LatencyObservation> &obs);
-
   private:
     struct Impl;
 
     Gpu &gpu_;
-    /** Per-kernel fits plus the L1/L2 tag caches (deliberately warm
-     *  across kernels, like the machine's caches). The store has a
+    /** Per-opcode latencies plus the L1/L2 tag caches (deliberately
+     *  warm across kernels, like the machine's caches). The store has a
      *  single owner (one backend per job), so it takes no lock. */
     std::unique_ptr<Impl> impl_;
 };

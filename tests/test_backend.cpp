@@ -7,9 +7,9 @@
  *  and the backends themselves: the detailed adapter reproduces the
  *  golden seed numbers with full capabilities, the interval model is
  *  deterministic with no capabilities, its cycle error against the
- *  detailed core stays inside each workload's stated bound, every core
- *  workload passes its reference check under it, and seeding latency
- *  fits changes its predictions. The retired "auto" backend name is
+ *  detailed core stays inside each workload's stated bound, and every
+ *  core workload passes its reference check under it and leaves memory
+ *  as the seed reference engine does. The retired "auto" backend name is
  *  rejected at every entry point with the accepted names. */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 
 #include "driver/platform.hpp"
 #include "driver/report.hpp"
-#include "isa/opcode.hpp"
 #include "serve/global_store.hpp"
 #include "serve/protocol.hpp"
 #include "service/campaign.hpp"
@@ -279,27 +278,58 @@ TEST(IntervalBackend, EveryCoreWorkloadPassesItsReferenceCheck)
 {
     // The interval backend prices warps from the launch's trace, so its
     // functional results are the trace's: every core workload's output
-    // must match its CPU reference, including mmtiled, whose waves
-    // exchange tiles through LDS. Both trace sources are covered: the
-    // platform's trace store, and the backend's own capture when trace
-    // reuse is off.
-    for (bool reuse : {true, false}) {
-        for (const char *workload : {"relu", "fir", "sc", "mm", "mmtiled",
-                                     "aes", "spmv", "pagerank"}) {
-            driver::Platform p(gpuByName("tiny"),
-                               driver::SimMode::FullDetailed, {},
-                               timing::BackendKind::Interval);
-            p.setTraceReuse(reuse);
-            std::string err;
-            auto w = service::makeWorkload(workload, 64, &err);
-            ASSERT_NE(w, nullptr) << err;
-            w->setup(p);
-            workloads::runWorkload(*w, p);
-            EXPECT_TRUE(w->check(p)) << workload << " reuse " << reuse;
-            if (std::string(workload) == "mmtiled") {
-                EXPECT_EQ(p.totalKernelCycles(), 7464ull)
-                    << "reuse " << reuse;
-            }
+    // must match its CPU reference and leave memory exactly as the seed
+    // reference engine (which emulates inline at issue) leaves it,
+    // including mmtiled, whose waves exchange tiles through LDS. Both
+    // trace sources are covered: the platform's trace store, and the
+    // backend's own capture when it is handed no trace.
+    for (const char *workload : {"relu", "fir", "sc", "mm", "mmtiled",
+                                 "aes", "spmv", "pagerank"}) {
+        std::string err;
+        auto ws = service::makeWorkload(workload, 64, &err);
+        auto w = service::makeWorkload(workload, 64, &err);
+        auto wo = service::makeWorkload(workload, 64, &err);
+        ASSERT_TRUE(ws && w && wo) << err;
+
+        driver::Platform seed(gpuByName("tiny"),
+                              driver::SimMode::FullDetailed);
+        ws->setup(seed);
+        timing::RunOptions seed_opts;
+        seed_opts.useSeedLoop = true;
+        for (const workloads::LaunchSpec &l : ws->launches()) {
+            func::LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup,
+                                  l.kernarg};
+            seed.gpu().runKernel(*l.program, dims, seed.mem(), nullptr,
+                                 seed_opts);
+        }
+        const std::uint64_t seed_mem = seed.mem().contentHash();
+
+        driver::Platform stored(gpuByName("tiny"),
+                                driver::SimMode::FullDetailed, {},
+                                timing::BackendKind::Interval);
+        w->setup(stored);
+        workloads::runWorkload(*w, stored);
+        EXPECT_TRUE(w->check(stored)) << workload << " platform trace";
+        EXPECT_EQ(stored.mem().contentHash(), seed_mem) << workload;
+
+        driver::Platform own(gpuByName("tiny"),
+                             driver::SimMode::FullDetailed, {},
+                             timing::BackendKind::Interval);
+        wo->setup(own);
+        Cycle own_cycles = 0;
+        for (const workloads::LaunchSpec &l : wo->launches()) {
+            func::LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup,
+                                  l.kernarg};
+            own_cycles +=
+                own.interval()->runKernel(*l.program, dims, own.mem())
+                    .cycles();
+        }
+        EXPECT_TRUE(wo->check(own)) << workload << " own capture";
+        EXPECT_EQ(own.mem().contentHash(), seed_mem) << workload;
+        EXPECT_EQ(own_cycles, stored.totalKernelCycles()) << workload;
+
+        if (std::string(workload) == "mmtiled") {
+            EXPECT_EQ(stored.totalKernelCycles(), 7464ull);
         }
     }
 }
@@ -336,26 +366,4 @@ TEST(IntervalBackend, CycleErrorWithinStatedBounds)
                                           static_cast<double>(cycles[0]));
         EXPECT_LE(err, c.boundPct) << c.workload << " " << c.size;
     }
-}
-
-TEST(IntervalBackend, SeededLatenciesChangePredictions)
-{
-    auto runSeeded = [](bool seed) {
-        driver::Platform p(gpuByName("tiny"),
-                           driver::SimMode::FullDetailed, {},
-                           timing::BackendKind::Interval);
-        if (seed) {
-            // Claim every opcode averaged 500 cycles in a (fictitious)
-            // detailed phase; predictions must reflect the merged fits.
-            std::vector<timing::LatencyObservation> obs;
-            for (unsigned op = 0; op < isa::kNumOpcodes; ++op)
-                obs.push_back({op, 500.0 * 64, 64});
-            p.interval()->seedLatencies("mm", obs);
-        }
-        return runWorkloadOn(p, "mm", 64).cycles;
-    };
-    Cycle unseeded = runSeeded(false);
-    Cycle seeded = runSeeded(true);
-    EXPECT_GT(seeded, unseeded)
-        << "seeding 500-cycle opcode fits must slow the prediction";
 }

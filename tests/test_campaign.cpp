@@ -325,42 +325,40 @@ TEST(CampaignRunner, JobResultsCarryCacheCounters)
     EXPECT_NE(json.str().find("\"cache_hits\": "), std::string::npos);
 }
 
-TEST(CampaignRunner, StealingAndStaticPartitionMatchBitExactly)
+TEST(CampaignRunner, StealingWorkersMatchOneWorkerBitExactly)
 {
-    // The scheduler moves work between lanes, never changes it: the
-    // same batch under steal-half rebalancing and under the static
-    // partition must produce identical per-job results and stores.
+    // The scheduler moves work between lanes, never changes it. Eight
+    // more full-mode jobs give the four lanes three or four chains
+    // each, so a lane that runs dry has queued work to steal; one
+    // worker has no lane to steal from. Both must produce identical
+    // per-job results and stores.
     std::vector<JobSpec> jobs = mixedCampaign();
-    CampaignOptions steal_opts;
-    steal_opts.workers = 4;
-    CampaignOptions static_opts = steal_opts;
-    static_opts.stealing = false;
+    std::vector<JobSpec> extra = expandJobs({"relu", "fir", "sc", "aes"},
+                                            {64, 128}, {"full"}, {"tiny"});
+    jobs.insert(jobs.end(), extra.begin(), extra.end());
+    CampaignResult one = run(jobs, 1);
+    CampaignResult four = run(jobs, 4);
 
-    CampaignResult steal = runCampaign(jobs, steal_opts);
-    CampaignResult stat = runCampaign(jobs, static_opts);
+    EXPECT_EQ(one.stealOps, 0u);
+    EXPECT_EQ(one.stolenTasks, 0u);
 
-    EXPECT_TRUE(steal.stealing);
-    EXPECT_FALSE(stat.stealing);
-    EXPECT_EQ(stat.stealOps, 0u);
-    EXPECT_EQ(stat.stolenTasks, 0u);
-
-    ASSERT_EQ(steal.jobs.size(), jobs.size());
+    ASSERT_EQ(four.jobs.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(steal.jobs[i].cycles, stat.jobs[i].cycles)
+        EXPECT_EQ(four.jobs[i].cycles, one.jobs[i].cycles)
             << "job " << i << " (" << jobs[i].label() << ")";
-        EXPECT_EQ(steal.jobs[i].insts, stat.jobs[i].insts)
+        EXPECT_EQ(four.jobs[i].insts, one.jobs[i].insts)
             << "job " << i << " (" << jobs[i].label() << ")";
         for (std::size_t l = 0; l < kNumSampleLevels; ++l)
-            EXPECT_EQ(steal.jobs[i].levelCounts[l],
-                      stat.jobs[i].levelCounts[l])
+            EXPECT_EQ(four.jobs[i].levelCounts[l],
+                      one.jobs[i].levelCounts[l])
                 << "job " << i << " level " << l;
     }
-    EXPECT_EQ(serializeArtifact(withoutWallTime(steal.finalStore)),
-              serializeArtifact(withoutWallTime(stat.finalStore)));
+    EXPECT_EQ(serializeArtifact(withoutWallTime(four.finalStore)),
+              serializeArtifact(withoutWallTime(one.finalStore)));
 
     // The scheduler block lands in the JSON report.
     std::ostringstream os;
-    writeJsonReport(steal, os);
+    writeJsonReport(four, os);
     EXPECT_NE(os.str().find("\"scheduler\""), std::string::npos);
     EXPECT_NE(os.str().find("\"steal_ops\""), std::string::npos);
 }
@@ -371,7 +369,8 @@ TEST(CampaignRunner, WarmTraceSweepIsAllHitsAndBitIdentical)
     // backend across two GPUs plus detailed validation jobs on tiny. A
     // capture pass records every distinct launch; a sweep seeded with
     // its store must be fully trace-served and model the same machine
-    // as a sweep that re-emulates every job.
+    // as a sweep whose jobs share no traces (each job's Platform
+    // captures into its own private store).
     const std::vector<std::string> workloads = {"relu", "fir", "sc", "aes"};
     std::vector<JobSpec> jobs = expandJobs(workloads, {64, 128}, {"full"},
                                            {"tiny", "r9nano"},
@@ -389,6 +388,7 @@ TEST(CampaignRunner, WarmTraceSweepIsAllHitsAndBitIdentical)
     CampaignResult warm = runCampaign(jobs, opts, captured.finalStore);
     opts.traceReuse = false;
     CampaignResult cold = runCampaign(jobs, opts);
+    EXPECT_TRUE(cold.finalStore.traces.empty());
 
     std::uint64_t hits = 0, misses = 0, captures = 0;
     for (const JobResult &j : warm.jobs) {
@@ -399,6 +399,10 @@ TEST(CampaignRunner, WarmTraceSweepIsAllHitsAndBitIdentical)
     EXPECT_GT(hits, 0u);
     EXPECT_EQ(misses, 0u);
     EXPECT_EQ(captures, 0u);
+    std::uint64_t cold_captures = 0;
+    for (const JobResult &j : cold.jobs)
+        cold_captures += j.traceCaptures;
+    EXPECT_GT(cold_captures, 0u);
     EXPECT_EQ(warm.totalCycles(), cold.totalCycles());
     EXPECT_EQ(warm.totalInsts(), cold.totalInsts());
 }

@@ -1,6 +1,6 @@
 /** @file Tests for the photond daemon stack: wire protocol, admission
  *  fingerprints, the SimServer (shared cache, dedup, drain,
- *  checkpoint/restart), and both client transports. */
+ *  checkpoint/restart), and the Unix-socket transport. */
 
 #include <gtest/gtest.h>
 
@@ -762,46 +762,14 @@ TEST(SimServer, PeriodicCheckpointWritesWithoutDrain)
 
 // ----- Transports -----
 
-TEST(ServeDaemon, FileDropTransportAnswersRequests)
-{
-    fs::path dir = scratchDir("drop");
-    DaemonOptions d;
-    d.dropDir = (dir / "drop").string();
-    d.server = tinyServer(1);
-    d.installSignalHandlers = false;
-    d.verbose = false;
-    d.pollMs = 20;
-    std::atomic<bool> stop{false};
-    d.externalStop = &stop;
-    std::thread daemon([&d] { EXPECT_EQ(runDaemon(d), 0); });
-
-    Request req;
-    req.op = Op::Submit;
-    req.id = "drop-1";
-    req.spec = spec("relu", 128);
-    ClientResult r = requestOverDrop(d.dropDir, req, 120.0);
-    ASSERT_TRUE(r.ok) << r.error;
-    ASSERT_TRUE(r.response.ok) << r.response.error;
-    ASSERT_TRUE(r.response.hasResult);
-    EXPECT_GT(r.response.result.cycles, 0u);
-
-    Request st;
-    st.op = Op::Status;
-    st.id = "drop-2";
-    ClientResult sr = requestOverDrop(d.dropDir, st, 30.0);
-    ASSERT_TRUE(sr.ok) << sr.error;
-    ASSERT_TRUE(sr.response.hasStatus);
-    EXPECT_EQ(sr.response.status.completed, 1u);
-
-    stop.store(true);
-    daemon.join();
-    fs::remove_all(dir);
-}
-
 TEST(ServeDaemon, SocketTransportAnswersAndShutsDown)
 {
-    if (!net::available())
-        GTEST_SKIP() << "no Unix-domain sockets on this platform";
+    // The socket is the daemon's one transport: without it, no start.
+    DaemonOptions none;
+    none.installSignalHandlers = false;
+    none.verbose = false;
+    EXPECT_EQ(runDaemon(none), 1);
+
     fs::path dir = scratchDir("sock");
     DaemonOptions d;
     d.socketPath = (dir / "pd.sock").string();
@@ -832,8 +800,18 @@ TEST(ServeDaemon, SocketTransportAnswersAndShutsDown)
     req.spec = spec("fir", 128);
     ClientResult first = requestOverSocket(d.socketPath, req, 120.0);
     ASSERT_TRUE(first.ok) << first.error;
+    ASSERT_TRUE(first.response.ok) << first.response.error;
     ASSERT_TRUE(first.response.hasResult);
+    EXPECT_GT(first.response.result.cycles, 0u);
     EXPECT_FALSE(first.response.result.cacheHit);
+
+    Request st;
+    st.op = Op::Status;
+    st.id = "s2";
+    ClientResult sr = requestOverSocket(d.socketPath, st, 30.0);
+    ASSERT_TRUE(sr.ok) << sr.error;
+    ASSERT_TRUE(sr.response.hasStatus);
+    EXPECT_EQ(sr.response.status.completed, 1u);
 
     ClientResult second = requestOverSocket(d.socketPath, req, 120.0);
     ASSERT_TRUE(second.ok) << second.error;
@@ -856,8 +834,6 @@ TEST(ServeDaemon, SocketTransportAnswersAndShutsDown)
  *  slices must still get exactly one answer to the whole line. */
 TEST(ServeDaemon, RequestLineSurvivesTimeoutSlices)
 {
-    if (!net::available())
-        GTEST_SKIP() << "no Unix-domain sockets on this platform";
     fs::path dir = scratchDir("slow");
     DaemonOptions d;
     d.socketPath = (dir / "pd.sock").string();
@@ -961,8 +937,6 @@ class TestDaemon
  *  reader consumes exactly one line and leaves the next queued. */
 TEST(ServeDaemon, PipelinedRequestLinesAreBothAnswered)
 {
-    if (!net::available())
-        GTEST_SKIP() << "no Unix-domain sockets on this platform";
     TestDaemon daemon("pipelined");
     ASSERT_TRUE(daemon.waitReady());
 
@@ -993,8 +967,6 @@ TEST(ServeDaemon, PipelinedRequestLinesAreBothAnswered)
  *  connection closed; the daemon keeps serving other connections. */
 TEST(ServeDaemon, OverLongRequestLineIsRefused)
 {
-    if (!net::available())
-        GTEST_SKIP() << "no Unix-domain sockets on this platform";
     TestDaemon daemon("overlong");
     ASSERT_TRUE(daemon.waitReady());
 

@@ -487,21 +487,18 @@ struct PlatformRun
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t captures = 0;
+    std::uint64_t memHash = 0;
 };
 
 PlatformRun
 runFullDetailed(const char *workload, std::uint32_t size,
-                TraceStore *shared, bool reuse)
+                TraceStore *shared)
 {
-    GpuConfig gpu;
-    driver::SimMode mode;
-    std::string err;
-    EXPECT_TRUE(service::parseGpuName("tiny", gpu, &err)) << err;
-    EXPECT_TRUE(service::parseMode("full", mode, &err)) << err;
-    driver::Platform p(gpu, mode, SamplingConfig{});
-    p.setTraceReuse(reuse);
+    driver::Platform p(GpuConfig::testTiny(),
+                       driver::SimMode::FullDetailed);
     if (shared)
         p.setTraceStore(shared);
+    std::string err;
     workloads::WorkloadPtr w = service::makeWorkload(workload, size, &err);
     EXPECT_NE(w, nullptr) << err;
     w->setup(p);
@@ -512,6 +509,34 @@ runFullDetailed(const char *workload, std::uint32_t size,
     r.hits = p.traceHits();
     r.misses = p.traceMisses();
     r.captures = p.traceCaptures();
+    r.memHash = p.mem().contentHash();
+    return r;
+}
+
+/** The same launches on the seed reference engine (timing/reference.hpp),
+ *  driven straight through Gpu::runKernel with no trace: it emulates
+ *  every instruction inline at issue, so no capture or replay is on its
+ *  path. */
+PlatformRun
+runSeedEngine(const char *workload, std::uint32_t size)
+{
+    driver::Platform p(GpuConfig::testTiny(),
+                       driver::SimMode::FullDetailed);
+    std::string err;
+    workloads::WorkloadPtr w = service::makeWorkload(workload, size, &err);
+    EXPECT_NE(w, nullptr) << err;
+    w->setup(p);
+    timing::RunOptions opts;
+    opts.useSeedLoop = true;
+    PlatformRun r;
+    for (const workloads::LaunchSpec &l : w->launches()) {
+        LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup, l.kernarg};
+        timing::RunOutcome out =
+            p.gpu().runKernel(*l.program, dims, p.mem(), nullptr, opts);
+        r.cycles += out.cycles();
+        r.insts += out.instsIssued;
+    }
+    r.memHash = p.mem().contentHash();
     return r;
 }
 
@@ -537,24 +562,23 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
              {"aes", 64},
              {"spmv", 128},
              {"pagerank", 64}}) {
-        PlatformRun emulated =
-            runFullDetailed(c.workload, c.size, nullptr, false);
-        EXPECT_EQ(emulated.captures, 0u) << c.workload;
+        PlatformRun emulated = runSeedEngine(c.workload, c.size);
+        EXPECT_GT(emulated.insts, 0u) << c.workload;
 
         TraceStore shared;
-        PlatformRun captured =
-            runFullDetailed(c.workload, c.size, &shared, true);
+        PlatformRun captured = runFullDetailed(c.workload, c.size, &shared);
         EXPECT_GT(captured.captures, 0u) << c.workload;
         EXPECT_EQ(captured.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(captured.insts, emulated.insts) << c.workload;
+        EXPECT_EQ(captured.memHash, emulated.memHash) << c.workload;
 
-        PlatformRun replayed =
-            runFullDetailed(c.workload, c.size, &shared, true);
+        PlatformRun replayed = runFullDetailed(c.workload, c.size, &shared);
         EXPECT_GT(replayed.hits, 0u) << c.workload;
         EXPECT_EQ(replayed.misses, 0u) << c.workload;
         EXPECT_EQ(replayed.captures, 0u) << c.workload;
         EXPECT_EQ(replayed.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(replayed.insts, emulated.insts) << c.workload;
+        EXPECT_EQ(replayed.memHash, emulated.memHash) << c.workload;
     }
 }
 

@@ -77,9 +77,8 @@ struct Options
     std::string cacheOut;
     std::string report;
 
-    // Functional-trace reuse (DESIGN.md §15).
+    // Functional-trace persistence (DESIGN.md §15).
     std::string traceCache;
-    bool noTraceReuse = false;
 };
 
 void
@@ -96,7 +95,6 @@ usage()
         "                  [--campaign FILE] [--jobs N] [--share P]\n"
         "                  [--cache-in PATH] [--cache-out PATH]\n"
         "                  [--report PATH] [--trace-cache PATH]\n"
-        "                  [--no-trace-reuse]\n"
         "  W: relu fir sc mm mmtiled aes spmv pagerank vgg16 vgg19\n"
         "     resnet18 resnet34 resnet50 resnet101 resnet152 (default mm)\n"
         "  N: warps for relu/fir/sc/aes/spmv; matrix dim for mm/mmtiled;\n"
@@ -124,11 +122,9 @@ usage()
         "  --cache-in PATH  seed the kernel-signature store from a file\n"
         "  --cache-out PATH write the final store for later runs\n"
         "  --report PATH    write the per-job JSON report\n"
-        "functional-trace reuse (on by default; works in both modes):\n"
+        "functional traces (every launch is captured once and replayed):\n"
         "  --trace-cache PATH  persist captured launch traces to PATH\n"
-        "                      and replay from it on later runs\n"
-        "  --no-trace-reuse    cache no launch traces (every launch\n"
-        "                      re-executes register semantics)\n");
+        "                      and replay from it on later runs\n");
 }
 
 /** Parse a numeric flag value; exits with a usage error on junk. */
@@ -186,9 +182,7 @@ runOnce(const Options &o, std::uint32_t size, driver::SimMode mode,
     if (!service::parseBackendName(o.backend, backend, &err))
         fatal(err);
     driver::Platform p(gpu, mode, samplingFromOptions(o), backend);
-    if (o.noTraceReuse)
-        p.setTraceReuse(false);
-    else if (!o.traceCache.empty()) {
+    if (!o.traceCache.empty()) {
         std::ifstream probe(o.traceCache, std::ios::binary);
         if (probe) { // a missing file is a cold start
             service::Artifact tc;
@@ -225,7 +219,7 @@ runOnce(const Options &o, std::uint32_t size, driver::SimMode mode,
     }
     if (!telemetry_path.empty())
         writeTelemetry(p.telemetry(), telemetry_path);
-    if (!o.noTraceReuse && !o.traceCache.empty()) {
+    if (!o.traceCache.empty()) {
         // The artifact carries only the trace section here; first-wins
         // merge on load keeps repeated runs idempotent.
         service::Artifact tc;
@@ -302,7 +296,6 @@ runCampaignMode(const Options &o)
     service::CampaignOptions opts;
     opts.workers = o.jobs ? o.jobs : 1;
     opts.sampling = samplingFromOptions(o);
-    opts.traceReuse = !o.noTraceReuse;
     std::string err;
     if (!service::parseSharePolicy(o.share, opts.share, &err))
         fatal(err);
@@ -316,7 +309,7 @@ runCampaignMode(const Options &o)
                     seed.numKernelRecords(), seed.numAnalyses(),
                     o.cacheIn.c_str());
     }
-    if (!o.noTraceReuse && !o.traceCache.empty()) {
+    if (!o.traceCache.empty()) {
         std::ifstream probe(o.traceCache, std::ios::binary);
         if (probe) {
             service::Artifact tc;
@@ -358,7 +351,7 @@ runCampaignMode(const Options &o)
             fatal("--cache-out: ", st.error);
         std::printf("store written to %s\n", o.cacheOut.c_str());
     }
-    if (!o.noTraceReuse && !o.traceCache.empty()) {
+    if (!o.traceCache.empty()) {
         service::Artifact tc;
         tc.traces = result.finalStore.traces;
         service::LoadStatus st = service::saveArtifact(tc, o.traceCache);
@@ -375,7 +368,6 @@ runCampaignMode(const Options &o)
 struct ServeOptions
 {
     std::string socketPath;
-    std::string dropDir;
     std::string storePath;
     std::string workload = "mm";
     std::string size;
@@ -388,24 +380,23 @@ struct ServeOptions
     double timeoutSeconds = 300.0;
     bool json = false;
     bool quiet = false;
-    bool noTraceReuse = false;
 };
 
 void
 serveUsage()
 {
     std::printf(
-        "usage: photon_sim serve    --socket PATH | --drop DIR\n"
+        "usage: photon_sim serve    --socket PATH\n"
         "                           [--store PATH] [--serve-workers N]\n"
         "                           [--checkpoint-every N] [--quiet]\n"
-        "       photon_sim submit   (--socket PATH | --drop DIR)\n"
+        "       photon_sim submit   --socket PATH\n"
         "                           --workload W [--size N] [--mode M]\n"
         "                           [--gpu G] [--backend B] [--id ID]\n"
         "                           [--timeout S] [--json]\n"
-        "       photon_sim status   (--socket PATH | --drop DIR) [--json]\n"
-        "       photon_sim cache    (--socket PATH | --drop DIR) [--json]\n"
+        "       photon_sim status   --socket PATH [--json]\n"
+        "       photon_sim cache    --socket PATH [--json]\n"
         "                           | --store PATH   (offline inspection)\n"
-        "       photon_sim shutdown (--socket PATH | --drop DIR)\n"
+        "       photon_sim shutdown --socket PATH\n"
         "  serve keeps one shared kernel store resident: every client's\n"
         "  detailed runs warm the cache for every later client, identical\n"
         "  concurrent requests collapse onto one in-flight run, and the\n"
@@ -424,7 +415,6 @@ parseServeArgs(int argc, char **argv, int first)
             return argv[++i];
         };
         if (a == "--socket") o.socketPath = next();
-        else if (a == "--drop") o.dropDir = next();
         else if (a == "--store") o.storePath = next();
         else if (a == "--workload") o.workload = next();
         else if (a == "--size") o.size = next();
@@ -440,7 +430,6 @@ parseServeArgs(int argc, char **argv, int first)
             o.timeoutSeconds = parseCount(a, next());
         else if (a == "--json") o.json = true;
         else if (a == "--quiet") o.quiet = true;
-        else if (a == "--no-trace-reuse") o.noTraceReuse = true;
         else if (a == "--help" || a == "-h") { serveUsage(); std::exit(0); }
         else { serveUsage(); fatal("unknown flag ", a); }
     }
@@ -452,28 +441,11 @@ runServeVerb(const ServeOptions &o)
 {
     serve::DaemonOptions d;
     d.socketPath = o.socketPath;
-    d.dropDir = o.dropDir;
     d.verbose = !o.quiet;
     d.server.workers = o.serveWorkers ? o.serveWorkers : 1;
     d.server.store.path = o.storePath;
     d.server.store.checkpointEvery = o.checkpointEvery;
-    d.server.traceReuse = !o.noTraceReuse;
     return serve::runDaemon(d);
-}
-
-/** One request over whichever transport the flags selected. */
-serve::ClientResult
-sendRequest(const ServeOptions &o, const serve::Request &request)
-{
-    if (!o.socketPath.empty())
-        return serve::requestOverSocket(o.socketPath, request,
-                                        o.timeoutSeconds);
-    if (!o.dropDir.empty())
-        return serve::requestOverDrop(o.dropDir, request,
-                                      o.timeoutSeconds);
-    serve::ClientResult r;
-    r.error = "need --socket PATH or --drop DIR to reach the daemon";
-    return r;
 }
 
 void
@@ -536,7 +508,10 @@ runClientVerb(serve::Op op, const ServeOptions &o)
             fatal(err);
     }
 
-    serve::ClientResult r = sendRequest(o, request);
+    if (o.socketPath.empty())
+        fatal(serve::opName(op), ": need --socket PATH to reach the daemon");
+    serve::ClientResult r =
+        serve::requestOverSocket(o.socketPath, request, o.timeoutSeconds);
     if (!r.ok)
         fatal(serve::opName(op), ": ", r.error);
     if (o.json) {
@@ -574,9 +549,9 @@ runClientVerb(serve::Op op, const ServeOptions &o)
 int
 runCacheVerb(const ServeOptions &o)
 {
-    if (o.socketPath.empty() && o.dropDir.empty()) {
+    if (o.socketPath.empty()) {
         if (o.storePath.empty())
-            fatal("cache: need --socket/--drop (live counters) or "
+            fatal("cache: need --socket (live counters) or "
                   "--store PATH (offline inspection)");
         service::Artifact artifact;
         service::LoadStatus st =
@@ -670,7 +645,6 @@ main(int argc, char **argv)
         else if (a == "--cache-out") o.cacheOut = next();
         else if (a == "--report") o.report = next();
         else if (a == "--trace-cache") o.traceCache = next();
-        else if (a == "--no-trace-reuse") o.noTraceReuse = true;
         else if (a == "--help" || a == "-h") { usage(); return 0; }
         else { usage(); fatal("unknown flag ", a); }
     }
