@@ -1,7 +1,6 @@
 #include "sampling/bb_sampler.hpp"
 
 #include <cmath>
-#include <cstring>
 
 namespace photon::sampling {
 
@@ -81,26 +80,6 @@ BbSampler::predictSlotTime(std::uint32_t slot) const
         return best->meanExecTime();
     return static_cast<double>(IntervalModel::predictBb(
         program_, bbTable_.block(bb), latencies_));
-}
-
-std::uint64_t
-BbSampler::stateFingerprint() const
-{
-    std::uint64_t h = kFnvBasis;
-    h = memoMix(h, detectors_.size());
-    for (std::size_t i = 0; i < detectors_.size(); ++i) {
-        const StabilityDetector &d = *detectors_[i];
-        std::uint64_t n = d.totalPoints();
-        h = memoMix(h, n);
-        if (n > 0) {
-            double mean = d.meanExecTime();
-            std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(mean));
-            std::memcpy(&bits, &mean, sizeof(bits));
-            h = memoMix(h, bits);
-        }
-    }
-    return memoMix(h, latencies_.fingerprint());
 }
 
 Cycle

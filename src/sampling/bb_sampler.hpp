@@ -58,15 +58,6 @@ class BbSampler
     /** Predicted duration of one warp given its dynamic BBV. */
     Cycle predictWarp(const Bbv &bbv) const;
 
-    /**
-     * FNV-1a digest of everything predictWarp reads: each slot
-     * detector's point count (and mean execution time when observed)
-     * plus the latency table state. Two samplers with equal
-     * fingerprints predict identically for every BBV, so this is the
-     * validity key for interval memos (see IntervalMemo).
-     */
-    std::uint64_t stateFingerprint() const;
-
     const InstLatencyTable &latencyTable() const { return latencies_; }
     /** Detector for a (block, bucket) slot — see bbSlot(). */
     const StabilityDetector &detector(std::uint32_t slot) const

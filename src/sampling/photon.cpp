@@ -18,26 +18,6 @@ PhotonSampler::PhotonSampler(timing::Gpu &gpu, const SamplingConfig &cfg)
     : gpu_(gpu), cfg_(cfg), cache_(cfg, gpu.config().totalWaveSlots())
 {}
 
-std::uint64_t
-PhotonSampler::intervalMemoHits() const
-{
-    std::uint64_t n = 0;
-    // Commutative sum: iteration order cannot affect the total.
-    for (const auto &kv : intervalMemos_)
-        n += kv.second.hits();
-    return n;
-}
-
-std::uint64_t
-PhotonSampler::intervalMemoMisses() const
-{
-    std::uint64_t n = 0;
-    // Commutative sum: iteration order cannot affect the total.
-    for (const auto &kv : intervalMemos_)
-        n += kv.second.misses();
-    return n;
-}
-
 std::string
 PhotonSampler::launchKey(const isa::Program &program,
                          const func::LaunchDims &dims)
@@ -153,26 +133,12 @@ PhotonSampler::runKernel(const isa::Program &program,
         } else {
             // Basic-block-sampling: functional simulation provides each
             // remaining warp's dynamic BBV (and applies its stores).
-            // Predictions are memoized per distinct BBV under the
-            // sampler's frozen state fingerprint — warps sharing a
-            // behaviour class pay the prediction walk once.
-            std::ostringstream mk;
-            mk << key << '@' << std::hex
-               << bb_sampler.stateFingerprint();
-            IntervalMemo &memo =
-                intervalMemos_.try_emplace(mk.str()).first->second;
             for (WarpId w = dispatched_warps; w < tele.totalWarps; ++w) {
                 Bbv bbv(bb_table.numBlocks());
                 std::uint64_t insts = traceWarpBbv(
                     program, bb_table, dims, mem, w, bbv, trace);
-                std::uint64_t fp = IntervalMemo::fingerprint(bbv);
-                Cycle dur;
-                if (!memo.lookup(fp, &dur)) {
-                    dur = std::max<Cycle>(1,
-                                          bb_sampler.predictWarp(bbv));
-                    memo.insert(fp, dur);
-                }
-                sched.scheduleWarp(dur);
+                sched.scheduleWarp(
+                    std::max<Cycle>(1, bb_sampler.predictWarp(bbv)));
                 rem_insts += insts;
             }
             res.level = SampleLevel::BasicBlock;

@@ -34,7 +34,6 @@
 #include "sampling/analysis.hpp"
 #include "func/wave_state.hpp"
 #include "isa/program.hpp"
-#include "sampling/interval_model.hpp"
 #include "sampling/kernel_cache.hpp"
 #include "sampling/telemetry.hpp"
 #include "sim/config.hpp"
@@ -93,34 +92,6 @@ class PhotonSampler
         analyses_ = std::move(store);
     }
 
-    /**
-     * Interval-memo store: per-kernel LRU caches of warp-BBV
-     * fingerprint -> predicted duration, keyed by
-     * "launchKey @ BbSampler state fingerprint" so an entry is only
-     * ever served under the exact predictor state that produced it
-     * (memoized == recomputed, bit for bit). Shared across jobs through
-     * the daemon's GlobalStore: a warm photond re-run of the same spec
-     * reproduces the same sampler states and skips the per-warp
-     * prediction walk entirely.
-     */
-    using IntervalMemoStore = std::unordered_map<std::string, IntervalMemo>;
-
-    /** Export this run's interval memos (counters included). */
-    const IntervalMemoStore &intervalMemoStore() const
-    {
-        return intervalMemos_;
-    }
-
-    /** Import a prior run's interval memos (photond warm seeding). */
-    void importIntervalMemoStore(IntervalMemoStore store)
-    {
-        intervalMemos_ = std::move(store);
-    }
-
-    /** Memo hits/misses summed over every kernel's memo. */
-    std::uint64_t intervalMemoHits() const;
-    std::uint64_t intervalMemoMisses() const;
-
   private:
     static std::string launchKey(const isa::Program &program,
                                  const func::LaunchDims &dims);
@@ -129,7 +100,6 @@ class PhotonSampler
     SamplingConfig cfg_;
     KernelCache cache_;
     AnalysisStore analyses_;
-    IntervalMemoStore intervalMemos_;
 };
 
 } // namespace photon::sampling

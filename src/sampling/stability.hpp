@@ -7,11 +7,12 @@
  * policies over these two pieces; nothing in here knows which level it
  * serves.
  *
- * A unit of work (warp or basic block) is stable when the slope of
- * retired-time vs issue-time over the last n observations satisfies
- * |a - 1| < delta, and — to avoid locking onto a local optimum — the
- * mean execution time over the most recent n observations differs from
- * the mean over the n before them by less than delta as well.
+ * A unit of work (warp or basic block) is stable when the mean
+ * execution time over the most recent n observations differs from the
+ * mean over the n before them by less than delta (the paper's
+ * local-optimum guard). The paper's slope test |a - 1| < delta on
+ * retired-time vs issue-time is computed for telemetry only;
+ * StabilityDetector::stable() says why it does not decide.
  */
 
 #ifndef PHOTON_SAMPLING_STABILITY_HPP
@@ -38,7 +39,7 @@ struct StabilitySnapshot
     double drift = 0.0;        ///< relative mean drift across windows
     double meanRecent = 0.0;   ///< mean exec time, last n points
     double meanPrev = 0.0;     ///< mean exec time, previous n points
-    bool stable = false;       ///< both criteria held at capture time
+    bool stable = false;       ///< stable() held at capture time
 };
 
 /**
@@ -68,7 +69,8 @@ class StabilityDetector
      *  kernel must never vouch for the stability of the next). */
     void reset();
 
-    /** Observations recorded so far (saturating at 2n retained). */
+    /** Observations recorded so far (every point, though only the
+     *  last 2n are retained). */
     std::uint64_t totalPoints() const { return total_; }
 
     /** True when the full 2n history is held and the mean execution

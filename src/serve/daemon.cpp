@@ -212,16 +212,13 @@ runDaemon(const DaemonOptions &options)
         std::printf("photond: drained cleanly — %llu requests "
                     "(%llu executed, %llu dedup-collapsed), "
                     "%llu cache hits / %llu misses, "
-                    "%llu interval-memo hits, %zu records in "
-                    "store, %llu checkpoints\n",
+                    "%zu records in store, %llu checkpoints\n",
                     static_cast<unsigned long long>(s.completed),
                     static_cast<unsigned long long>(s.store.jobsExecuted),
                     static_cast<unsigned long long>(
                         s.store.dedupCollapsed),
                     static_cast<unsigned long long>(s.store.cacheHits),
                     static_cast<unsigned long long>(s.store.cacheMisses),
-                    static_cast<unsigned long long>(
-                        s.store.intervalHits),
                     s.storeKernelRecords,
                     static_cast<unsigned long long>(
                         s.store.checkpoints));

@@ -92,17 +92,13 @@ GlobalStore::publish(
 void
 GlobalStore::recordJobStats(std::uint64_t hits, std::uint64_t misses,
                             std::uint64_t inserts,
-                            std::uint64_t analyses_reused,
-                            std::uint64_t interval_hits,
-                            std::uint64_t interval_misses)
+                            std::uint64_t analyses_reused)
 {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.cacheHits += hits;
     stats_.cacheMisses += misses;
     stats_.cacheInserts += inserts;
     stats_.analysesReused += analyses_reused;
-    stats_.intervalHits += interval_hits;
-    stats_.intervalMisses += interval_misses;
     ++stats_.jobsExecuted;
     ++sinceCheckpoint_;
 }
@@ -127,45 +123,6 @@ std::size_t
 GlobalStore::numTraces() const
 {
     return traceStore_.size();
-}
-
-sampling::PhotonSampler::IntervalMemoStore
-GlobalStore::snapshotIntervalMemos(const std::string &gpu) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = intervalMemos_.find(gpu);
-    if (it == intervalMemos_.end())
-        return {};
-    // Rebuild counter-free copies: the seeded sampler's hit/miss totals
-    // must report the job's own accesses, not the store's history.
-    sampling::PhotonSampler::IntervalMemoStore out;
-    for (const auto &[key, memo] : it->second)
-        out[key].seed(memo.exportEntries());
-    return out;
-}
-
-void
-GlobalStore::publishIntervalMemos(
-    const std::string &gpu,
-    const sampling::PhotonSampler::IntervalMemoStore &memos)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sampling::PhotonSampler::IntervalMemoStore &g = intervalMemos_[gpu];
-    for (const auto &[key, memo] : memos)
-        g[key].seed(memo.exportEntries());
-}
-
-std::size_t
-GlobalStore::numIntervalMemoEntries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    // Commutative sum: iteration order cannot affect the total.
-    for (const auto &[gpu, memos] : intervalMemos_) {
-        for (const auto &[key, memo] : memos)
-            n += memo.size();
-    }
-    return n;
 }
 
 void

@@ -20,6 +20,12 @@
  *    records, not the store's history; a restart over a torn or
  *    corrupt tail keeps every batch before it.
  *
+ * Workers run each job through service::runJob and fold its JobOutput
+ * in with publish(), recordJobStats() and recordTraceStats(). Nothing
+ * finer than a kernel record crosses jobs: a repeated job imports the
+ * first one's analysis and record, so kernel sampling answers it
+ * before any per-warp prediction runs.
+ *
  * Every public method locks internally: callers are the resident
  * workers and the transport threads.
  */
@@ -48,8 +54,6 @@ struct StoreStats
     std::uint64_t jobsExecuted = 0;   ///< jobs that ran on a worker
     std::uint64_t dedupCollapsed = 0; ///< requests folded onto a leader
     std::uint64_t checkpoints = 0;    ///< checkpoint files written
-    std::uint64_t intervalHits = 0;   ///< interval-memo prediction hits
-    std::uint64_t intervalMisses = 0; ///< interval-memo misses (fits run)
     /** Functional-trace reuse (DESIGN.md §15): launches replayed from
      *  the resident trace store vs. captured fresh by a worker. */
     std::uint64_t traceHits = 0;
@@ -95,9 +99,7 @@ class GlobalStore
     /** Fold one executed job's cache-counter deltas into the stats. */
     void recordJobStats(std::uint64_t hits, std::uint64_t misses,
                         std::uint64_t inserts,
-                        std::uint64_t analyses_reused,
-                        std::uint64_t interval_hits = 0,
-                        std::uint64_t interval_misses = 0);
+                        std::uint64_t analyses_reused);
 
     /** Fold one executed job's functional-trace counter deltas. */
     void recordTraceStats(std::uint64_t hits, std::uint64_t misses,
@@ -114,23 +116,6 @@ class GlobalStore
 
     /** Traces currently resident (checkpoint + published). */
     std::size_t numTraces() const;
-
-    /**
-     * Copy of one GPU's interval memos for seeding a fresh job's
-     * sampler, counters reset (the sampler's totals then read as the
-     * job's own deltas). Empty when the GPU has none.
-     */
-    sampling::PhotonSampler::IntervalMemoStore
-    snapshotIntervalMemos(const std::string &gpu) const;
-
-    /** Merge one finished job's interval memos into the GPU's store
-     *  (entries transfer in recency order; LRU bounds still apply). */
-    void publishIntervalMemos(
-        const std::string &gpu,
-        const sampling::PhotonSampler::IntervalMemoStore &memos);
-
-    /** Total memo entries held across every GPU and kernel. */
-    std::size_t numIntervalMemoEntries() const;
 
     /** Count one admission-dedup collapse. */
     void recordDedupCollapse();
@@ -197,12 +182,6 @@ class GlobalStore
      *  restart from the first execution — or never needs to, when the
      *  warm cache answers the request without a detailed run). */
     std::map<std::string, std::uint64_t> fingerprints_;
-    /** gpu -> per-kernel interval memos (in-memory only, like the
-     *  fingerprint registry: memos are a pure acceleration and rebuild
-     *  from the first execution after a restart — the artifact format
-     *  is unchanged). */
-    std::map<std::string, sampling::PhotonSampler::IntervalMemoStore>
-        intervalMemos_;
     std::uint32_t sinceCheckpoint_ = 0;
     bool dirty_ = false;
 };

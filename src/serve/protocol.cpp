@@ -225,11 +225,8 @@ appendStatus(std::ostringstream &os, const ServerStatus &s)
        << ", \"jobs_executed\": " << s.store.jobsExecuted
        << ", \"dedup_collapsed\": " << s.store.dedupCollapsed
        << ", \"checkpoints\": " << s.store.checkpoints
-       << ", \"interval_hits\": " << s.store.intervalHits
-       << ", \"interval_misses\": " << s.store.intervalMisses
        << ", \"store_records\": " << s.storeKernelRecords
        << ", \"store_analyses\": " << s.storeAnalyses
-       << ", \"store_interval_entries\": " << s.storeIntervalEntries
        << ", \"trace_hits\": " << s.store.traceHits
        << ", \"trace_misses\": " << s.store.traceMisses
        << ", \"trace_captures\": " << s.store.traceCaptures
@@ -252,11 +249,8 @@ readStatus(const FlatJson &json, ServerStatus &s)
     s.store.jobsExecuted = json.getU64("jobs_executed");
     s.store.dedupCollapsed = json.getU64("dedup_collapsed");
     s.store.checkpoints = json.getU64("checkpoints");
-    s.store.intervalHits = json.getU64("interval_hits");
-    s.store.intervalMisses = json.getU64("interval_misses");
     s.storeKernelRecords = json.getU64("store_records");
     s.storeAnalyses = json.getU64("store_analyses");
-    s.storeIntervalEntries = json.getU64("store_interval_entries");
     s.store.traceHits = json.getU64("trace_hits");
     s.store.traceMisses = json.getU64("trace_misses");
     s.store.traceCaptures = json.getU64("trace_captures");

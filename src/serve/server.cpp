@@ -1,11 +1,8 @@
 #include "serve/server.hpp"
 
-#include <chrono>
-
-#include "driver/platform.hpp"
 #include "serve/fingerprint.hpp"
+#include "service/campaign_runner.hpp"
 #include "sim/log.hpp"
-#include "workloads/workload.hpp"
 
 namespace photon::serve {
 
@@ -158,7 +155,6 @@ SimServer::status() const
     s.store = store_.stats();
     s.storeKernelRecords = store_.numKernelRecords();
     s.storeAnalyses = store_.numAnalyses();
-    s.storeIntervalEntries = store_.numIntervalMemoEntries();
     s.storeTraces = store_.numTraces();
     return s;
 }
@@ -205,89 +201,37 @@ SimServer::workerLoop(std::size_t worker)
 ServeResult
 SimServer::executeJob(const service::JobSpec &spec)
 {
+    // Only a Photon job reads the seed, so only it copies the group.
+    service::StoreGroup seed;
+    if (spec.mode == "photon")
+        seed = store_.snapshot(spec.gpu);
+    // The resident trace store lets full-mode jobs replay launches any
+    // earlier job captured, and rides the checkpoint, so a warm
+    // restarted daemon replays without an emulator invocation.
+    service::JobOutput out = service::runJob(
+        spec, opts_.sampling, std::move(seed), &store_.traceStore());
+    const service::JobResult &j = out.result;
+
+    std::uint64_t analyses_reused = 0;
+    for (const sampling::KernelTelemetry &t : j.telemetry)
+        analyses_reused += t.analysisReused;
+    store_.publish(spec.gpu, out.freshKernels, out.analyses, j.telemetry);
+    store_.recordJobStats(j.cacheHits, j.cacheMisses, j.cacheInserts,
+                          analyses_reused);
+    store_.recordTraceStats(j.traceHits, j.traceMisses, j.traceCaptures);
+    store_.learnFingerprint(
+        spec, fingerprintAnalyses(out.analyses, spec.mode, spec.gpu));
+
     ServeResult r;
     r.spec = spec;
-
-    GpuConfig gpu;
-    driver::SimMode mode;
-    timing::BackendKind backend = timing::BackendKind::Detailed;
-    service::parseGpuName(spec.gpu, gpu);
-    service::parseMode(spec.mode, mode);
-    service::parseBackendName(spec.backend, backend);
-
-    auto t0 = std::chrono::steady_clock::now();
-    driver::Platform platform(gpu, mode, opts_.sampling, backend);
-    // Attach the resident trace store: full-mode jobs replay launches
-    // any earlier job captured (and capture the ones nobody has);
-    // sampled modes consume hits for their analysis passes. The store
-    // rides the v5 checkpoint, so a warm-restarted daemon replays
-    // without a single emulator invocation.
-    platform.setTraceStore(&store_.traceStore());
-
-    service::StoreGroup seed = store_.snapshot(spec.gpu);
-    std::size_t seed_records = 0;
-    sampling::CacheCounters base;
-    if (sampling::PhotonSampler *ph = platform.photon()) {
-        seed_records = seed.kernels.size();
-        for (auto &rec : seed.kernels)
-            ph->cache().insert(std::move(rec));
-        ph->importAnalysisStore(std::move(seed.analyses));
-        ph->importIntervalMemoStore(
-            store_.snapshotIntervalMemos(spec.gpu));
-        base = ph->cache().counters();
-    }
-
-    std::string err;
-    workloads::WorkloadPtr w =
-        service::makeWorkload(spec.workload, spec.size, &err);
-    PHOTON_ASSERT(w != nullptr, "serve job ", spec.label(), ": ", err);
-    w->setup(platform);
-    workloads::runWorkload(*w, platform);
-    auto t1 = std::chrono::steady_clock::now();
-
     r.ok = true;
-    r.cycles = platform.totalKernelCycles();
-    r.insts = platform.totalInsts();
-    r.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-    r.kernels = static_cast<std::uint32_t>(platform.launchLog().size());
-    std::uint64_t analyses_reused = 0;
-    for (const driver::LaunchResult &launch : platform.launchLog()) {
-        if (launch.sample.level == sampling::SampleLevel::Kernel)
-            ++r.kernelHits;
-        if (launch.sample.telemetry.analysisReused)
-            ++analyses_reused;
-    }
+    r.cycles = j.cycles;
+    r.insts = j.insts;
+    r.wallSeconds = j.wallSeconds;
+    r.kernels = j.kernels;
+    r.kernelHits = j.kernelHits();
     r.cacheHit = r.kernels > 0 && r.kernelHits == r.kernels;
     r.analysisReused = analyses_reused > 0;
-    store_.recordTraceStats(platform.traceHits(), platform.traceMisses(),
-                            platform.traceCaptures());
-
-    std::vector<sampling::KernelTelemetry> telemetry =
-        platform.telemetry();
-    for (sampling::KernelTelemetry &t : telemetry)
-        t.job = spec.label();
-
-    if (sampling::PhotonSampler *ph = platform.photon()) {
-        const auto &records = ph->cache().records();
-        std::vector<sampling::KernelRecord> fresh(
-            records.begin() + static_cast<std::ptrdiff_t>(seed_records),
-            records.end());
-        store_.publish(spec.gpu, fresh, ph->analysisStore(), telemetry);
-        store_.publishIntervalMemos(spec.gpu, ph->intervalMemoStore());
-        sampling::CacheCounters now = ph->cache().counters();
-        store_.recordJobStats(now.hits - base.hits,
-                              now.misses - base.misses,
-                              now.inserts - base.inserts,
-                              analyses_reused,
-                              ph->intervalMemoHits(),
-                              ph->intervalMemoMisses());
-        store_.learnFingerprint(
-            spec, fingerprintAnalyses(ph->analysisStore(), spec.mode,
-                                      spec.gpu));
-    } else {
-        store_.publish(spec.gpu, {}, {}, telemetry);
-        store_.recordJobStats(0, 0, 0, 0);
-    }
     return r;
 }
 

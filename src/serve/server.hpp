@@ -11,10 +11,11 @@
  *   submit(spec) ── admission ──┬─ new key ──► queue ──► worker runs it
  *                               └─ key in flight ──► attach as waiter
  *
- * A worker executing a job owns a private Platform (bit-identical to a
- * serial run), seeds its KernelCache/analysis store from the shared
- * store's matching GPU group, and publishes fresh records back after
- * the run. Concurrent identical requests (same learned GPU-BBV
+ * A worker runs each job through service::runJob, the campaign
+ * runner's job executor: a private Platform (bit-identical to a serial
+ * run) seeded from the shared store's matching GPU group. The worker
+ * then publishes the fresh records back and folds the job's counters
+ * into the store's stats. Concurrent identical requests (same learned GPU-BBV
  * fingerprint, or same spec before one is learned) collapse onto the
  * one in-flight run: when the leader finishes, its result fans out to
  * every waiter, flagged dedup_collapsed.
@@ -80,7 +81,6 @@ struct ServerStatus
     StoreStats store;
     std::size_t storeKernelRecords = 0;
     std::size_t storeAnalyses = 0;
-    std::size_t storeIntervalEntries = 0; ///< interval-memo entries held
     std::size_t storeTraces = 0; ///< functional traces resident (v5)
 };
 

@@ -71,19 +71,9 @@ SharedSignatureStore::exportAll() const
     return store_;
 }
 
-namespace {
-
-/** A finished job plus the state it wants to publish. */
-struct JobOutput
-{
-    JobResult result;
-    std::vector<sampling::KernelRecord> freshKernels;
-    sampling::PhotonSampler::AnalysisStore analyses;
-};
-
 JobOutput
-runOneJob(const JobSpec &spec, const CampaignOptions &options,
-          StoreGroup seed, func::TraceStore *traces)
+runJob(const JobSpec &spec, const SamplingConfig &sampling, StoreGroup seed,
+       func::TraceStore *traces)
 {
     JobOutput out;
     out.result.spec = spec;
@@ -96,7 +86,7 @@ runOneJob(const JobSpec &spec, const CampaignOptions &options,
     parseBackendName(spec.backend, backend);
 
     auto t0 = std::chrono::steady_clock::now();
-    driver::Platform platform(gpu, mode, options.sampling, backend);
+    driver::Platform platform(gpu, mode, sampling, backend);
     if (traces)
         platform.setTraceStore(traces);
     sampling::CacheCounters base;
@@ -112,7 +102,7 @@ runOneJob(const JobSpec &spec, const CampaignOptions &options,
     std::string err;
     workloads::WorkloadPtr w = makeWorkload(spec.workload, spec.size,
                                             &err);
-    PHOTON_ASSERT(w != nullptr, "campaign job ", spec.label(), ": ", err);
+    PHOTON_ASSERT(w != nullptr, "job ", spec.label(), ": ", err);
     w->setup(platform);
     workloads::runWorkload(*w, platform);
     auto t1 = std::chrono::steady_clock::now();
@@ -148,6 +138,8 @@ runOneJob(const JobSpec &spec, const CampaignOptions &options,
     }
     return out;
 }
+
+namespace {
 
 /**
  * Partition job indices into chains a worker executes in order. Under
@@ -197,18 +189,16 @@ runCampaign(const std::vector<JobSpec> &jobs,
     func::TraceStore trace_store;
     trace_store.import(seed.traces);
 
-    // Under the "none" policy jobs import from the untouched seed, so
-    // keep it aside before the shared store starts accumulating.
-    const Artifact initial =
-        options.share == SharePolicy::None ? seed : Artifact{};
     SharedSignatureStore store(std::move(seed));
-
-    auto snapshot_for = [&](const JobSpec &spec) -> StoreGroup {
-        if (options.share == SharePolicy::None) {
-            auto it = initial.groups.find(spec.gpu);
-            return it == initial.groups.end() ? StoreGroup{} : it->second;
-        }
-        return store.snapshot(spec.gpu);
+    // Under "none" no job reads what another published, so outputs are
+    // held and published in job order once the pool joins: jobs keep
+    // importing the untouched seed, and the final store is the same
+    // for any worker count.
+    const bool defer = options.share == SharePolicy::None;
+    std::vector<JobOutput> held(defer ? jobs.size() : 0);
+    auto publish = [&](const JobSpec &spec, const JobOutput &out) {
+        if (!out.freshKernels.empty() || !out.analyses.empty())
+            store.publish(spec.gpu, out.freshKernels, out.analyses);
     };
 
     std::vector<std::vector<std::size_t>> chains =
@@ -232,12 +222,15 @@ runCampaign(const std::vector<JobSpec> &jobs,
         std::size_t ci = 0;
         while (tasks.tryPop(w, ci)) {
             for (std::size_t ji : chains[ci]) {
-                JobOutput out = runOneJob(
-                    jobs[ji], options, snapshot_for(jobs[ji]),
+                JobOutput out = runJob(
+                    jobs[ji], options.sampling,
+                    store.snapshot(jobs[ji].gpu),
                     options.traceReuse ? &trace_store : nullptr);
-                if (!out.freshKernels.empty() || !out.analyses.empty())
-                    store.publish(jobs[ji].gpu, out.freshKernels,
-                                  out.analyses);
+                if (defer) {
+                    held[ji] = std::move(out);
+                    continue;
+                }
+                publish(jobs[ji], out);
                 result.jobs[ji] = std::move(out.result);
             }
         }
@@ -253,6 +246,10 @@ runCampaign(const std::vector<JobSpec> &jobs,
             threads.emplace_back(worker, i);
         for (auto &t : threads)
             t.join();
+    }
+    for (std::size_t ji = 0; ji < held.size(); ++ji) {
+        publish(jobs[ji], held[ji]);
+        result.jobs[ji] = std::move(held[ji].result);
     }
     auto t1 = std::chrono::steady_clock::now();
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * The parallel campaign runner: executes a batch of simulation jobs
- * across a fixed-size thread pool. Every worker owns a private Platform
- * per job, so each job's simulation is bit-identical to a serial run.
+ * across a fixed-size thread pool. Every job runs through runJob(), the
+ * one job executor the campaign runner and photond's resident workers
+ * share: it builds a private Platform per job, so each job's simulation
+ * is bit-identical to a serial run.
  * Two stores cross jobs: the SharedSignatureStore, through which
  * finished jobs publish their kernel signatures and online analyses so
  * later jobs get kernel-sampling hits (paper Section 6.3 reuse, applied
@@ -11,7 +13,9 @@
  * a trace is a pure function of its key, so sharing changes no result).
  *
  * Share policies:
- *  - none:    jobs see only the campaign's seed store (from --cache-in).
+ *  - none:    jobs see only the campaign's seed store (from --cache-in);
+ *             their records are published in job order after the run,
+ *             so the final store is the same for any worker count.
  *  - ordered: Photon jobs on the same GPU form an ordered chain — job i
  *             imports exactly what jobs j < i of its chain published, so
  *             results are identical for any worker count. Chains on
@@ -104,6 +108,25 @@ struct CampaignOptions
      *  assigns it. */
     bool traceReuse = true;
 };
+
+/** A finished job plus the state it wants to publish. */
+struct JobOutput
+{
+    JobResult result;
+    /** Kernel records the job added on top of its seed. */
+    std::vector<sampling::KernelRecord> freshKernels;
+    /** The job's whole analysis store (seeded entries included). */
+    sampling::PhotonSampler::AnalysisStore analyses;
+};
+
+/**
+ * Run one job on a private Platform. A Photon job's kernel cache and
+ * analysis store are seeded from @p seed; non-Photon modes ignore it.
+ * @p traces, when non-null, is the functional-trace store the Platform
+ * replays from and captures into. The spec must already validate.
+ */
+JobOutput runJob(const JobSpec &spec, const SamplingConfig &sampling,
+                 StoreGroup seed, func::TraceStore *traces);
 
 /**
  * Run @p jobs under @p options, seeding every Photon job from

@@ -2,9 +2,8 @@
  * @file
  * 64-bit FNV-1a, the one content hash the repository shares: the
  * daemon's admission fingerprints (serve/fingerprint.hpp), the
- * interval-memo keys (sampling/interval_model.hpp), the artifact
- * store's per-batch checksums (service/artifact_store.hpp) and the
- * simulated memory's chunk hashes (func/memory.hpp). Header-only
+ * artifact store's per-batch checksums (service/artifact_store.hpp)
+ * and the simulated memory's chunk hashes (func/memory.hpp). Header-only
  * and dependency-free so every layer can use it without reaching up.
  */
 

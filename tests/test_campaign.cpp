@@ -244,15 +244,23 @@ TEST(CampaignRunner, OrderedShareGivesCrossJobKernelHits)
 
 TEST(CampaignRunner, NoneShareIsolatesJobs)
 {
-    std::vector<JobSpec> jobs = {{"relu", 64, "photon", "tiny"},
+    // A long job first: at two workers the short ones finish before it,
+    // so publishing on completion would order the final store by the
+    // worker schedule.
+    std::vector<JobSpec> jobs = {{"fir", 16384, "photon", "tiny"},
+                                 {"relu", 64, "photon", "tiny"},
                                  {"relu", 64, "photon", "tiny"}};
+    CampaignResult serial = run(jobs, 1, SharePolicy::None);
     CampaignResult result = run(jobs, 2, SharePolicy::None);
-    EXPECT_EQ(result.jobs[0].kernelHits(), 0u);
-    EXPECT_EQ(result.jobs[1].kernelHits(), 0u);
-    EXPECT_EQ(result.jobs[0].seedRecords, 0u);
-    EXPECT_EQ(result.jobs[1].seedRecords, 0u);
-    // Both jobs still publish into the final store.
-    EXPECT_GE(result.finalStore.numKernelRecords(), 2u);
+    for (const JobResult &j : result.jobs) {
+        EXPECT_EQ(j.kernelHits(), 0u) << j.spec.label();
+        EXPECT_EQ(j.seedRecords, 0u) << j.spec.label();
+    }
+    // Every job still publishes into the final store, in job order, so
+    // the --cache-out bytes do not depend on the worker count.
+    EXPECT_GE(result.finalStore.numKernelRecords(), 3u);
+    EXPECT_EQ(serializeArtifact(withoutWallTime(result.finalStore)),
+              serializeArtifact(withoutWallTime(serial.finalStore)));
 }
 
 TEST(CampaignRunner, WarmCacheRerunHitsAtKernelLevel)

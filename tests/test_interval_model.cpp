@@ -65,102 +65,3 @@ TEST(IntervalModel, UsesObservedLatencies)
     t.record(Opcode::FLAT_LOAD_DWORD, 500);
     EXPECT_EQ(IntervalModel::predictBb(*prog, block, t), 500u);
 }
-
-// ----- The interval memo (per-kernel LRU of BBV -> predicted cycles) -----
-
-TEST(IntervalMemo, LookupInsertAndCounters)
-{
-    IntervalMemo memo;
-    Bbv a(4);
-    a.add(0, 64, 3);
-    a.add(2, 64, 1);
-    std::uint64_t key = IntervalMemo::fingerprint(a);
-
-    Cycle out = 0;
-    EXPECT_FALSE(memo.lookup(key, &out));
-    memo.insert(key, 1234);
-    ASSERT_TRUE(memo.lookup(key, &out));
-    EXPECT_EQ(out, 1234u);
-    EXPECT_EQ(memo.hits(), 1u);
-    EXPECT_EQ(memo.misses(), 1u);
-    EXPECT_EQ(memo.size(), 1u);
-
-    // Re-insert updates in place; no phantom growth.
-    memo.insert(key, 999);
-    ASSERT_TRUE(memo.lookup(key, &out));
-    EXPECT_EQ(out, 999u);
-    EXPECT_EQ(memo.size(), 1u);
-}
-
-TEST(IntervalMemo, FingerprintSeparatesCountPatterns)
-{
-    Bbv a(4), b(4), c(4);
-    a.add(0, 64, 2);
-    b.add(0, 64, 3); // same block, different count
-    c.add(1, 64, 2); // different block, same count
-    std::uint64_t fa = IntervalMemo::fingerprint(a);
-    EXPECT_NE(fa, IntervalMemo::fingerprint(b));
-    EXPECT_NE(fa, IntervalMemo::fingerprint(c));
-    // Same nonzero pattern at a different vector length still matches:
-    // only (slot, count) pairs feed the digest.
-    Bbv wide(8);
-    wide.add(0, 64, 2);
-    EXPECT_EQ(fa, IntervalMemo::fingerprint(wide));
-}
-
-TEST(IntervalMemo, LruEvictionIsDeterministic)
-{
-    IntervalMemo memo(2);
-    memo.insert(1, 10);
-    memo.insert(2, 20);
-    Cycle out = 0;
-    ASSERT_TRUE(memo.lookup(1, &out)); // 1 is now most recent
-    memo.insert(3, 30);                // evicts 2, the LRU entry
-    EXPECT_EQ(memo.evictions(), 1u);
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_TRUE(memo.lookup(1, &out));
-    EXPECT_FALSE(memo.lookup(2, &out));
-    EXPECT_TRUE(memo.lookup(3, &out));
-}
-
-TEST(IntervalMemo, ExportSeedRoundTripPreservesRecency)
-{
-    IntervalMemo memo(3);
-    memo.insert(1, 10);
-    memo.insert(2, 20);
-    memo.insert(3, 30);
-    Cycle out = 0;
-    ASSERT_TRUE(memo.lookup(1, &out)); // recency now 2 < 3 < 1
-
-    IntervalMemo copy(3);
-    copy.seed(memo.exportEntries());
-    EXPECT_EQ(copy.size(), 3u);
-    // Seeding is an import, not run activity.
-    EXPECT_EQ(copy.hits(), 0u);
-    EXPECT_EQ(copy.misses(), 0u);
-
-    // The copy inherited the original's recency order: inserting one
-    // more evicts 2 (the LRU) in both.
-    copy.insert(4, 40);
-    memo.insert(4, 40);
-    for (IntervalMemo *m : {&memo, &copy}) {
-        EXPECT_TRUE(m->lookup(1, &out));
-        EXPECT_FALSE(m->lookup(2, &out));
-        EXPECT_TRUE(m->lookup(3, &out));
-        EXPECT_TRUE(m->lookup(4, &out));
-    }
-}
-
-TEST(IntervalMemo, SeedRespectsCapacity)
-{
-    IntervalMemo big;
-    for (std::uint64_t k = 1; k <= 8; ++k)
-        big.insert(k, k * 10);
-    IntervalMemo small(4);
-    small.seed(big.exportEntries());
-    EXPECT_EQ(small.size(), 4u);
-    // The most recent four survive the seeding evictions.
-    Cycle out = 0;
-    for (std::uint64_t k = 5; k <= 8; ++k)
-        EXPECT_TRUE(small.lookup(k, &out)) << k;
-}

@@ -459,7 +459,6 @@ printStatus(const serve::ServerStatus &s)
         "%llu dedup-collapsed\n"
         "kernel cache: %llu hits / %llu misses (%.1f%% hit rate), "
         "%llu inserts, %llu analyses reused\n"
-        "interval memo: %llu hits / %llu misses, %zu entries\n"
         "trace cache: %llu hits / %llu misses, %llu captures, "
         "%zu traces resident\n"
         "store: %zu kernel records, %zu analyses, %llu checkpoints\n",
@@ -478,9 +477,6 @@ printStatus(const serve::ServerStatus &s)
                 : 0.0,
         static_cast<unsigned long long>(s.store.cacheInserts),
         static_cast<unsigned long long>(s.store.analysesReused),
-        static_cast<unsigned long long>(s.store.intervalHits),
-        static_cast<unsigned long long>(s.store.intervalMisses),
-        s.storeIntervalEntries,
         static_cast<unsigned long long>(s.store.traceHits),
         static_cast<unsigned long long>(s.store.traceMisses),
         static_cast<unsigned long long>(s.store.traceCaptures),
