@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "serve/fingerprint.hpp"
 #include "sim/log.hpp"
 
 namespace photon::serve {
@@ -47,9 +46,12 @@ GlobalStore::GlobalStore(Options options) : opts_(std::move(options))
 }
 
 service::StoreGroup
-GlobalStore::snapshot(const std::string &gpu) const
+GlobalStore::snapshot(const std::string &gpu,
+                      std::uint64_t *generation) const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    auto gen = generations_.find(gpu);
+    *generation = gen != generations_.end() ? gen->second : 0;
     service::StoreGroup seed;
     auto it = store_.groups.find(gpu);
     if (it != store_.groups.end()) {
@@ -57,6 +59,14 @@ GlobalStore::snapshot(const std::string &gpu) const
         seed.analyses = it->second.analyses;
     }
     return seed;
+}
+
+std::uint64_t
+GlobalStore::generation(const std::string &gpu) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = generations_.find(gpu);
+    return it != generations_.end() ? it->second : 0;
 }
 
 void
@@ -85,6 +95,10 @@ GlobalStore::publish(
                        telemetry.end());
     fresh.telemetry.insert(fresh.telemetry.end(), telemetry.begin(),
                            telemetry.end());
+    // The seed a job of this GPU would read changed: an answer computed
+    // from the old one may no longer be the answer.
+    if (!kernels.empty() || fresh_analysis)
+        ++generations_[gpu];
     if (!kernels.empty() || fresh_analysis || !telemetry.empty())
         dirty_ = true;
 }
@@ -130,32 +144,6 @@ GlobalStore::recordDedupCollapse()
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.dedupCollapsed;
-}
-
-std::uint64_t
-GlobalStore::admissionKey(const service::JobSpec &spec) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = fingerprints_.find(spec.label());
-    std::uint64_t h =
-        it != fingerprints_.end() ? it->second : fingerprintSpec(spec);
-    // Admission dedup keys on (fingerprint, backend): a detailed and an
-    // interval run of the same job are different work and must not
-    // collapse onto one in-flight execution. The default backend folds
-    // nothing, so keys of pre-backend specs are unchanged.
-    if (spec.backend != "detailed")
-        h = fnv1aString(h, spec.backend);
-    return h;
-}
-
-void
-GlobalStore::learnFingerprint(const service::JobSpec &spec,
-                              std::uint64_t fingerprint)
-{
-    if (!fingerprint)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    fingerprints_.emplace(spec.label(), fingerprint);
 }
 
 StoreStats

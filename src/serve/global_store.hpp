@@ -11,8 +11,9 @@
  *  - aggregate counters (kernel-cache hits/misses/inserts, analysis
  *    reuse, dedup collapses, jobs executed) surfaced through
  *    `photon_sim status` / `photon_sim cache`;
- *  - the admission-fingerprint registry: spec -> learned GPU-BBV
- *    fingerprint (see serve/fingerprint.hpp);
+ *  - a per-GPU generation that moves whenever a group's seed changes,
+ *    so the server can tell whether a finished run's answer still
+ *    holds (serve/server.hpp);
  *  - periodic checkpointing plus reload on construction, so a daemon
  *    restart keeps the warm cache. A checkpoint appends one artifact v7
  *    batch holding exactly the records published and the traces
@@ -85,9 +86,19 @@ class GlobalStore
     GlobalStore();
 
     /** Seed for a fresh job: copies of one GPU's kernel records and
-     *  analyses (empty when absent). Telemetry, which only grows and
-     *  seeds nothing, is left out. */
-    service::StoreGroup snapshot(const std::string &gpu) const;
+     *  analyses (empty when absent), plus the group's generation read
+     *  under the same lock. Telemetry, which only grows and seeds
+     *  nothing, is left out. */
+    service::StoreGroup snapshot(const std::string &gpu,
+                                 std::uint64_t *generation) const;
+
+    /**
+     * @p gpu's generation: bumped by every publish() that lands a
+     * kernel record or a first-seen analysis in that group, so two
+     * reads that agree saw the same seed. 0 for a group never
+     * published to in this process.
+     */
+    std::uint64_t generation(const std::string &gpu) const;
 
     /** Append fresh kernel records / analyses / telemetry from one
      *  finished job and fold its counter deltas into the stats. */
@@ -119,18 +130,6 @@ class GlobalStore
 
     /** Count one admission-dedup collapse. */
     void recordDedupCollapse();
-
-    /**
-     * Admission key for @p spec: the learned GPU-BBV fingerprint when
-     * this spec has executed before (here or before a restart via the
-     * registry rebuilt from re-execution), else the spec fingerprint.
-     */
-    std::uint64_t admissionKey(const service::JobSpec &spec) const;
-
-    /** Register the GPU-BBV fingerprint @p spec's kernels produced
-     *  (0 is ignored: nothing was learned). */
-    void learnFingerprint(const service::JobSpec &spec,
-                          std::uint64_t fingerprint);
 
     StoreStats stats() const;
     std::size_t numKernelRecords() const;
@@ -177,11 +176,8 @@ class GlobalStore
      *  its last good batch when the load dropped a torn tail, else 0. */
     std::uint64_t truncateTo_ = 0;
     StoreStats stats_;
-    /** spec label -> learned GPU-BBV fingerprint (in-memory only; the
-     *  artifact format is unchanged, the registry re-learns after a
-     *  restart from the first execution — or never needs to, when the
-     *  warm cache answers the request without a detailed run). */
-    std::map<std::string, std::uint64_t> fingerprints_;
+    /** gpu -> generation (see generation()); in memory only. */
+    std::map<std::string, std::uint64_t> generations_;
     std::uint32_t sinceCheckpoint_ = 0;
     bool dirty_ = false;
 };

@@ -54,16 +54,26 @@ SimServer::submit(const service::JobSpec &spec)
         return finishedTicketLocked(std::move(r));
     }
 
-    std::uint64_t key = store_.admissionKey(spec);
-    if (auto it = inFlight_.find(key); it != inFlight_.end()) {
-        // Admission dedup: ride the in-flight run with the same
-        // GPU-BBV fingerprint; the leader's result fans out on finish.
-        Ticket t = nextTicket_++;
-        ++it->second->waiters;
-        tickets_.emplace(t, TicketState{it->second, spec, true});
-        ++submitted_;
-        store_.recordDedupCollapse();
-        return t;
+    const std::uint64_t key = admissionKey(spec);
+    auto it = latest_.find(key);
+    if (it != latest_.end() && it->second->spec == spec) {
+        // Admission dedup: ride the spec's latest run while it is in
+        // flight (the leader's result fans out on finish), or once it
+        // finished OK from the seed this GPU's group still holds. The
+        // spec check leaves a colliding key to a run of its own.
+        Pending &run = *it->second;
+        if (!run.done || (run.result.ok &&
+                          run.generation == store_.generation(spec.gpu))) {
+            Ticket t = nextTicket_++;
+            tickets_.emplace(t, TicketState{it->second, spec, true});
+            ++submitted_;
+            if (run.done)
+                ++completed_;
+            else
+                ++run.waiters;
+            store_.recordDedupCollapse();
+            return t;
+        }
     }
 
     auto pending = std::make_shared<Pending>();
@@ -73,7 +83,7 @@ SimServer::submit(const service::JobSpec &spec)
     tickets_.emplace(t, TicketState{pending, spec, false});
     ++submitted_;
     queue_.push(pending);
-    inFlight_.emplace(key, std::move(pending));
+    latest_.insert_or_assign(key, std::move(pending));
     lock.unlock();
     workCv_.notify_one();
     return t;
@@ -180,7 +190,8 @@ SimServer::workerLoop(std::size_t worker)
             ++running_;
         }
 
-        ServeResult result = executeJob(job->spec);
+        std::uint64_t generation = 0;
+        ServeResult result = executeJob(job->spec, generation);
 
         std::string err;
         if (!store_.maybeCheckpoint(&err))
@@ -189,8 +200,8 @@ SimServer::workerLoop(std::size_t worker)
         {
             std::lock_guard<std::mutex> lock(mu_);
             job->result = std::move(result);
+            job->generation = generation;
             job->done = true;
-            inFlight_.erase(job->key);
             completed_ += 1 + job->waiters;
             --running_;
         }
@@ -199,12 +210,15 @@ SimServer::workerLoop(std::size_t worker)
 }
 
 ServeResult
-SimServer::executeJob(const service::JobSpec &spec)
+SimServer::executeJob(const service::JobSpec &spec,
+                      std::uint64_t &generation)
 {
     // Only a Photon job reads the seed, so only it copies the group.
     service::StoreGroup seed;
     if (spec.mode == "photon")
-        seed = store_.snapshot(spec.gpu);
+        seed = store_.snapshot(spec.gpu, &generation);
+    else
+        generation = store_.generation(spec.gpu);
     // The resident trace store lets full-mode jobs replay launches any
     // earlier job captured, and rides the checkpoint, so a warm
     // restarted daemon replays without an emulator invocation.
@@ -219,8 +233,6 @@ SimServer::executeJob(const service::JobSpec &spec)
     store_.recordJobStats(j.cacheHits, j.cacheMisses, j.cacheInserts,
                           analyses_reused);
     store_.recordTraceStats(j.traceHits, j.traceMisses, j.traceCaptures);
-    store_.learnFingerprint(
-        spec, fingerprintAnalyses(out.analyses, spec.mode, spec.gpu));
 
     ServeResult r;
     r.spec = spec;

@@ -2,23 +2,33 @@
  * @file
  * The in-process service core of `photon_sim serve`: a job queue in
  * front of N resident workers, one shared GlobalStore, and admission
- * dedup keyed by GPU-BBV fingerprint. Transport-free by design — the
+ * dedup keyed by the request's spec. Transport-free by design — the
  * socket front end (serve/daemon.hpp) and the tests drive the same
  * object.
  *
  * Request lifecycle:
  *
- *   submit(spec) ── admission ──┬─ new key ──► queue ──► worker runs it
- *                               └─ key in flight ──► attach as waiter
+ *   submit(spec) ── admission ──┬─ new key ──────────► queue ──► worker
+ *                               ├─ key in flight ────► attach as waiter
+ *                               └─ key finished OK at its GPU's
+ *                                  current generation ► answered now
  *
  * A worker runs each job through service::runJob, the campaign
  * runner's job executor: a private Platform (bit-identical to a serial
  * run) seeded from the shared store's matching GPU group. The worker
  * then publishes the fresh records back and folds the job's counters
- * into the store's stats. Concurrent identical requests (same learned GPU-BBV
- * fingerprint, or same spec before one is learned) collapse onto the
- * one in-flight run: when the leader finishes, its result fans out to
- * every waiter, flagged dedup_collapsed.
+ * into the store's stats.
+ *
+ * An answer is a function of the spec, the server's SamplingConfig and
+ * the GPU group the job read (traces replay bit-identically), so the
+ * server keeps each spec key's latest run. A request with that key
+ * rides it, flagged dedup_collapsed: while it is in flight (its result
+ * fans out when the leader finishes), and after it finished OK as long
+ * as the group's generation still equals the one the run read at start
+ * (GlobalStore::generation). Any publish of a kernel record or a
+ * first-seen analysis to that GPU moves the generation, so the next
+ * request executes again. The map lives in memory only: a restarted
+ * daemon executes each spec's first request.
  */
 
 #ifndef PHOTON_SERVE_SERVER_HPP
@@ -99,8 +109,8 @@ class SimServer
     /**
      * Admit one request. Invalid specs and submissions during drain
      * yield a ticket whose result is already a failure; valid ones
-     * either enqueue a new job or attach to the in-flight run with the
-     * same admission fingerprint.
+     * either ride their spec key's latest run (in flight, or finished
+     * at the current generation) or enqueue a new job.
      */
     Ticket submit(const service::JobSpec &spec);
 
@@ -127,7 +137,10 @@ class SimServer
     {
         service::JobSpec spec;
         std::uint64_t key = 0;
-        std::uint32_t waiters = 0; ///< tickets beyond the leader's
+        std::uint32_t waiters = 0; ///< in-flight riders beyond the leader
+        /** The spec's GPU generation the run read at start; set with
+         *  done. */
+        std::uint64_t generation = 0;
         bool done = false;
         ServeResult result;
     };
@@ -143,7 +156,10 @@ class SimServer
     };
 
     void workerLoop(std::size_t worker);
-    ServeResult executeJob(const service::JobSpec &spec);
+    /** Run @p spec; @p generation receives the GPU generation its seed
+     *  was read at. */
+    ServeResult executeJob(const service::JobSpec &spec,
+                           std::uint64_t &generation);
     /** Record an already-completed result; the caller holds mu_. */
     Ticket finishedTicketLocked(ServeResult result);
 
@@ -159,8 +175,9 @@ class SimServer
      *  uses (service/work_steal.hpp), so one long-running job never
      *  strands later submissions behind it in a single FIFO. */
     service::WorkStealDeques<PendingPtr> queue_;
-    /** admission key -> job not yet finished (queued or running). */
-    std::map<std::uint64_t, PendingPtr> inFlight_;
+    /** admission key -> that spec's latest job: queued, running, or
+     *  finished (then ridden while its generation is current). */
+    std::map<std::uint64_t, PendingPtr> latest_;
     std::map<Ticket, TicketState> tickets_;
     Ticket nextTicket_ = 1;
     std::uint64_t submitted_ = 0;

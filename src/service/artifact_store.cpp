@@ -286,7 +286,10 @@ putTelemetry(std::string &out, const sampling::KernelTelemetry &t)
     putU32(out, t.totalWarps);
     putU64(out, t.analysisInsts);
     putU32(out, t.analysisReused ? 1 : 0);
-    putDouble(out, t.wallSeconds);
+    // Host wall time is not a property of the simulation: writing it
+    // would make two stores of one campaign differ. The v7 layout keeps
+    // the field; it is always 0.
+    putDouble(out, 0.0);
     putString(out, t.backend);
     putU64(out, t.backendDetailedCycles);
     putU64(out, t.backendIntervalCycles);

@@ -41,8 +41,8 @@ struct JobSpec
 
     /** "workload/size/mode/gpu", used in reports and logs; a
      *  non-default backend is appended as a fifth component so labels
-     *  of pre-backend specs (and everything keyed on them — learned
-     *  fingerprints, artifact groups) are byte-identical to before. */
+     *  of pre-backend specs (and everything keyed on them) are
+     *  byte-identical to before. */
     std::string label() const;
 
     bool

@@ -331,7 +331,13 @@ ComputeUnit::retireWave(std::uint32_t slot, Cycle now)
 
     waveActive_[slot] = 0;
     setSlotReady(slot, kNoCycle);
-    --residentWaves_;
+    if (--residentWaves_ == 0) {
+        // An empty CU has no next event: drop the per-SIMD minima that
+        // only ever fold downward, or the stale hint would wake the CU
+        // every cycle until its next placement.
+        simdMin_.fill(kNoCycle);
+        nextHint_ = kNoCycle;
+    }
     ++wavesRetired_;
     --wg.wavesLeft;
     if (wg.wavesLeft == 0) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <signal.h>
 #include <sys/resource.h>
@@ -263,6 +264,44 @@ TEST(ArtifactStore, SerializationIsDeterministic)
     Artifact back;
     ASSERT_TRUE(deserializeArtifact(bytes, back).ok);
     EXPECT_EQ(serializeArtifact(back), bytes);
+}
+
+TEST(ArtifactStore, AnalysisInsertionOrderDoesNotChangeBytes)
+{
+    // Two stores with equal entries, filled in opposite orders into
+    // different bucket counts, so their unordered iteration orders
+    // differ. The serialized artifact must not.
+    auto analysisFor = [](int i) {
+        OnlineAnalysis a;
+        a.totalWarps = 64 + static_cast<std::uint32_t>(i);
+        a.signature = GpuBbv::fromRaw(
+            {static_cast<double>(i), 1.0 / (i + 1)}, 2, 1);
+        return a;
+    };
+    PhotonSampler::AnalysisStore forward, backward;
+    forward.reserve(1);
+    backward.reserve(1024);
+    for (int i = 0; i < 24; ++i)
+        forward.emplace("kernel_" + std::to_string(i), analysisFor(i));
+    for (int i = 23; i >= 0; --i)
+        backward.emplace("kernel_" + std::to_string(i), analysisFor(i));
+
+    auto order = [](const PhotonSampler::AnalysisStore &s) {
+        std::vector<std::string> out;
+        for (const auto &entry : s)
+            out.push_back(entry.first);
+        return out;
+    };
+    ASSERT_NE(order(forward), order(backward))
+        << "equal iteration orders: the test would not catch a lost sort";
+
+    auto bytesOf = [](const PhotonSampler::AnalysisStore &s) {
+        Artifact art;
+        art.group("tiny").analyses = s;
+        return serializeArtifact(art);
+    };
+    EXPECT_TRUE(bytesOf(forward) == bytesOf(backward))
+        << "serialized bytes depend on insertion order";
 }
 
 TEST(ArtifactStore, RejectsVersionMismatch)

@@ -20,7 +20,7 @@
 
 #include "driver/platform.hpp"
 #include "driver/report.hpp"
-#include "serve/global_store.hpp"
+#include "serve/fingerprint.hpp"
 #include "serve/protocol.hpp"
 #include "service/campaign.hpp"
 #include "workloads/workload.hpp"
@@ -206,7 +206,6 @@ TEST(BackendProtocol, UnknownKeysStillIgnored)
 
 TEST(BackendAdmission, DedupKeysSeparateBackends)
 {
-    serve::GlobalStore store;
     service::JobSpec detailed;
     detailed.workload = "mm";
     detailed.size = 64;
@@ -216,11 +215,11 @@ TEST(BackendAdmission, DedupKeysSeparateBackends)
     service::JobSpec interval = detailed;
     interval.backend = "interval";
 
-    // A detailed and an interval run of the same spec are different
-    // results and must not collapse onto one in-flight execution...
-    EXPECT_NE(store.admissionKey(detailed), store.admissionKey(interval));
+    // A detailed and an interval run of the same spec give different
+    // answers, so neither may ride the other...
+    EXPECT_NE(serve::admissionKey(detailed), serve::admissionKey(interval));
     // ...while resubmitting the same spec still dedups.
-    EXPECT_EQ(store.admissionKey(interval), store.admissionKey(interval));
+    EXPECT_EQ(serve::admissionKey(interval), serve::admissionKey(interval));
 }
 
 // ----- Detailed backend: the adapter is the seed model -----

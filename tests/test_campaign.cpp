@@ -40,17 +40,6 @@ run(const std::vector<JobSpec> &jobs, std::uint32_t workers,
     return runCampaign(jobs, opts, std::move(seed));
 }
 
-/** Zero the host-time telemetry field (telemetry schema v2) so the
- *  store comparison below checks only simulation-derived content. */
-Artifact
-withoutWallTime(Artifact art)
-{
-    for (auto &[gpu, g] : art.groups)
-        for (auto &t : g.telemetry)
-            t.wallSeconds = 0.0;
-    return art;
-}
-
 } // namespace
 
 // ----- Spec parsing -----
@@ -220,10 +209,10 @@ TEST(CampaignRunner, ParallelMatchesSerialBitExactly)
                       parallel.jobs[i].levelCounts[l])
                 << "job " << i << " level " << l;
     }
-    // The shared store converges to the same contents either way (wall
-    // time is host-dependent and exempt from the bit-exact promise).
-    EXPECT_EQ(serializeArtifact(withoutWallTime(serial.finalStore)),
-              serializeArtifact(withoutWallTime(parallel.finalStore)));
+    // The shared store converges to the same bytes either way (the
+    // artifact writes no host wall time).
+    EXPECT_EQ(serializeArtifact(serial.finalStore),
+              serializeArtifact(parallel.finalStore));
 }
 
 TEST(CampaignRunner, OrderedShareGivesCrossJobKernelHits)
@@ -259,8 +248,8 @@ TEST(CampaignRunner, NoneShareIsolatesJobs)
     // Every job still publishes into the final store, in job order, so
     // the --cache-out bytes do not depend on the worker count.
     EXPECT_GE(result.finalStore.numKernelRecords(), 3u);
-    EXPECT_EQ(serializeArtifact(withoutWallTime(result.finalStore)),
-              serializeArtifact(withoutWallTime(serial.finalStore)));
+    EXPECT_EQ(serializeArtifact(result.finalStore),
+              serializeArtifact(serial.finalStore));
 }
 
 TEST(CampaignRunner, WarmCacheRerunHitsAtKernelLevel)
@@ -361,8 +350,8 @@ TEST(CampaignRunner, StealingWorkersMatchOneWorkerBitExactly)
                       one.jobs[i].levelCounts[l])
                 << "job " << i << " level " << l;
     }
-    EXPECT_EQ(serializeArtifact(withoutWallTime(four.finalStore)),
-              serializeArtifact(withoutWallTime(one.finalStore)));
+    EXPECT_EQ(serializeArtifact(four.finalStore),
+              serializeArtifact(one.finalStore));
 
     // The scheduler block lands in the JSON report.
     std::ostringstream os;

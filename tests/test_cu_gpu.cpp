@@ -5,7 +5,9 @@
 #include <set>
 
 #include "driver/platform.hpp"
+#include "isa/basic_block.hpp"
 #include "isa/builder.hpp"
+#include "timing/cu.hpp"
 #include "timing/gpu.hpp"
 #include "timing/monitor.hpp"
 #include "workloads/workload.hpp"
@@ -327,4 +329,36 @@ TEST(Gpu, WaitcntSplitChangesMonitoredBlocks)
     g2.runKernel(*prog, dims, mem, &split, opts);
     EXPECT_EQ(plain.bbs, 1u);
     EXPECT_EQ(split.bbs, 2u);
+}
+
+TEST(ComputeUnit, EmptyCuHasNoNextEvent)
+{
+    // Once its last wave retires a CU has nothing to issue until the
+    // next placement, so its hint must say so: a finite one would make
+    // the event loop wake the empty CU every cycle.
+    const GpuConfig cfg = GpuConfig::testTiny();
+    timing::MemorySystem memsys(cfg);
+    func::WarpCapturer capturer;
+    timing::ComputeUnit cu(cfg, 0, memsys, capturer);
+    ProgramPtr prog = countedAluKernel(4);
+    isa::BasicBlockTable bbs(*prog);
+    func::GlobalMemory mem(1 << 20);
+    func::LaunchDims dims{1, 4, 0};
+    timing::KernelContext ctx;
+    ctx.program = prog.get();
+    ctx.bbTable = &bbs;
+    ctx.dims = &dims;
+    ctx.mem = &mem;
+    cu.startKernel(ctx);
+    cu.placeWorkgroup(0, 0);
+    ASSERT_NE(cu.nextHint(), kNoCycle);
+
+    std::uint32_t retired = 0;
+    Cycle now = 0;
+    for (; !cu.idle() && now < 100000; ++now)
+        retired += cu.tick(now).retired;
+    ASSERT_TRUE(cu.idle());
+    EXPECT_EQ(retired, 4u);
+    EXPECT_EQ(cu.nextHint(), kNoCycle);
+    EXPECT_EQ(cu.tick(now).hint, kNoCycle);
 }

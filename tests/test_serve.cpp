@@ -1,6 +1,6 @@
 /** @file Tests for the photond daemon stack: wire protocol, admission
- *  fingerprints, the SimServer (shared cache, dedup, drain,
- *  checkpoint/restart), and the Unix-socket transport. */
+ *  keys, the SimServer (shared cache, dedup, drain, checkpoint/restart),
+ *  and the Unix-socket transport. */
 
 #include <gtest/gtest.h>
 
@@ -166,7 +166,7 @@ TEST(ServeProtocol, RejectsMalformedJson)
     EXPECT_FALSE(decodeRequest("{\"v\": 1} trailing", req, &err));
 }
 
-// ----- Admission fingerprints -----
+// ----- Admission keys -----
 
 TEST(ServeFingerprint, SpecFingerprintSeparatesFields)
 {
@@ -175,89 +175,6 @@ TEST(ServeFingerprint, SpecFingerprintSeparatesFields)
     EXPECT_NE(base, fingerprintSpec(spec("relu", 513)));
     EXPECT_NE(base, fingerprintSpec(spec("fir", 512)));
     EXPECT_NE(base, fingerprintSpec(spec("relu", 512, "full")));
-}
-
-TEST(ServeFingerprint, GpuBbvFingerprintIsDeterministic)
-{
-    sampling::GpuBbv a =
-        sampling::GpuBbv::fromRaw({2.0, 1.5, 0.25, 0.0}, 2, 2);
-    sampling::GpuBbv b =
-        sampling::GpuBbv::fromRaw({2.0, 1.5, 0.25, 0.0}, 2, 2);
-    EXPECT_EQ(fingerprintGpuBbv(a), fingerprintGpuBbv(b));
-    sampling::GpuBbv c =
-        sampling::GpuBbv::fromRaw({2.0, 1.5, 0.25, 0.125}, 2, 2);
-    EXPECT_NE(fingerprintGpuBbv(a), fingerprintGpuBbv(c));
-    // Same payload, different shape: still distinct.
-    sampling::GpuBbv d =
-        sampling::GpuBbv::fromRaw({2.0, 1.5, 0.25, 0.0}, 4, 1);
-    EXPECT_NE(fingerprintGpuBbv(a), fingerprintGpuBbv(d));
-}
-
-TEST(ServeFingerprint, LearnedFingerprintReplacesSpecKey)
-{
-    GlobalStore store;
-    service::JobSpec s = spec("relu", 512);
-    std::uint64_t cold = store.admissionKey(s);
-    EXPECT_EQ(cold, fingerprintSpec(s));
-    store.learnFingerprint(s, 0xfeedu);
-    EXPECT_EQ(store.admissionKey(s), 0xfeedu);
-    // Fingerprint 0 (nothing learned) must not poison the registry.
-    store.learnFingerprint(spec("fir", 64), 0);
-    EXPECT_EQ(store.admissionKey(spec("fir", 64)),
-              fingerprintSpec(spec("fir", 64)));
-}
-
-TEST(ServeFingerprint, AnalysisInsertionOrderChangesNeitherKeyNorBytes)
-{
-    // Two stores with equal entries, filled in opposite orders into
-    // different bucket counts, so their unordered iteration orders
-    // differ. The fingerprint and the saved artifact must not.
-    std::vector<std::string> keys;
-    for (int i = 0; i < 24; ++i)
-        keys.push_back("kernel_" + std::to_string(i));
-    auto analysisFor = [](int i) {
-        sampling::OnlineAnalysis a;
-        a.totalWarps = 64 + static_cast<std::uint32_t>(i);
-        a.signature = sampling::GpuBbv::fromRaw(
-            {static_cast<double>(i), 1.0 / (i + 1)}, 2, 1);
-        return a;
-    };
-    sampling::PhotonSampler::AnalysisStore forward, backward;
-    forward.reserve(1);
-    backward.reserve(1024);
-    for (int i = 0; i < 24; ++i)
-        forward.emplace(keys[i], analysisFor(i));
-    for (int i = 23; i >= 0; --i)
-        backward.emplace(keys[i], analysisFor(i));
-
-    auto order = [](const sampling::PhotonSampler::AnalysisStore &s) {
-        std::vector<std::string> out;
-        for (const auto &entry : s)
-            out.push_back(entry.first);
-        return out;
-    };
-    ASSERT_NE(order(forward), order(backward))
-        << "equal iteration orders: the test would not catch a lost sort";
-
-    EXPECT_EQ(fingerprintAnalyses(forward, "photon", "tiny"),
-              fingerprintAnalyses(backward, "photon", "tiny"));
-
-    fs::path dir = scratchDir("analysis_order");
-    auto save = [&](const sampling::PhotonSampler::AnalysisStore &s,
-                    const std::string &name) {
-        service::Artifact art;
-        art.group("tiny").analyses = s;
-        std::string path = (dir / name).string();
-        EXPECT_TRUE(service::saveArtifact(art, path).ok);
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
-        return bytes.str();
-    };
-    std::string a = save(forward, "forward.bin");
-    std::string b = save(backward, "backward.bin");
-    EXPECT_FALSE(a.empty());
-    EXPECT_TRUE(a == b) << "saveArtifact bytes depend on insertion order";
 }
 
 // ----- GlobalStore -----
@@ -337,6 +254,97 @@ TEST(SimServer, SecondIdenticalRequestIsWarm)
     EXPECT_EQ(stats.jobsExecuted, 2u);
     EXPECT_GE(stats.cacheHits, 1u);
     EXPECT_GE(stats.cacheInserts, 1u);
+
+    // The warm run published nothing new, so the tiny group is still
+    // the one it read: a third request rides its finished run.
+    ServeResult third = server.runSync(spec("relu", 512));
+    ASSERT_TRUE(third.ok) << third.error;
+    EXPECT_TRUE(third.dedupCollapsed);
+    EXPECT_FALSE(second.dedupCollapsed);
+    EXPECT_EQ(third.cycles, second.cycles);
+    EXPECT_EQ(third.insts, second.insts);
+    EXPECT_EQ(third.kernelHits, second.kernelHits);
+    EXPECT_EQ(third.cacheHit, second.cacheHit);
+    stats = server.store().stats();
+    EXPECT_EQ(stats.jobsExecuted, 2u);
+    EXPECT_EQ(stats.dedupCollapsed, 1u);
+    ServerStatus st = server.status();
+    EXPECT_EQ(st.submitted, 3u);
+    EXPECT_EQ(st.completed, 3u);
+}
+
+TEST(SimServer, PublishOnItsGpuEndsTheRideOfAFinishedRun)
+{
+    SimServer server(tinyServer(1));
+    const service::JobSpec relu = spec("relu", 512);
+    ASSERT_TRUE(server.runSync(relu).ok); // cold: publishes to tiny
+    ServeResult warm = server.runSync(relu);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    ASSERT_FALSE(warm.dedupCollapsed);
+    ASSERT_TRUE(server.runSync(relu).dedupCollapsed);
+    const std::uint64_t executed = server.store().stats().jobsExecuted;
+
+    // A Photon job of another spec publishes to r9nano: the tiny group
+    // is unchanged, so relu still rides.
+    ServeResult other = server.runSync({"relu", 64, "photon", "r9nano"});
+    ASSERT_TRUE(other.ok) << other.error;
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed + 1);
+    ServeResult ride = server.runSync(relu);
+    EXPECT_TRUE(ride.dedupCollapsed);
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed + 1);
+
+    // One that publishes to tiny moves its generation: the next relu
+    // executes again (with the same answer), and the one after rides.
+    ServeResult fir = server.runSync(spec("fir", 128));
+    ASSERT_TRUE(fir.ok) << fir.error;
+    ASSERT_FALSE(fir.cacheHit);
+    ServeResult again = server.runSync(relu);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_FALSE(again.dedupCollapsed);
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed + 3);
+    EXPECT_EQ(again.cycles, warm.cycles);
+    EXPECT_EQ(again.insts, warm.insts);
+    EXPECT_TRUE(server.runSync(relu).dedupCollapsed);
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed + 3);
+}
+
+TEST(SimServer, ResubmittersAcrossTheFinishTransitionAllAgree)
+{
+    // Exercised under -fsanitize=thread in CI: clients resubmit one
+    // spec while its runs go from queued to running to finished, so
+    // requests attach to an in-flight run, ride a finished one or
+    // start the next. The cold run publishes and the warm one does not,
+    // so exactly two execute, and every answer is the same.
+    SimServer server(tinyServer(2));
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 6;
+    std::vector<std::vector<ServeResult>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&server, &results, t] {
+            for (int i = 0; i < kPerThread; ++i)
+                results[t].push_back(server.runSync(spec("relu", 512)));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    const ServeResult &first = results[0][0];
+    ASSERT_TRUE(first.ok) << first.error;
+    for (const auto &client : results) {
+        for (const ServeResult &r : client) {
+            ASSERT_TRUE(r.ok) << r.error;
+            EXPECT_EQ(r.cycles, first.cycles);
+            EXPECT_EQ(r.insts, first.insts);
+        }
+    }
+    const std::uint64_t n = std::uint64_t{kThreads} * kPerThread;
+    StoreStats stats = server.store().stats();
+    EXPECT_EQ(stats.jobsExecuted, 2u);
+    EXPECT_EQ(stats.jobsExecuted + stats.dedupCollapsed, n);
+    ServerStatus st = server.status();
+    EXPECT_EQ(st.submitted, n);
+    EXPECT_EQ(st.completed, n);
 }
 
 TEST(SimServer, RejectsInvalidSpecAndDrainingSubmits)
@@ -624,12 +632,18 @@ TEST(SimServer, WarmCheckpointAppendsWithoutRewritingTraces)
         service::serializeArtifact(traces_only).size() -
         service::serializeArtifact(service::Artifact{}).size();
 
-    // A warm job captures nothing; its checkpoint appends its telemetry
-    // and leaves every byte already on disk untouched.
+    // The same launches on another GPU replay the captured traces (an
+    // identical request would ride the finished run and execute
+    // nothing). The warm job captures nothing; its checkpoint appends
+    // its telemetry and leaves every byte already on disk untouched.
     const StoreStats s0 = server.store().stats();
-    ServeResult warm = server.runSync(job);
+    service::JobSpec other_gpu = job;
+    other_gpu.gpu = "r9nano";
+    ServeResult warm = server.runSync(other_gpu);
     ASSERT_TRUE(warm.ok) << warm.error;
     const StoreStats s1 = server.store().stats();
+    EXPECT_EQ(s1.jobsExecuted, s0.jobsExecuted + 1);
+    EXPECT_GT(s1.traceHits, s0.traceHits);
     EXPECT_EQ(s1.traceCaptures, s0.traceCaptures);
     EXPECT_EQ(s1.checkpoints, s0.checkpoints + 1);
     const std::string after = readFile(path);

@@ -399,8 +399,9 @@ serveUsage()
         "       photon_sim shutdown --socket PATH\n"
         "  serve keeps one shared kernel store resident: every client's\n"
         "  detailed runs warm the cache for every later client, identical\n"
-        "  concurrent requests collapse onto one in-flight run, and the\n"
-        "  store is checkpointed to --store and reloaded on restart.\n");
+        "  requests ride one run (in flight, or finished while its GPU's\n"
+        "  store is unchanged), and the store is checkpointed to --store\n"
+        "  and reloaded on restart.\n");
 }
 
 ServeOptions
