@@ -130,13 +130,17 @@ Platform::launch(const isa::ProgramPtr &program,
         // (timing/cu.hpp), which is as cheap as full mode's capture
         // plus replay. A trace captured elsewhere (campaign sibling,
         // photond warm state) replaces the per-warp analysis emulation
-        // bit-identically.
-        func::LaunchTracePtr trace = traceStore_->lookup(
-            func::traceKey(*program, dims, mem_.contentHash()));
-        if (trace)
-            ++traceHits_;
-        else
-            ++traceMisses_;
+        // bit-identically. A launch whose analysis is already stored
+        // does not need one, so it skips the key and the lookup.
+        func::LaunchTracePtr trace;
+        if (!photon_->hasAnalysis(*program, dims)) {
+            trace = traceStore_->lookup(
+                func::traceKey(*program, dims, mem_.contentHash()));
+            if (trace)
+                ++traceHits_;
+            else
+                ++traceMisses_;
+        }
         result.sample =
             photon_->runKernel(*program, dims, mem_, trace.get());
         break;
@@ -204,8 +208,10 @@ Platform::stats() const
     // pure-interval platform never touched the detailed core, and
     // all-zero gpu.* counters would misreport "measured nothing" as
     // "measured zero".
-    if (backend_ != timing::BackendKind::Interval)
+    if (backend_ != timing::BackendKind::Interval) {
         gpu_.exportStats(reg);
+        gpu_.exportWorkCounters(reg);
+    }
     if (interval_)
         interval_->exportStats(reg);
     reg.set("platform.kernels", static_cast<double>(log_.size()));

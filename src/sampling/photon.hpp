@@ -83,6 +83,17 @@ class PhotonSampler
      */
     using AnalysisStore = std::unordered_map<std::string, OnlineAnalysis>;
 
+    /** True when the analysis store holds this launch's analysis, so
+     *  runKernel will neither analyse the launch nor read a trace for
+     *  it unless the launch switches to the block level (whose
+     *  epilogue then emulates its warps, bit-identically). */
+    bool
+    hasAnalysis(const isa::Program &program,
+                const func::LaunchDims &dims) const
+    {
+        return analyses_.count(launchKey(program, dims)) != 0;
+    }
+
     /** Export this run's per-launch analysis results. */
     const AnalysisStore &analysisStore() const { return analyses_; }
 

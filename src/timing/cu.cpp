@@ -75,10 +75,14 @@ ComputeUnit::startKernel(const KernelContext &ctx)
     }
     simdFree_.fill(0);
     simdMin_.fill(kNoCycle);
+    simdWaves_.fill(0);
     nextHint_ = kNoCycle;
+    placementsDone_ = false;
+    soleSimds_ = 0;
     residentWaves_ = 0;
     residentWgs_ = 0;
     instsIssued_ = 0;
+    runaheadInsts_ = 0;
     wavesRetired_ = 0;
     pendingMisses_.clear();
 }
@@ -137,6 +141,7 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
         group.slots.push_back(wave_slot);
         setSlotReady(wave_slot, waveReadyAt_[wave_slot]);
         ++residentWaves_;
+        ++simdWaves_[wave_slot % kSimdsPerCu];
         if (hooked_)
             ctx_.monitor->onWaveDispatched(warp, now);
     }
@@ -188,8 +193,11 @@ ComputeUnit::tickImpl(Cycle now)
                                        now, min_excl);
         simdMin_[s] = min_excl;
         if (best != kWavesPerSimd) {
-            issue<kHooks>(s + best * kSimdsPerCu, base + best, s, now);
+            const std::uint32_t slot = s + best * kSimdsPerCu;
+            issue<kHooks>(slot, base + best, s, now);
             ++out.issued;
+            if (!kHooks && (soleSimds_ >> s & 1u))
+                runAhead(slot, base + best, s);
         }
     }
     recomputeHint();
@@ -315,6 +323,41 @@ ComputeUnit::issue(std::uint32_t slot, std::uint32_t ri,
 }
 
 void
+ComputeUnit::endPlacements()
+{
+    placementsDone_ = true;
+    for (std::uint32_t s = 0; s < kSimdsPerCu; ++s)
+        if (simdWaves_[s] == 1)
+            soleSimds_ |= 1u << s;
+}
+
+void
+ComputeUnit::runAhead(std::uint32_t slot, std::uint32_t ri,
+                      std::uint32_t simd)
+{
+    // The issue that led here may have retired the wave (another wave
+    // is then the SIMD's one resident) or parked it at a barrier.
+    if (!waveActive_[slot] || waveAtBarrier_[slot])
+        return;
+    const func::WaveState &ws = waveState_[slot];
+    const std::uint64_t line = waveLastFetchLine_[slot];
+    while (codeLineBase_ + ws.pc / kPcsPerLine == line) {
+        const isa::DecodedInst &d = ctx_.program->decodedAt(ws.pc);
+        if (d.unit == isa::FuncUnit::VMEM ||
+            d.unit == isa::FuncUnit::SMEM ||
+            d.inst.op == isa::Opcode::S_BARRIER ||
+            d.inst.op == isa::Opcode::S_ENDPGM)
+            break;
+        const Cycle t = std::max(slotReady_[ri], simdFree_[simd]);
+        issue<false>(slot, ri, simd, t);
+        ++runaheadInsts_;
+        if (ctx_.ipc)
+            ctx_.ipc->add(t, 1);
+    }
+    simdMin_[simd] = slotReady_[ri];
+}
+
+void
 ComputeUnit::retireWave(std::uint32_t slot, Cycle now)
 {
     Workgroup &wg = wgs_[waveWgSlot_[slot]];
@@ -331,6 +374,11 @@ ComputeUnit::retireWave(std::uint32_t slot, Cycle now)
 
     waveActive_[slot] = 0;
     setSlotReady(slot, kNoCycle);
+    const std::uint32_t simd = slot % kSimdsPerCu;
+    if (--simdWaves_[simd] == 1 && placementsDone_)
+        soleSimds_ |= 1u << simd;
+    else
+        soleSimds_ &= ~(1u << simd);
     if (--residentWaves_ == 0) {
         // An empty CU has no next event: drop the per-SIMD minima that
         // only ever fold downward, or the stale hint would wake the CU

@@ -46,6 +46,26 @@
 
 namespace photon::timing {
 
+/** Issue counts per fixed-width cycle bucket since a kernel's start:
+ *  RunOutcome::ipcTrace before its division by the bucket width. The
+ *  event loop adds each tick's issues, a CU each run-ahead issue, both
+ *  at the issue's own cycle. */
+struct IpcCounts
+{
+    std::vector<double> buckets;
+    Cycle start = 0;
+    Cycle width = 1;
+
+    void
+    add(Cycle now, std::uint32_t issued)
+    {
+        const std::size_t b = (now - start) / width;
+        if (buckets.size() <= b)
+            buckets.resize(b + 1, 0.0);
+        buckets[b] += issued;
+    }
+};
+
 /** Everything shared by all CUs for one kernel launch. */
 struct KernelContext
 {
@@ -66,6 +86,8 @@ struct KernelContext
     const func::LaunchTrace *replay = nullptr;
     /** Virtual base address of the kernel's code (for L1I tags). */
     Addr codeBase = 1ull << 40;
+    /** Non-null when RunOptions::collectIpcTrace is set. */
+    IpcCounts *ipc = nullptr;
 };
 
 /** One GCN-style compute unit. */
@@ -91,6 +113,11 @@ class ComputeUnit
      *  the hook-free body and reports only wave retirements to the
      *  monitor. */
     void releaseHooks() { hooked_ = false; }
+
+    /** The kernel's last workgroup is placed: no wave can join this CU
+     *  before the kernel ends, so a SIMD holding one wave may run
+     *  ahead (runAhead()). */
+    void endPlacements();
 
     /** What one tick did, so the event loop can update its
      *  bookkeeping without re-reading the (cold) CU object. */
@@ -121,6 +148,8 @@ class ComputeUnit
     bool idle() const { return residentWaves_ == 0; }
 
     std::uint64_t instsIssued() const { return instsIssued_; }
+    /** Instructions of instsIssued() that runAhead() issued. */
+    std::uint64_t runaheadInsts() const { return runaheadInsts_; }
     std::uint32_t wavesRetired() const { return wavesRetired_; }
 
   private:
@@ -148,6 +177,19 @@ class ComputeUnit
     template <bool kHooks>
     void issue(std::uint32_t slot, std::uint32_t ri, std::uint32_t simd,
                Cycle now);
+
+    /**
+     * Sole-occupant run-ahead (DESIGN.md §8), after the hook-free issue
+     * of @p slot, the only wave on @p simd, once placements are done:
+     * keep issuing the wave's next instructions through the same
+     * issue body, each at its own cycle max(slotReady, simdFree),
+     * while they stay inside the SIMD — no VMEM or SMEM, no fetch-line
+     * change, no s_barrier or s_endpgm. Such an issue writes only the
+     * SIMD's port, the wave's ready cycle and per-CU counters, and no
+     * other wave can arbitrate for the port, so the cycles equal the
+     * ticks it saves. Leaves simdMin_[simd] exact.
+     */
+    void runAhead(std::uint32_t slot, std::uint32_t ri, std::uint32_t simd);
 
     void retireWave(std::uint32_t slot, Cycle now);
     void releaseBarrier(std::uint32_t wgSlot, Cycle now);
@@ -295,6 +337,8 @@ class ComputeUnit
      *  whenever the SIMD arbitrates; only ever folded downward in
      *  between, so the derived hint can be early but never late. */
     std::array<Cycle, kSimdsPerCu> simdMin_{};
+    /** Resident waves per SIMD (placement and retirement update it). */
+    std::array<std::uint32_t, kSimdsPerCu> simdWaves_{};
     /** Per-unit completion latency (cycles past issue) and issue-port
      *  occupancy, precomputed from the config so the per-issue latency
      *  selection is two table loads instead of a unit switch. VMEM and
@@ -305,9 +349,16 @@ class ComputeUnit
     /** A monitor is bound and holds its hooks: tick() takes the hooked
      *  issue. Set at kernel start, cleared by releaseHooks(). */
     bool hooked_ = false;
+    /** Set by endPlacements(), cleared at kernel start. */
+    bool placementsDone_ = false;
+    /** Bit s set while SIMD s may run ahead: placements are done and
+     *  it holds exactly one resident wave. Kept by endPlacements() and
+     *  retireWave(), so an issue tests one bit. */
+    std::uint32_t soleSimds_ = 0;
     std::uint32_t residentWaves_ = 0;
     std::uint32_t residentWgs_ = 0;
     std::uint64_t instsIssued_ = 0;
+    std::uint64_t runaheadInsts_ = 0;
     std::uint32_t wavesRetired_ = 0;
 
     /** L1V misses of the issuing instruction, walked through L2 after

@@ -85,6 +85,9 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
         return out;
     }
 
+    ipc_ = IpcCounts{{}, now_, opts.ipcBucketCycles};
+    if (opts.collectIpcTrace)
+        ctx.ipc = &ipc_;
     for (ComputeUnit &cu : cus_)
         cu.startKernel(ctx);
     dispatcher_.resume();
@@ -114,8 +117,10 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
     for (const ComputeUnit &cu : cus_) {
         out.instsIssued += cu.instsIssued();
         out.wavesCompleted += cu.wavesRetired();
+        runaheadInstsTotal_ += cu.runaheadInsts();
     }
     if (opts.collectIpcTrace) {
+        out.ipcTrace = std::move(ipc_.buckets);
         for (double &v : out.ipcTrace)
             v /= static_cast<double>(opts.ipcBucketCycles);
     }
@@ -158,6 +163,9 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
                 updateBusy(cu);
                 fileCu(cu, cus_[cu].nextHint(), now_);
             }
+            if (dispatcher_.allDispatched())
+                for (ComputeUnit &cu : cus_)
+                    cu.endPlacements();
         }
         if (hooked &&
             monitor->wantsRelease(now_, dispatcher_.allDispatched())) {
@@ -201,6 +209,7 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
         }
 
         std::uint32_t issued = 0;
+        cuTicksTotal_ += due.size();
         for (std::uint32_t cu : due) {
             ComputeUnit::TickSummary t = cus_[cu].tick(now_);
             issued += t.issued;
@@ -213,8 +222,8 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
             fileCu(cu, t.hint, now_ + 1);
         }
 
-        if (issued > 0)
-            addIpcSample(out, opts, now_, issued);
+        if (issued > 0 && opts.collectIpcTrace)
+            ipc_.add(now_, issued);
 
         bool done = !any_resident &&
                     (dispatcher_.allDispatched() || stopping);
@@ -303,18 +312,6 @@ Gpu::noteRetirements(std::uint32_t cu)
 }
 
 void
-Gpu::addIpcSample(RunOutcome &out, const RunOptions &opts, Cycle now,
-                  std::uint32_t issued)
-{
-    if (!opts.collectIpcTrace)
-        return;
-    std::size_t bucket = (now - out.startCycle) / opts.ipcBucketCycles;
-    if (out.ipcTrace.size() <= bucket)
-        out.ipcTrace.resize(bucket + 1, 0.0);
-    out.ipcTrace[bucket] += issued;
-}
-
-void
 Gpu::accountAdvance(RunOutcome &out, Cycle dt) const
 {
     if (activeCuCount_ == 0)
@@ -343,6 +340,14 @@ Gpu::exportStats(StatRegistry &stats) const
                   static_cast<double>(waveCyclesTotal_) /
                       static_cast<double>(activeCyclesTotal_));
     }
+}
+
+void
+Gpu::exportWorkCounters(StatRegistry &stats) const
+{
+    stats.set("gpu.cu_ticks", static_cast<double>(cuTicksTotal_));
+    stats.set("gpu.runahead_insts",
+              static_cast<double>(runaheadInstsTotal_));
 }
 
 } // namespace photon::timing

@@ -116,6 +116,14 @@ class Gpu
      *  user-visible results (determinism sink). */
     void exportStats(StatRegistry &stats) const;
 
+    /** Export the event core's deterministic work counters, cumulative
+     *  across kernels: gpu.cu_ticks (ComputeUnit::tick calls) and
+     *  gpu.runahead_insts (instructions issued by the sole-occupant
+     *  run-ahead, ComputeUnit::runaheadInsts). Kept out of exportStats:
+     *  the seed reference loop has no ticks, and both engines must
+     *  export identical results. */
+    void exportWorkCounters(StatRegistry &stats) const;
+
   private:
     /** Heap entry: (next-event cycle, cuId). std::greater pops the
      *  smallest cycle first, ties in ascending cuId order — the serial
@@ -150,10 +158,6 @@ class Gpu
      *  bookkeeping. */
     void noteRetirements(std::uint32_t cu);
 
-    /** Add one instruction-issue sample to the IPC trace. */
-    static void addIpcSample(RunOutcome &out, const RunOptions &opts,
-                             Cycle now, std::uint32_t issued);
-
     /** Accumulate occupancy integrals for an advance of @p dt cycles
      *  using the current (post-tick) residency. */
     void accountAdvance(RunOutcome &out, Cycle dt) const;
@@ -184,12 +188,16 @@ class Gpu
     std::uint32_t activeCuCount_ = 0;
     std::uint32_t residentWaveCount_ = 0;
     std::uint32_t wavesPerWg_ = 0;
+    /** The running kernel's IPC counts (RunOptions::collectIpcTrace). */
+    IpcCounts ipc_;
 
     // Cumulative occupancy counters across kernels (exportStats).
     std::uint64_t kernelsRun_ = 0;
     Cycle activeCyclesTotal_ = 0;
     std::uint64_t busyCuCyclesTotal_ = 0;
     std::uint64_t waveCyclesTotal_ = 0;
+    std::uint64_t cuTicksTotal_ = 0;
+    std::uint64_t runaheadInstsTotal_ = 0;
 };
 
 } // namespace photon::timing

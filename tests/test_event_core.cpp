@@ -77,6 +77,55 @@ memKernel(std::uint32_t iters)
     return b.finish();
 }
 
+/** An ALU run of mixed latencies that crosses an L1I fetch line,
+ *  between a vector load and the loop branch: the shapes at which the
+ *  sole-occupant run-ahead starts and stops. Wave i of a workgroup
+ *  loops @p iters + 3i times, so a workgroup's waves retire apart;
+ *  @p lds_bytes limits how many workgroups share a CU. */
+ProgramPtr
+soleKernel(std::uint32_t iters, std::uint32_t lds_bytes = 0)
+{
+    KernelBuilder b("sole");
+    b.setLdsBytes(lds_bytes);
+    b.sMov(3, imm(0));
+    b.emit(Opcode::S_MUL_U32, sreg(4), sreg(kSgprWaveInGroup), imm(3));
+    b.sAdd(4, sreg(4), imm(iters));
+    b.vMad(1, vreg(0), imm(64), imm(64)); // scattered line per lane
+    Label loop = b.label();
+    b.bind(loop);
+    b.flatLoad(2, 1);
+    for (int k = 0; k < 6; ++k)
+        b.vAddF32(4, vreg(4), immF(1.0f));
+    b.emit(Opcode::V_RCP_F32, vreg(5), vreg(4));
+    b.vAddU32(1, vreg(1), imm(64 * 64));
+    b.sAdd(3, sreg(3), imm(1));
+    b.emit(Opcode::S_CMP_LT_U32, {}, sreg(3), sreg(4));
+    b.branch(Opcode::S_CBRANCH_SCC1, loop);
+    b.endProgram();
+    return b.finish();
+}
+
+/** ALU runs and LDS writes between workgroup barriers. */
+ProgramPtr
+soleBarrierKernel(std::uint32_t iters)
+{
+    KernelBuilder b("sole-barrier");
+    b.setLdsBytes(256);
+    b.sMov(3, imm(0));
+    b.emit(Opcode::V_LSHL_B32, vreg(1), sreg(kSgprWaveInGroup), imm(2));
+    Label loop = b.label();
+    b.bind(loop);
+    b.dsWrite(1, sreg(3));
+    for (int k = 0; k < 4; ++k)
+        b.vAddF32(4, vreg(4), immF(1.0f));
+    b.barrier();
+    b.sAdd(3, sreg(3), imm(1));
+    b.emit(Opcode::S_CMP_LT_U32, {}, sreg(3), imm(iters));
+    b.branch(Opcode::S_CBRANCH_SCC1, loop);
+    b.endProgram();
+    return b.finish();
+}
+
 /** FNV-1a hash over the full monitor callback stream: any reordering,
  *  dropped or extra callback between two runs changes the hash. */
 struct HashingMonitor : KernelMonitor
@@ -386,6 +435,59 @@ TEST(EventCore, ReleasedMonitorFinishesOnTheFastPath)
         EXPECT_EQ(mon.retiredInsts, out.instsIssued) << kc.name;
         EXPECT_EQ(mon.phases.back(), timing::KernelPhase::Complete)
             << kc.name;
+    }
+}
+
+TEST(EventCore, SoleOccupantRunAheadMatchesSeedLoop)
+{
+    // Four-wave workgroups put one wave on each SIMD of a CU. With no
+    // more workgroups than CUs every issue follows the last placement,
+    // so each SIMD's sole wave runs ahead. With more, the LDS holds two
+    // workgroups per CU: a SIMD keeps one wave once the other
+    // workgroup's wave there retires, while dispatch may still place a
+    // workgroup beside it, so the run-ahead must wait for the last
+    // placement. The hook-free event core must match the seed loop in
+    // cycles, insts, every exported gpu.* and mem.* statistic and the
+    // IPC trace, and the run-ahead must have issued instructions in
+    // each case.
+    const std::uint32_t cus = GpuConfig::testTiny().numCus;
+    const struct
+    {
+        const char *name;
+        ProgramPtr prog;
+        func::LaunchDims dims;
+        std::uint64_t memBytes;
+    } cases[] = {
+        {"one wave per SIMD", soleKernel(12), {cus, 4, 0}, 64ull << 20},
+        {"dispatch running", soleKernel(12, 32 * 1024), {cus * 12, 4, 0},
+         64ull << 20},
+        {"barrier", soleBarrierKernel(6), {cus, 4, 0}, 1 << 20},
+    };
+    for (const auto &c : cases) {
+        RunOptions opts;
+        opts.collectIpcTrace = true;
+        opts.ipcBucketCycles = 64;
+        opts.useSeedLoop = true;
+        GpuRun seed = runOnGpuNoMonitor(c.prog, c.dims, c.memBytes, opts);
+
+        opts.useSeedLoop = false;
+        Gpu gpu(GpuConfig::testTiny());
+        func::GlobalMemory mem(c.memBytes);
+        if (c.memBytes > (1 << 20))
+            mem.allocate(c.memBytes / 2); // back the loads
+        RunOutcome out = gpu.runKernel(*c.prog, c.dims, mem, nullptr, opts);
+        StatRegistry reg;
+        gpu.exportStats(reg);
+        StatRegistry work;
+        gpu.exportWorkCounters(work);
+
+        EXPECT_GT(seed.out.instsIssued, 0u) << c.name;
+        expectSameOutcome(out, seed.out, c.name);
+        EXPECT_EQ(reg.values(), seed.stats) << c.name;
+        EXPECT_GT(work.get("gpu.runahead_insts"), 0.0) << c.name;
+        EXPECT_LT(work.get("gpu.runahead_insts"),
+                  static_cast<double>(out.instsIssued))
+            << c.name;
     }
 }
 

@@ -272,3 +272,46 @@ TEST(GoldenParity, NanoFullDetailMemoryStats)
     for (const FullDetailCase &c : kCases)
         runFullDetailCase(c);
 }
+
+TEST(GoldenParity, NanoSoleOccupantFullDetail)
+{
+    // Four-wave workgroups on at most one workgroup per CU: every
+    // issuing SIMD holds exactly one resident wave, and every issue
+    // comes after the kernel's last placement, so these runs go
+    // through the detailed core's sole-occupant run-ahead
+    // (DESIGN.md §8). Captured before the run-ahead existed.
+    const FullDetailCase kCases[] = {
+        {"fir", 256, "r9nano", 2032ull, 40960ull,
+         {{"mem.dram.accesses", 2055},
+          {"mem.dram.queueing_cycles", 89268},
+          {"mem.l1i.hits", 8640},
+          {"mem.l1i.misses", 64},
+          {"mem.l1k.hits", 5344},
+          {"mem.l1k.misses", 32},
+          {"mem.l1v.hits", 19136},
+          {"mem.l1v.misses", 2112},
+          {"mem.l2.hits", 153},
+          {"mem.l2.misses", 2055}},
+         {{"gpu.now_cycles", 2032},
+          {"gpu.active_cycles", 2031},
+          {"gpu.busy_cu_cycles", 110124},
+          {"gpu.wave_cycles", 415952}}},
+        {"pagerank", 2048, "r9nano", 45549ull, 79904ull,
+         {{"mem.dram.accesses", 1653},
+          {"mem.dram.queueing_cycles", 6800},
+          {"mem.l1i.hits", 13248},
+          {"mem.l1i.misses", 112},
+          {"mem.l1k.hits", 2272},
+          {"mem.l1k.misses", 32},
+          {"mem.l1v.hits", 201204},
+          {"mem.l1v.misses", 9572},
+          {"mem.l2.hits", 8063},
+          {"mem.l2.misses", 1653}},
+         {{"gpu.now_cycles", 45549},
+          {"gpu.active_cycles", 45533},
+          {"gpu.busy_cu_cycles", 331321},
+          {"gpu.wave_cycles", 1290315}}},
+    };
+    for (const FullDetailCase &c : kCases)
+        runFullDetailCase(c);
+}

@@ -167,6 +167,32 @@ TEST(Platform, SecondTraceKeyRehashesOnlyTheFirstLaunchsStores)
     EXPECT_EQ(p.traceCaptures(), 2u);
 }
 
+TEST(Platform, PhotonLooksTracesUpOnlyForLaunchesItAnalyses)
+{
+    // A Photon launch reads a trace only to build its online analysis.
+    // A repeat of a launch whose analysis is stored skips the trace key
+    // and the store lookup: it rehashes no memory and counts neither a
+    // hit nor a miss.
+    driver::Platform p(GpuConfig::testTiny(), driver::SimMode::Photon);
+    Addr out = p.alloc(1024 * 4);
+    Addr args = p.packArgs({static_cast<std::uint32_t>(out)});
+    ProgramPtr prog = storeTid(256);
+
+    p.launch(prog, 4, 4, args);
+    const double hashed = p.stats().get("platform.fingerprint_bytes");
+    p.launch(prog, 4, 4, args);
+    p.launch(prog, 4, 4, args);
+    EXPECT_EQ(p.stats().get("platform.fingerprint_bytes"), hashed);
+    p.launch(prog, 2, 4, args); // new dims: a new analysis
+
+    std::uint64_t analysed = 0;
+    for (const driver::LaunchResult &l : p.launchLog())
+        analysed += !l.sample.telemetry.analysisReused;
+    EXPECT_EQ(analysed, 2u);
+    EXPECT_EQ(p.traceHits() + p.traceMisses(), analysed);
+    EXPECT_EQ(p.traceCaptures(), 0u);
+}
+
 TEST(Platform, TraceUnderAnOldSchemeKeyIsNeverReturned)
 {
     const std::uint32_t n = 1024;
